@@ -123,9 +123,12 @@ func checkCall(pkg *isivet.Package, call *ast.CallExpr, report func(token.Pos, s
 
 	fun := ast.Unparen(call.Fun)
 
-	// Conversion to an interface type boxes its operand.
+	// Conversion to an interface type boxes its operand. A type parameter
+	// is not one, though types.IsInterface says so of its constraint:
+	// converting *F to a P constrained to *F is a pointer conversion.
 	if tv, ok := info.Types[fun]; ok && tv.IsType() {
-		if types.IsInterface(tv.Type) && len(call.Args) == 1 {
+		_, typeParam := tv.Type.(*types.TypeParam)
+		if !typeParam && types.IsInterface(tv.Type) && len(call.Args) == 1 {
 			if at := info.TypeOf(call.Args[0]); at != nil && concrete(at) {
 				report(call.Pos(), "conversion boxes %s into interface %s", at, tv.Type)
 			}

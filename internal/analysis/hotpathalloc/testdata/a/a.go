@@ -52,6 +52,17 @@ func boxing(n int) {
 	variadic(prebuilt...) // forwarding a slice: no boxing here
 }
 
+// stepper is a type parameter constrained to *F: converting to it (the
+// generic scheduler's method call) is a pointer conversion, not a box.
+//
+//isi:hotpath
+func stepper[F any, P interface {
+	*F
+	step()
+}](f *F) {
+	P(f).step()
+}
+
 func takesAny(v any)       { _ = v }
 func takesError(err error) { _ = err }
 func variadic(vs ...any)   { _ = vs }

@@ -226,7 +226,9 @@ func (t *Table) RunCoro(keys []uint64, group int, out []Result) {
 // place for each probe. Probe chains are short (a handful of suspension
 // rounds), so the per-probe allocations of RunCoro — frame struct,
 // bound method value, handle — rival the interleaving gain; recycling
-// removes them. This is the kernel internal/serve drains through.
+// removes them. internal/serve used to drain through this shape; its
+// drains now hold the frames by value under coro.DrainFlat, and this
+// stays as the Handle-scheduler data point next to RunCoro and RunAMAC.
 func (t *Table) RunCoroReuse(keys []uint64, group int, out []Result) {
 	pool := coro.NewSlotPool(func(f *frameProbe) func() (Result, bool) { return f.step })
 	coro.RunInterleavedSlots(len(keys), group,

@@ -212,7 +212,7 @@ func TestPointCancelledContext(t *testing.T) {
 // TestGoBatchAllocsO1 is the admission-cost acceptance check: GoBatch
 // must do O(1) allocations per batch — a handful of fixed headers,
 // independent of the batch size. The adaptive controller is disabled
-// and the native drain is slot-recycled, so the whole submit+wait cycle
+// and the native drain reuses its per-slot frames, so the whole submit+wait cycle
 // stays allocation-flat; the bound below is the admission headers plus
 // scheduler-noise slack.
 func TestGoBatchAllocsO1(t *testing.T) {
@@ -222,7 +222,7 @@ func TestGoBatchAllocsO1(t *testing.T) {
 	}
 	defer s.Close()
 	ctx := context.Background()
-	// Warm the per-shard slot pools and scratch so steady state is measured.
+	// Warm the per-shard drain slots and scratch so steady state is measured.
 	warm := make([]uint64, 1<<12)
 	for i := range warm {
 		warm[i] = uint64(i)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -16,7 +17,10 @@ import (
 // around the local optimum (steepest-descent on a noisy 1-D surface).
 //
 // observe is called only from the owning shard's goroutine; Group and
-// History may be read concurrently (snapshots, reporting).
+// History may be read concurrently (snapshots, reporting). The shard reads
+// Group once per drained message, so the current group is an atomic the
+// hill-climb step publishes — the drain path never takes mu, which guards
+// only the step's bookkeeping and the history its readers copy.
 type controller struct {
 	adaptive bool
 	min, max int
@@ -28,8 +32,9 @@ type controller struct {
 	cost    float64
 	prev    float64 // previous epoch's cost per item; 0 = none yet
 
+	group atomic.Int32 // written by observe (shard goroutine) only
+
 	mu     sync.Mutex
-	group  int
 	dir    int
 	epochs uint64 // completed controller epochs
 	hist   []int  // group chosen at each epoch boundary (tail of histCap)
@@ -44,22 +49,21 @@ type controller struct {
 const histCap = 128
 
 func newController(cfg Config) *controller {
-	return &controller{
+	c := &controller{
 		adaptive: cfg.Adaptive,
 		min:      cfg.MinGroup,
 		max:      cfg.MaxGroup,
 		every:    cfg.AdaptEvery,
-		group:    cfg.Group,
 		dir:      +1,
 	}
+	c.group.Store(int32(cfg.Group))
+	return c
 }
 
 // Group returns the group size to use for the next batch.
-func (c *controller) Group() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.group
-}
+//
+//isi:hotpath
+func (c *controller) Group() int { return int(c.group.Load()) }
 
 // History returns the chronological tail of per-epoch group choices.
 func (c *controller) History() []int {
@@ -93,24 +97,26 @@ func (c *controller) observe(items int, cost float64) {
 	}
 	prev := c.prev
 	c.prev = per
-	from := c.group
-	next := c.group + c.dir
+	from := c.Group()
+	to := from
+	next := from + c.dir
 	if next < c.min || next > c.max {
 		c.dir = -c.dir
-		next = c.group + c.dir
+		next = from + c.dir
 	}
 	if next >= c.min && next <= c.max {
-		c.group = next
+		to = next
+		c.group.Store(int32(to))
 	}
 	if len(c.hist) == histCap {
 		c.hist = append(c.hist[:0], c.hist[1:]...) //isi:allow-alloc(in-place shift of the bounded history ring; epoch-boundary only)
 	}
-	c.hist = append(c.hist, c.group) //isi:allow-alloc(bounded history ring, one entry per controller epoch)
+	c.hist = append(c.hist, to) //isi:allow-alloc(bounded history ring, one entry per controller epoch)
 	c.epochs++
 	// The decision log's mutex nests strictly inside c.mu here and is
 	// never taken the other way around.
 	c.dlog.Record(obs.Decision{
-		Epoch: c.epochs, From: from, To: c.group,
+		Epoch: c.epochs, From: from, To: to,
 		Items: epochItems, Cost: per, PrevCost: prev, Reversed: reversed,
 	})
 }

@@ -30,8 +30,8 @@ import (
 // on a service whose dictionary mutates, joins stay consistent with
 // lookups because both go through the same delta-then-main composite.
 // Chains diverge per key, so batch streams fall out of lockstep; the
-// round-robin Drainer absorbs that, which is exactly the decoupled-
-// control-flow case the paper builds coroutines for.
+// round-robin scheduler (coro.DrainFlat) absorbs that, which is exactly
+// the decoupled-control-flow case the paper builds coroutines for.
 
 // BuildTuple is one build-side row: a join key from the value domain and
 // an opaque payload aggregated by probes.
@@ -67,11 +67,10 @@ type joinOut struct {
 
 // joinFrame is the composite coroutine frame: delta probe, dictionary
 // binary search, and hash-table chain walk, all live state hand-spilled
-// into one flat struct (see internal/native's frameLookup for why
-// closures won't do). Frames are recycled per scheduler slot — init
-// resets the struct in place, the bound step closure and coro.Frame are
-// reused — so a shard drains an unbounded request sequence with no
-// per-request allocation.
+// into one flat struct (see internal/native's SearchCursor for why
+// closures won't do). One frame per scheduler slot lives by value in the
+// shard's coro.FlatSlots — init resets it in place — so a shard drains an
+// unbounded request sequence with no per-request allocation.
 type joinFrame struct {
 	idx  *nativeJoinIndex
 	key  uint64
@@ -86,49 +85,50 @@ type joinFrame struct {
 	// kernels).
 	search native.SearchCursor
 	// Probe stage: the chain walk.
-	cur   nativejoin.Cursor
-	out   joinOut
-	stage uint8 // 0 = dictionary search, 1 = chain walk, 2 = resolved
+	cur     nativejoin.Cursor
+	out     joinOut
+	walking bool // false = dictionary search, true = chain walk
 }
 
-// init resets the frame for one key. The delta probe happens here, at
-// frame start: a delta-resolved lookup completes on its first Step
-// (stage 2) without touching the main index, and a delta-resolved join
-// enters the chain walk (stage 1) with its delta code — issuing the
-// bucket-head early load immediately, like the search stage would have.
+// init resets the frame for one key and reports whether it needs the
+// scheduler. The delta probe happens here, at frame start: a key the
+// delta resolves outright (a tombstone, or a hit on a plain lookup) and
+// any key of an empty partition is answered in f.out and init returns
+// false — it never occupies a slot; a delta-resolved join enters the
+// chain walk with its delta code, issuing the bucket-head early load
+// immediately, like the search stage would have.
 //
 //isi:hotpath
-func (f *joinFrame) init(x *nativeJoinIndex, dv deltaView, key uint64, join bool, msink *[]Match, probe int) {
+func (f *joinFrame) init(x *nativeJoinIndex, dv deltaView, key uint64, join bool, msink *[]Match, probe int) bool {
 	*f = joinFrame{idx: x, key: key, join: join, msink: msink, probe: probe}
 	if !dv.empty() {
 		if v, oc := dv.lookup(key); oc != deltaMiss {
 			if oc == deltaDel {
 				f.out = joinOut{code: NotFound}
-				f.stage = 2
-				return
+				return false
 			}
 			f.out = joinOut{code: v, found: true}
 			if !join {
-				f.stage = 2
-				return
+				return false
 			}
 			f.cur = x.jt.Start(uint64(v))
-			f.stage = 1
-			return
+			f.walking = true
+			return true
 		}
 	}
 	if len(x.table) == 0 {
 		f.out = joinOut{code: NotFound}
-		f.stage = 2
-		return
+		return false
 	}
 	f.search = native.StartSearch(x.table, key)
+	return true
 }
 
+// Step is the frame's resume (coro.FlatFrame).
+//
 //isi:hotpath
-func (f *joinFrame) step() (joinOut, bool) {
-	switch f.stage {
-	case 0:
+func (f *joinFrame) Step() (joinOut, bool) {
+	if !f.walking {
 		low, done := f.search.Step()
 		if !done {
 			return joinOut{}, false
@@ -144,52 +144,47 @@ func (f *joinFrame) step() (joinOut, bool) {
 		// Pipe the code into the hash probe within the same drain: Start
 		// issues the bucket-head early load, then suspend.
 		f.cur = f.idx.jt.Start(uint64(code))
-		f.stage = 1
+		f.walking = true
 		return joinOut{}, false
-	case 1:
-		r, done := f.cur.Step(f.idx.jt)
-		if f.msink != nil {
-			if payload, hit := f.cur.Matched(); hit {
-				*f.msink = append(*f.msink, Match{Probe: f.probe, Key: f.key, Code: f.out.code, Payload: payload}) //isi:allow-alloc(streams into the batch's per-shard match buffer, whose growth amortizes across batches)
-			}
-		}
-		if !done {
-			return joinOut{}, false
-		}
-		f.out.hits = r.Hits
-		f.out.agg = r.Agg
-		return f.out, true
-	default: // resolved at init (delta hit/tombstone, or empty partition)
-		return f.out, true
 	}
+	r, done := f.cur.Step(f.idx.jt)
+	if f.msink != nil {
+		if payload, hit := f.cur.Matched(); hit {
+			*f.msink = append(*f.msink, Match{Probe: f.probe, Key: f.key, Code: f.out.code, Payload: payload}) //isi:allow-alloc(streams into the batch's per-shard match buffer, whose growth amortizes across batches)
+		}
+	}
+	if !done {
+		return joinOut{}, false
+	}
+	f.out.hits = r.Hits
+	f.out.agg = r.Agg
+	return f.out, true
 }
 
 // nativeJoinIndex is a shard's join backend: the dictionary partition
 // (sorted values + global codes, as nativeIndex) plus the build-side
-// hash-table partition, drained together through slot-recycled composite
+// hash-table partition, drained together through per-slot composite
 // frames. The cost unit is wall nanoseconds.
 type nativeJoinIndex struct {
 	table []uint64
 	codes []uint32
 	jt    *nativejoin.Table
-	d     *coro.Drainer[joinOut]
-	// pool recycles one composite frame and handle per scheduler slot
-	// across every batch the shard ever drains.
-	pool *coro.SlotPool[joinFrame, joinOut]
+	// slots holds one composite frame per scheduler slot across every
+	// batch the shard ever drains.
+	slots *coro.FlatSlots[joinFrame]
 	// rs drains OpRange scans over the dictionary column (ranges are a
 	// dictionary operation; the build side is keyed by code and plays no
 	// part in them).
 	rs *rangeScanner
 }
 
-func newNativeJoinIndex(cfg Config, vals []uint64, codes []uint32, jt *nativejoin.Table) *nativeJoinIndex {
+func newNativeJoinIndex(vals []uint64, codes []uint32, jt *nativejoin.Table) *nativeJoinIndex {
 	return &nativeJoinIndex{
 		table: vals,
 		codes: codes,
 		jt:    jt,
-		d:     coro.NewDrainer[joinOut](cfg.MaxGroup),
-		pool:  coro.NewSlotPool(func(f *joinFrame) func() (joinOut, bool) { return f.step }),
-		rs:    newRangeScanner(cfg),
+		slots: new(coro.FlatSlots[joinFrame]),
+		rs:    new(rangeScanner),
 	}
 }
 
@@ -200,41 +195,44 @@ func (x *nativeJoinIndex) scanRanges(ops []Op, limits []int, group int, pairs []
 
 // rebuild constructs the next-epoch join backend over the merged
 // dictionary column. The build-side table is keyed by code, which writes
-// edit only through the dictionary mapping, so the table, drainer, and
-// slot pool carry over — a join install is a pointer swap.
+// edit only through the dictionary mapping, so the table and the drain
+// slots carry over — a join install is a pointer swap.
 func (x *nativeJoinIndex) rebuild(vals []uint64, codes []uint32) *nativeJoinIndex {
-	return &nativeJoinIndex{table: vals, codes: codes, jt: x.jt, d: x.d, pool: x.pool, rs: x.rs}
+	return &nativeJoinIndex{table: vals, codes: codes, jt: x.jt, slots: x.slots, rs: x.rs}
 }
 
 // drainBatch resolves one point sub-batch of mixed lookup/join futures
 // against the given delta view and completes their result fields (not
 // their done channels — the shard closes those after recording latency).
-// Futures pre-marked dropped are skipped through the scheduler's
-// nil-start contract: they never occupy a slot and are never probed.
-// Returns the batch cost in nanoseconds for the controller.
+// Futures pre-marked dropped decline their start: they never occupy a
+// slot and are never probed. Returns the batch cost in nanoseconds for
+// the controller.
 //
 //isi:hotpath
 func (x *nativeJoinIndex) drainBatch(dv deltaView, sub []*Future, group int) float64 {
 	t0 := time.Now()
-	x.d.DrainSlots(len(sub), group,
-		//isi:allow-alloc(two closures per batch over the batch's columns; O(1) per batch, not per key)
-		func(slot, i int) coro.Handle[joinOut] {
+	//isi:allow-alloc(two closures per batch over the batch's columns, called and not retained by DrainFlat; O(1) per batch, not per key)
+	sink := func(i int, r joinOut) {
+		f := sub[i]
+		f.res = Result{Code: r.code, Found: r.found}
+		if f.op.Kind == OpJoin {
+			f.jres = JoinResult{Code: r.code, Hits: r.hits, Agg: r.agg}
+		}
+	}
+	coro.DrainFlat(x.slots, len(sub), group,
+		//isi:allow-alloc(see the sink closure above)
+		func(fr *joinFrame, i int) bool {
 			f := sub[i]
 			if f.dropped {
-				return nil
+				return false
 			}
-			fr, h := x.pool.Slot(slot)
-			fr.init(x, dv, f.op.Key, f.op.Kind == OpJoin, nil, i)
-			return h
+			if fr.init(x, dv, f.op.Key, f.op.Kind == OpJoin, nil, i) {
+				return true
+			}
+			sink(i, fr.out)
+			return false
 		},
-		//isi:allow-alloc(see the start closure above)
-		func(i int, r joinOut) {
-			f := sub[i]
-			f.res = Result{Code: r.code, Found: r.found}
-			if f.op.Kind == OpJoin {
-				f.jres = JoinResult{Code: r.code, Hits: r.hits, Agg: r.agg}
-			}
-		})
+		sink)
 	return float64(time.Since(t0))
 }
 
@@ -253,19 +251,22 @@ func (x *nativeJoinIndex) drainSegment(dv deltaView, bf *BatchFuture, shardID, l
 		msink = &bf.matches[shardID]
 	}
 	keys := bf.keys[lo:hi]
-	x.d.DrainSlots(len(keys), group,
-		//isi:allow-alloc(two closures per batch over the batch's columns; O(1) per batch, not per key)
-		func(slot, i int) coro.Handle[joinOut] {
-			fr, h := x.pool.Slot(slot)
-			fr.init(x, dv, keys[i], join, msink, lo+i)
-			return h
-		},
-		//isi:allow-alloc(see the start closure above)
-		func(i int, r joinOut) {
-			bf.res[lo+i] = Result{Code: r.code, Found: r.found}
-			if join {
-				bf.jres[lo+i] = JoinResult{Code: r.code, Hits: r.hits, Agg: r.agg}
+	//isi:allow-alloc(two closures per batch over the batch's columns, called and not retained by DrainFlat; O(1) per batch, not per key)
+	sink := func(i int, r joinOut) {
+		bf.res[lo+i] = Result{Code: r.code, Found: r.found}
+		if join {
+			bf.jres[lo+i] = JoinResult{Code: r.code, Hits: r.hits, Agg: r.agg}
+		}
+	}
+	coro.DrainFlat(x.slots, len(keys), group,
+		//isi:allow-alloc(see the sink closure above)
+		func(fr *joinFrame, i int) bool {
+			if fr.init(x, dv, keys[i], join, msink, lo+i) {
+				return true
 			}
-		})
+			sink(i, fr.out)
+			return false
+		},
+		sink)
 	return float64(time.Since(t0))
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -50,15 +49,7 @@ func TestObserverEndToEnd(t *testing.T) {
 	}
 	s.Delete(ctx, 25).Wait()
 
-	// Wait for the background merges to install (drive the shards with
-	// lookups so installPending runs).
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Rebuilds == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no epoch rebuild installed")
-		}
-		s.Lookup(ctx, 1)
-	}
+	awaitRebuild(t, s)
 	st := s.Stats()
 	s.Close()
 

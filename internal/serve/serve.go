@@ -39,7 +39,7 @@
 //
 // Either way, requests are hash-partitioned across per-core shards
 // (vectorized batches are partitioned in place) and drained through the
-// coroutine-interleaved kernels (coro.Drainer over internal/native frames
+// coroutine-interleaved kernels (coro.DrainFlat over internal/native frames
 // on real memory, or the memsim-backed dict.Main / csbtree kernels on the
 // simulated hierarchy). Each shard's interleaving group size is tuned
 // online by a hill-climbing controller on measured per-batch cost,
@@ -599,7 +599,7 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 		}
 		ep := &epochState{vals: locVals[i], codes: locCodes[i]}
 		if joinTabs != nil {
-			ep.joinIdx = newNativeJoinIndex(cfg, locVals[i], locCodes[i], joinTabs[i])
+			ep.joinIdx = newNativeJoinIndex(locVals[i], locCodes[i], joinTabs[i])
 		} else {
 			idx, err := newShardIndex(cfg, i, locVals[i], locCodes[i])
 			if err != nil {

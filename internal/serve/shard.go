@@ -97,8 +97,8 @@ type shardMsg struct {
 // limits[i] in-range (key, code) pairs in ascending key order to
 // pairs[i] (limits[i] <= 0 is unbounded) — the delta merge happens
 // outside, in mergeRange. rebuild constructs the next-epoch index over
-// a merged column, reusing the engine, drainer, and slot-pool resources
-// of the current one; it runs on the shard goroutine between batches
+// a merged column, reusing the engine and drain slots of the current
+// one; it runs on the shard goroutine between batches
 // and its duration is the rebuild pause.
 type shardIndex interface {
 	lookupBatch(dv deltaView, keys []uint64, group int, out []Result) float64
@@ -249,7 +249,7 @@ func (sh *shard) drainPoint(sub []*Future, id uint64) {
 }
 
 // drainReadRun drains one run of point reads (dropped futures in the
-// run are skipped through the schedulers' nil-start contract) against
+// run are skipped through the scheduler's declined-start contract) against
 // the epoch snapshot and delta view of the run's read horizon,
 // completing their result fields. The view is built per run, not per
 // sub-batch: a write between runs can install a pending epoch, and a
@@ -447,38 +447,30 @@ func (sh *shard) drainRange(rf *RangeFuture, id uint64) {
 }
 
 // rangeScanner drains interleaved range scans over a real sorted column:
-// one slot-recycled native.RangeCursor per scheduler slot, seeks
-// suspending per early-load round, each scan completing in its final
-// resume. Shared by the lookup and join native backends (the scan side
-// is identical); carried across rebuilds like the other drain resources.
+// one native.RangeCursor per scheduler slot, seeks suspending per
+// early-load round, each scan completing in its final resume. Shared by
+// the lookup and join native backends (the scan side is identical);
+// carried across rebuilds like the other drain slots.
 type rangeScanner struct {
-	d    *coro.Drainer[int]
-	pool *coro.SlotPool[native.RangeCursor, int]
-}
-
-func newRangeScanner(cfg Config) *rangeScanner {
-	return &rangeScanner{
-		d:    coro.NewDrainer[int](cfg.MaxGroup),
-		pool: coro.NewSlotPool(func(c *native.RangeCursor) func() (int, bool) { return c.Step }),
-	}
+	slots coro.FlatSlots[native.RangeCursor]
 }
 
 // scan fills pairs[i] with up to limits[i] snapshot entries of ops[i]'s
-// range, seeks interleaved at group; returns wall nanoseconds.
+// range, seeks interleaved at group; returns wall nanoseconds. An empty
+// table or an inverted range emits nothing and never occupies a slot.
 //
 //isi:hotpath
 func (rs *rangeScanner) scan(table []uint64, codes []uint32, ops []Op, limits []int, group int, pairs [][]native.Pair) float64 {
 	t0 := time.Now()
-	rs.d.DrainSlots(len(ops), group,
-		//isi:allow-alloc(two closures per batch over the batch's columns; O(1) per batch, not per range)
-		func(slot, i int) coro.Handle[int] {
+	coro.DrainFlat(&rs.slots, len(ops), group,
+		//isi:allow-alloc(two closures per batch over the batch's columns, called and not retained by DrainFlat; O(1) per batch, not per range)
+		func(c *native.RangeCursor, i int) bool {
 			op := ops[i]
 			if len(table) == 0 || op.Key > op.Hi {
-				return nil
+				return false
 			}
-			c, h := rs.pool.Slot(slot)
 			*c = native.StartRangeScan(table, codes, op.Key, op.Hi, limits[i], &pairs[i])
-			return h
+			return true
 		},
 		//isi:allow-alloc(see the start closure above)
 		func(int, int) {})
@@ -490,13 +482,7 @@ func (rs *rangeScanner) scan(table []uint64, codes []uint32, ops []Op, limits []
 func newShardIndex(cfg Config, i int, vals []uint64, codes []uint32) (shardIndex, error) {
 	switch cfg.Kind {
 	case NativeSorted:
-		return &nativeIndex{
-			table: vals,
-			codes: codes,
-			d:     coro.NewDrainer[int](cfg.MaxGroup),
-			pool:  coro.NewSlotPool(func(c *native.SearchCursor) func() (int, bool) { return c.Step }),
-			rs:    newRangeScanner(cfg),
-		}, nil
+		return newNativeIndex(vals, codes), nil
 	case SimMain:
 		simCfg := memsim.DefaultConfig()
 		simCfg.Seed = cfg.SimSeed + uint64(i)
@@ -521,19 +507,27 @@ type errUnknownKind IndexKind
 func (e errUnknownKind) Error() string { return "serve: unknown index kind " + IndexKind(e).String() }
 
 // nativeIndex is the real-hardware backend: a sorted slice probed by the
-// frame-coroutine binary search of internal/native, drained through a
-// reusable coro.Drainer with one slot-recycled SearchCursor per
-// scheduler slot — the steady-state drain allocates nothing per key.
+// frame-coroutine binary search of internal/native, one SearchCursor per
+// scheduler slot held by value and resumed through its concrete Step
+// (coro.DrainFlat) — the steady-state drain allocates nothing.
 // Delta-resolved keys complete at start time through the scheduler's
-// nil-start contract, so they never occupy a slot; everything else falls
-// through to the main search — the delta-then-main composite. The cost
-// unit is wall nanoseconds.
+// declined-start contract, so they never occupy a slot; everything else
+// falls through to the main search — the delta-then-main composite. The
+// cost unit is wall nanoseconds.
 type nativeIndex struct {
 	table []uint64
 	codes []uint32
-	d     *coro.Drainer[int]
-	pool  *coro.SlotPool[native.SearchCursor, int]
+	slots *coro.FlatSlots[native.SearchCursor]
 	rs    *rangeScanner
+}
+
+func newNativeIndex(vals []uint64, codes []uint32) *nativeIndex {
+	return &nativeIndex{
+		table: vals,
+		codes: codes,
+		slots: new(coro.FlatSlots[native.SearchCursor]),
+		rs:    new(rangeScanner),
+	}
 }
 
 //isi:hotpath
@@ -545,9 +539,9 @@ func (x *nativeIndex) lookupBatch(dv deltaView, keys []uint64, group int, out []
 		}
 		return float64(time.Since(t0))
 	}
-	x.d.DrainSlots(len(keys), group,
-		//isi:allow-alloc(two closures per batch over the batch's columns; O(1) per batch, not per key)
-		func(slot, i int) coro.Handle[int] {
+	coro.DrainFlat(x.slots, len(keys), group,
+		//isi:allow-alloc(two closures per batch over the batch's columns, called and not retained by DrainFlat; O(1) per batch, not per key)
+		func(c *native.SearchCursor, i int) bool {
 			if !dv.empty() {
 				if v, oc := dv.lookup(keys[i]); oc != deltaMiss {
 					if oc == deltaHit {
@@ -555,16 +549,15 @@ func (x *nativeIndex) lookupBatch(dv deltaView, keys []uint64, group int, out []
 					} else {
 						out[i] = Result{Code: NotFound}
 					}
-					return nil
+					return false
 				}
 			}
 			if len(x.table) == 0 {
 				out[i] = Result{Code: NotFound}
-				return nil
+				return false
 			}
-			c, h := x.pool.Slot(slot)
 			*c = native.StartSearch(x.table, keys[i])
-			return h
+			return true
 		},
 		//isi:allow-alloc(see the start closure above)
 		func(i, low int) {
@@ -583,9 +576,9 @@ func (x *nativeIndex) scanRanges(ops []Op, limits []int, group int, pairs [][]na
 }
 
 func (x *nativeIndex) rebuild(vals []uint64, codes []uint32, _ []writeEntry) shardIndex {
-	// The merged column is the index; the drainer and slot pool carry
-	// over, so a native install is a pointer swap — near-zero pause.
-	return &nativeIndex{table: vals, codes: codes, d: x.d, pool: x.pool, rs: x.rs}
+	// The merged column is the index; the drain slots carry over, so a
+	// native install is a pointer swap — near-zero pause.
+	return &nativeIndex{table: vals, codes: codes, slots: x.slots, rs: x.rs}
 }
 
 // resolveDelta answers the delta-resolved keys of a batch host-side (the

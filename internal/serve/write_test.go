@@ -20,6 +20,30 @@ func writeOpts(kind IndexKind, threshold int) []Option {
 	}
 }
 
+// awaitRebuild returns the service's stats once at least one epoch rebuild
+// has installed, failing the test after 2 s without one. A test that has
+// written past the rebuild threshold has started a merge, but the merge
+// runs in the background and its result installs only when the shard next
+// dequeues a message — so asserting Rebuilds > 0 straight after the last
+// write races the merger on any host with a second core. The sweep below
+// keeps every shard dequeuing while this polls.
+func awaitRebuild(t *testing.T, s *Service) Stats {
+	t.Helper()
+	keys := make([]uint64, 64) // 0..63 reach every shard, in whatever order GoBatch leaves them
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		if st := s.Stats(); st.Rebuilds > 0 {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no epoch rebuild installed within 2s of the writes that forced one")
+		}
+		s.GoBatch(context.Background(), keys).Wait()
+	}
+}
+
 // TestWritesVisibleAcrossRebuilds drives inserts, upserts, and deletes
 // through every backend with a tiny rebuild threshold and checks
 // read-your-writes at every step — before, during, and after epoch
@@ -79,13 +103,11 @@ func TestWritesVisibleAcrossRebuilds(t *testing.T) {
 					t.Fatalf("sweep key %d = %+v, want %d (present %v)", k, res[i], want, ok)
 				}
 			}
+			awaitRebuild(t, s)
 			s.Close()
 			st := s.Stats()
 			if st.Inserts != inserts || st.Deletes != deletes {
 				t.Fatalf("stats writes = %d/%d, want %d/%d", st.Inserts, st.Deletes, inserts, deletes)
-			}
-			if st.Rebuilds == 0 {
-				t.Fatalf("no epoch rebuilds with threshold 8 after %d writes", inserts+deletes)
 			}
 			var epochs uint64
 			for _, ss := range st.Shards {
