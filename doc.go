@@ -27,8 +27,8 @@
 //     partitioning) — context-aware drops counted in Stats, streaming
 //     join matches via iter.Seq[Match], an adaptive per-shard
 //     interleaving group size, and end-to-end join execution: per-shard
-//     build-side hash-table partitions probed by composite
-//     dictionary→probe coroutines (cmd/isiserve drives all modes under
+//     build-side hash-table partitions probed in two interleaved stages,
+//     dictionary search then chain walk (cmd/isiserve drives all modes under
 //     open-loop load; -mode join for joins, -vector for columns).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the

@@ -17,11 +17,11 @@ func TestFrameLayout(t *testing.T) {
 		size uintptr
 		want uintptr
 	}{
-		// 24-byte slice header + 4 words + bool: 65 → 72.
-		{"SearchCursor", unsafe.Sizeof(SearchCursor{}), 72},
-		// Two slice headers + 4 words + the embedded 72-byte search
-		// frame: 152, fully 8-aligned, no padding to reorder away.
-		{"RangeCursor", unsafe.Sizeof(RangeCursor{}), 152},
+		// 24-byte slice header + 5 words: exactly one cache line.
+		{"SearchCursor", unsafe.Sizeof(SearchCursor{}), 64},
+		// Two slice headers + 4 words + the embedded 64-byte search
+		// frame: 144, fully 8-aligned, no padding to reorder away.
+		{"RangeCursor", unsafe.Sizeof(RangeCursor{}), 144},
 		// AMAC state-buffer entry: 6 words + stage byte → 56.
 		{"amacState", unsafe.Sizeof(amacState{}), 56},
 		// One emitted range entry: 8+4 → 16 (alignment padding, not

@@ -1,7 +1,12 @@
 package native
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -29,47 +34,57 @@ func TestBaselineMatchesReference(t *testing.T) {
 	}
 }
 
-func TestAllVariantsAgree(t *testing.T) {
-	n := 100000
-	table := make([]uint64, n)
-	for i := range table {
-		table[i] = uint64(i) * 3
-	}
-	rng := rand.New(rand.NewPCG(1, 2))
-	keys := make([]uint64, 1000)
-	for i := range keys {
-		keys[i] = rng.Uint64N(uint64(n*3 + 10))
-	}
-	want := make([]int, len(keys))
-	RunSequential(table, keys, want)
-	for i, k := range keys {
-		if want[i] != reference(table, k) {
-			t.Fatalf("sequential disagrees with reference at %d", i)
-		}
-	}
+// searchKernels is every batch kernel built on advance. The goroutine
+// backend is orders of magnitude slower per switch, so checkKernels caps
+// the keys it sees.
+var searchKernels = []struct {
+	name string
+	run  func(table, keys []uint64, group int, out []int)
+}{
+	{"sequential", func(table, keys []uint64, _ int, out []int) { RunSequential(table, keys, out) }},
+	{"GP", RunGP},
+	{"AMAC", RunAMAC},
+	{"frame-direct", RunFrameDirect},
+	{"coro/frame", func(table, keys []uint64, g int, out []int) { RunCoro(table, keys, g, out, Frame) }},
+	{"coro/pull", func(table, keys []uint64, g int, out []int) { RunCoro(table, keys, g, out, Pull) }},
+	{"coro/goroutine", func(table, keys []uint64, g int, out []int) {
+		n := min(len(keys), 64)
+		RunCoro(table, keys[:n], g, out[:n], Goroutine)
+		RunSequential(table, keys[n:], out[n:])
+	}},
+}
 
-	for _, group := range []int{1, 4, 8, 32} {
-		check := func(name string, run func(out []int)) {
-			out := make([]int, len(keys))
-			run(out)
-			for i := range out {
-				if out[i] != want[i] {
-					t.Fatalf("%s group=%d: result %d = %d, want %d", name, group, i, out[i], want[i])
-				}
+// checkKernels runs every kernel over (table, keys) at the given group
+// and compares each result with the sort.Search reference.
+func checkKernels(t testing.TB, table, keys []uint64, group int) {
+	t.Helper()
+	for _, k := range searchKernels {
+		out := make([]int, len(keys))
+		k.run(table, keys, group, out)
+		for i, key := range keys {
+			if want := reference(table, key); out[i] != want {
+				t.Fatalf("%s group=%d len(table)=%d: key[%d]=%d → %d, want %d", k.name, group, len(table), i, key, out[i], want)
 			}
 		}
-		check("GP", func(out []int) { RunGP(table, keys, group, out) })
-		check("AMAC", func(out []int) { RunAMAC(table, keys, group, out) })
-		check("coro/frame", func(out []int) { RunCoro(table, keys, group, out, Frame) })
-		check("frame-direct", func(out []int) { RunFrameDirect(table, keys, group, out) })
-		check("coro/pull", func(out []int) { RunCoro(table, keys, group, out, Pull) })
 	}
-	// The goroutine backend is slow; verify once with a small group.
-	check := make([]int, len(keys))
-	RunCoro(table, keys[:100], 4, check[:100], Goroutine)
-	for i := 0; i < 100; i++ {
-		if check[i] != want[i] {
-			t.Fatalf("goroutine backend: result %d = %d, want %d", i, check[i], want[i])
+}
+
+func TestAllVariantsAgree(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	// A power of two, its neighbours and two unrelated sizes: the halving
+	// sequence (and with it the number of levels) differs for each.
+	for _, n := range []int{100000, 1 << 12, 1<<12 - 1, 1<<12 + 1, 1000} {
+		table := make([]uint64, n)
+		for i := range table {
+			table[i] = uint64(i) * 3
+		}
+		keys := make([]uint64, 1000)
+		for i := range keys {
+			keys[i] = rng.Uint64N(uint64(n*3 + 10))
+		}
+		keys[0], keys[1] = 0, math.MaxUint64
+		for _, group := range []int{1, 4, 8, 32} {
+			checkKernels(t, table, keys, group)
 		}
 	}
 }
@@ -85,6 +100,59 @@ func TestEdgeCases(t *testing.T) {
 	if out[0] != 1 || out[1] != 3 {
 		t.Fatalf("out = %v", out)
 	}
+	// Every table size 0–9 in three value laws — distinct values, runs of
+	// duplicates, and the extremes of the key type at both ends — probed
+	// with every value, its neighbours, 0 and MaxUint64.
+	laws := map[string]func(i, n int) uint64{
+		"distinct":   func(i, n int) uint64 { return uint64(10 * (i + 1)) },
+		"duplicates": func(i, n int) uint64 { return uint64(10 * (i/3 + 1)) },
+		"extremes": func(i, n int) uint64 {
+			switch i {
+			case 0:
+				return 0
+			case n - 1:
+				return math.MaxUint64
+			}
+			return uint64(10 * i)
+		},
+	}
+	for name, law := range laws {
+		for n := 0; n <= 9; n++ {
+			table := make([]uint64, n)
+			keys := []uint64{0, 1, math.MaxUint64 - 1, math.MaxUint64}
+			for i := range table {
+				table[i] = law(i, n)
+				keys = append(keys, table[i]-1, table[i], table[i]+1)
+			}
+			for _, group := range []int{1, 3, 32} {
+				t.Run(fmt.Sprintf("%s/n=%d/g=%d", name, n, group), func(t *testing.T) {
+					checkKernels(t, table, keys, group)
+				})
+			}
+		}
+	}
+}
+
+// FuzzSearchKernelsAgree: an arbitrary sorted table (eight bytes a value,
+// duplicates kept), arbitrary keys and group through every kernel
+// against sort.Search.
+func FuzzSearchKernelsAgree(f *testing.F) {
+	f.Add([]byte{}, []byte{0, 0, 0, 0, 0, 0, 0, 0}, uint8(1))
+	f.Add(bytes.Repeat([]byte{0xff}, 24), bytes.Repeat([]byte{0xff}, 8), uint8(3))
+	f.Add([]byte("sixteen bytes ok"+"and eight"), []byte("probe me, twice.."), uint8(40))
+	f.Fuzz(func(t *testing.T, rawTable, rawKeys []byte, group uint8) {
+		words := func(raw []byte) []uint64 {
+			out := make([]uint64, min(len(raw)/8, 512))
+			for i := range out {
+				out[i] = binary.LittleEndian.Uint64(raw[8*i:])
+			}
+			return out
+		}
+		table, keys := words(rawTable), words(rawKeys)
+		slices.Sort(table)
+		keys = append(keys, table...) // every present value is probed too
+		checkKernels(t, table, keys, int(group))
+	})
 }
 
 func TestMeasureInterleavingRunsAndIsCorrect(t *testing.T) {

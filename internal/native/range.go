@@ -46,7 +46,8 @@ func scanBounded(table []uint64, codes []uint32, low int, lo, hi uint64, limit i
 }
 
 // RangeSeekScan is the sequential baseline: lower-bound seek via the
-// branch-free Baseline search, then the bounded forward scan. It
+// Baseline search (no jump on a loaded value: advance), then the bounded
+// forward scan, whose two exits are ordinary predicted branches. It
 // returns the number of entries emitted.
 func RangeSeekScan(table []uint64, codes []uint32, lo, hi uint64, limit int, out *[]Pair) int {
 	if len(table) == 0 || lo > hi {

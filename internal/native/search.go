@@ -15,20 +15,42 @@
 //     coroutine-backend ablation).
 package native
 
-import "repro/internal/coro"
+import (
+	"math/bits"
 
-// Baseline is the branch-free sequential binary search over a real slice:
-// the largest index with table[idx] ≤ key, or 0 (Listing 2 semantics).
+	"repro/internal/coro"
+)
+
+// advance is the one compare-and-advance every search kernel of this
+// package shares: low+half when v ≤ key, else low, without a jump. The
+// borrow of key-v is 1 exactly when key < v, so -borrow masks the step
+// back out of the speculated low+half; bits.Sub64 is an intrinsic and the
+// whole thing is SUB/SBB/AND/SUB on amd64 (adding half&(borrow-1) instead
+// is two instructions longer on the load-to-load dependency chain). The
+// obvious `if v <= key { low = probe }` compiles to a conditional jump —
+// Go declines a CMOV whose result feeds a load address (golang/go#26306)
+// — and a mispredicted jump on a just-arrived line flushes the window of
+// overlapped loads the interleaving group exists to fill.
+//
+//isi:hotpath
+func advance(low, half int, v, key uint64) int {
+	_, borrow := bits.Sub64(key, v, 0)
+	return low + half - half&-int(borrow)
+}
+
+// Baseline is the sequential binary search over a real slice: the largest
+// index with table[idx] ≤ key, or 0 (Listing 2 semantics). Like the
+// paper's Baseline it does not speculate on the comparison (advance): the
+// only jumps are the loop exit and the bounds check, neither on the
+// loaded value — so beyond the LLC it also forgoes the accidental
+// prefetching a predicted branch performs.
 //
 //isi:hotpath
 func Baseline(table []uint64, key uint64) int {
 	size := len(table)
 	low := 0
 	for half := size / 2; half > 0; half = size / 2 {
-		probe := low + half
-		if table[probe] <= key {
-			low = probe
-		}
+		low = advance(low, half, table[low+half], key)
 		size -= half
 	}
 	return low
@@ -41,39 +63,27 @@ func RunSequential(table []uint64, keys []uint64, out []int) {
 	}
 }
 
-// RunGP is group prefetching on real memory: the shared loop touches
-// every stream's next probe (the early load) before the compare stage
-// consumes the values, giving the memory system G independent misses to
-// overlap.
+// RunGP is group prefetching on real memory, the level-synchronous
+// (lockstep) form: every stream of the group takes the same level in one
+// shared loop. The streams' loads are independent and no jump separates
+// them (advance), so the core overlaps the group's G misses without a
+// separate prefetch stage.
 func RunGP(table []uint64, keys []uint64, group int, out []int) {
 	if group < 1 {
 		group = 1
 	}
 	lows := make([]int, group)
-	vals := make([]uint64, group)
 	for g0 := 0; g0 < len(keys); g0 += group {
-		gn := min(group, len(keys)-g0)
-		for s := 0; s < gn; s++ {
-			lows[s] = 0
-		}
+		gk := keys[g0:min(g0+group, len(keys))]
+		clear(lows)
 		size := len(table)
 		for half := size / 2; half > 0; half = size / 2 {
-			// Prefetch stage: issue all loads; the results are not needed
-			// until the next stage, so they overlap.
-			for s := 0; s < gn; s++ {
-				vals[s] = table[lows[s]+half]
-			}
-			// Compare stage.
-			for s := 0; s < gn; s++ {
-				if vals[s] <= keys[g0+s] {
-					lows[s] = lows[s] + half
-				}
+			for s, k := range gk {
+				lows[s] = advance(lows[s], half, table[lows[s]+half], k)
 			}
 			size -= half
 		}
-		for s := 0; s < gn; s++ {
-			out[g0+s] = lows[s]
-		}
+		copy(out[g0:], lows[:len(gk)])
 	}
 }
 
@@ -84,7 +94,7 @@ type amacState struct {
 	val   uint64
 	low   int
 	size  int
-	probe int
+	half  int
 	owner int
 	stage uint8 // 0 = claim input, 1 = issue, 2 = consume, 3 = done
 }
@@ -121,8 +131,8 @@ func RunAMAC(table []uint64, keys []uint64, group int, out []int) {
 				st.stage = 1
 			case 1:
 				if half := st.size / 2; half > 0 {
-					st.probe = st.low + half
-					st.val = table[st.probe] // early load, consumed next visit
+					st.half = half
+					st.val = table[st.low+half] // early load, consumed next visit
 					st.size -= half
 					st.stage = 2
 				} else {
@@ -130,9 +140,7 @@ func RunAMAC(table []uint64, keys []uint64, group int, out []int) {
 					st.stage = 0
 				}
 			case 2:
-				if st.val <= st.key {
-					st.low = st.probe
-				}
+				st.low = advance(st.low, st.half, st.val, st.key)
 				st.stage = 1
 			}
 		}
@@ -145,22 +153,23 @@ func RunAMAC(table []uint64, keys []uint64, group int, out []int) {
 // single method call with no per-variable boxing. (A closure capturing
 // mutable locals would box each of them and allocate per lookup,
 // overheads large enough to cancel the interleaving gain on real
-// hardware.) It is exported so composite frames (internal/serve's
-// dictionary→probe pipeline) can embed the search between their own
-// suspension points; the caller suspends after every done=false Step.
+// hardware.) It is exported so other frames can embed the search
+// (RangeCursor does) and internal/serve's drains can hold it by value in
+// their scheduler slots; the caller suspends after every done=false Step.
 //
 //loc:begin coro-frame-native
 type SearchCursor struct {
-	table   []uint64
-	key     uint64
-	val     uint64
-	low     int
-	size    int
-	probe   int
-	pending bool
+	table []uint64
+	key   uint64
+	val   uint64 // early-loaded table[low+half], consumed on the next resume
+	low   int
+	size  int
+	half  int
 }
 
 // StartSearch begins a Baseline search for key over the sorted table.
+// half starts at 0, so the first resume's consume adds nothing whatever
+// val holds — no "nothing loaded yet" flag to test.
 //
 //isi:hotpath
 func StartSearch(table []uint64, key uint64) SearchCursor {
@@ -168,25 +177,22 @@ func StartSearch(table []uint64, key uint64) SearchCursor {
 }
 
 // Step advances by one early-load round: it consumes the probe value
-// loaded on the previous round and issues the next one. done=true
-// delivers the final index (Listing 2 semantics, as Baseline).
+// loaded on the previous round (advance, no jump on it) and issues the
+// next one. The one data-independent branch left is the exit on an
+// exhausted size, taken once per search. done=true delivers the final
+// index (Listing 2 semantics, as Baseline).
 //
 //isi:hotpath
 func (c *SearchCursor) Step() (int, bool) {
-	if c.pending {
-		if c.val <= c.key {
-			c.low = c.probe
-		}
-		c.pending = false
+	c.low = advance(c.low, c.half, c.val, c.key)
+	half := c.size / 2
+	if half == 0 {
+		return c.low, true
 	}
-	if half := c.size / 2; half > 0 {
-		c.probe = c.low + half
-		c.val = c.table[c.probe] // early load; consumed on the next resume
-		c.size -= half
-		c.pending = true
-		return 0, false
-	}
-	return c.low, true
+	c.val = c.table[c.low+half] // early load
+	c.half = half
+	c.size -= half
+	return 0, false
 }
 
 // CoroFrameLookup builds the frame-backed coroutine handle.
@@ -205,12 +211,9 @@ func CoroPullLookup(table []uint64, key uint64) *coro.Pull[int] {
 		low := 0
 		size := len(table)
 		for half := size / 2; half > 0; half = size / 2 {
-			probe := low + half
-			val := table[probe] // early load
+			val := table[low+half] // early load
 			suspend()
-			if val <= key {
-				low = probe
-			}
+			low = advance(low, half, val, key)
 			size -= half
 		}
 		return low
@@ -224,12 +227,9 @@ func GoroLookup(table []uint64, key uint64) *coro.Goro[int] {
 		low := 0
 		size := len(table)
 		for half := size / 2; half > 0; half = size / 2 {
-			probe := low + half
-			val := table[probe]
+			val := table[low+half]
 			suspend()
-			if val <= key {
-				low = probe
-			}
+			low = advance(low, half, val, key)
 			size -= half
 		}
 		return low

@@ -123,9 +123,9 @@ func (t *Table) RunSequential(keys []uint64, out []Result) {
 	}
 }
 
-// Cursor is the resumable probe state machine, exposed so a larger
-// hand-written coroutine frame (internal/serve's dictionary→probe
-// pipeline) can embed the chain walk between its own suspension points.
+// Cursor is the resumable probe state machine, exposed so another
+// hand-written coroutine frame (internal/serve's stage-2 probeFrame,
+// which adds the match sink) can embed the chain walk.
 // Start issues the bucket-head early load; each Step consumes what the
 // previous round loaded and issues the next chain-node load. The caller
 // suspends between Start/Step calls so the loads overlap across the
@@ -180,9 +180,9 @@ func (c *Cursor) Step(t *Table) (Result, bool) {
 // Matched reports whether the most recent Step consumed a matching
 // build tuple and, if so, that tuple's payload. Polling it after every
 // Step yields each match exactly once, in chain order — streaming
-// match emission without a per-probe callback, so a larger coroutine
-// frame (internal/serve's dictionary→probe pipeline) can forward
-// matches with no closure allocation.
+// match emission without a per-probe callback, so an embedding frame
+// (internal/serve's probeFrame) can forward matches with no closure
+// allocation.
 //
 //isi:hotpath
 func (c *Cursor) Matched() (uint32, bool) { return c.mVal, c.mHit }

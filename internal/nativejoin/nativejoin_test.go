@@ -124,7 +124,7 @@ func TestRunVariantsAgree(t *testing.T) {
 }
 
 // TestCursorEmbedding drives the exported Cursor directly, as serve's
-// composite dictionary→probe frame does.
+// stage-2 probe frame does.
 func TestCursorEmbedding(t *testing.T) {
 	tab := New(8)
 	for i := uint32(0); i < 6; i++ {

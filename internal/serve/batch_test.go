@@ -172,7 +172,7 @@ func TestBatchCancelledContext(t *testing.T) {
 
 // TestPointCancelledContext: point submissions under a cancelled
 // context are dropped before the kernel runs — on both the lookup-only
-// and the composite join drain paths — and counted in Stats.
+// and the staged join drain paths — and counted in Stats.
 func TestPointCancelledContext(t *testing.T) {
 	for _, withBuild := range []bool{false, true} {
 		opts := []Option{WithShards(2), WithAdmission(8, 50*time.Microsecond)}
@@ -324,7 +324,7 @@ func TestJoinBatchStreamsMatches(t *testing.T) {
 	}
 
 	// A lookup batch on the join service streams nothing but resolves
-	// codes through the composite drain.
+	// codes through stage 1 of the join drain.
 	lbf := s.GoBatch(context.Background(), append([]uint64(nil), keys...))
 	for m := range lbf.Matches() {
 		t.Fatalf("lookup batch streamed match %+v", m)

@@ -1,6 +1,9 @@
 package serve
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // This file is the shard-local write buffer: a small sorted delta of
 // upserts and tombstones, probed in front of the epoch snapshot by every
@@ -39,17 +42,27 @@ type writeEntry struct {
 // carrying it reads at the current commit horizon, loaded per segment.
 const latestSeq = ^uint64(0)
 
-// cmpWriteEntry orders entries by key for the sorted delta. Duplicate
-// keys (live version chains) compare equal; BinarySearchFunc lands on
-// the leftmost — newest — entry of the run.
-func cmpWriteEntry(e writeEntry, key uint64) int {
-	switch {
-	case e.key < key:
-		return -1
-	case e.key > key:
-		return 1
+// lowerBound returns the position of the first entry of the sorted part
+// with key ≥ key — on a version chain the leftmost, newest, entry of the
+// run; len(part) if there is none. Every drain probes every part of its
+// view with it, so the halving loop carries no call and no jump on an
+// entry's key (the borrow of e.key-key is 1 exactly when e.key < key, as
+// native's advance); what remains is the loop exit and the bounds check.
+//
+//isi:hotpath
+func lowerBound(part []writeEntry, key uint64) int {
+	first, n := 0, len(part)
+	if n == 0 {
+		return 0
 	}
-	return 0
+	for n > 1 {
+		half := n / 2
+		_, below := bits.Sub64(part[first+half-1].key, key, 0)
+		first += half & -int(below)
+		n -= half
+	}
+	_, below := bits.Sub64(part[first].key, key, 0)
+	return first + int(below)
 }
 
 // applyWriteEntry applies one write to the sorted delta, returning the
@@ -59,9 +72,9 @@ func cmpWriteEntry(e writeEntry, key uint64) int {
 // in a batch wins); otherwise it prepends to the chain, keeping runs
 // newest-arrival-first.
 func applyWriteEntry(delta []writeEntry, key uint64, val uint32, del bool, seq uint64) []writeEntry {
-	i, ok := slices.BinarySearchFunc(delta, key, cmpWriteEntry)
+	i := lowerBound(delta, key)
 	e := writeEntry{key: key, val: val, del: del, seq: seq}
-	if !ok {
+	if i == len(delta) || delta[i].key != key {
 		return slices.Insert(delta, i, e)
 	}
 	if seq == 0 {
@@ -113,11 +126,7 @@ func (dv deltaView) visible(e writeEntry) bool { return e.seq == 0 || e.seq <= d
 // holding one wins.
 func (dv deltaView) lookup(key uint64) (uint32, deltaOutcome) {
 	for _, part := range dv.parts {
-		i, ok := slices.BinarySearchFunc(part, key, cmpWriteEntry)
-		if !ok {
-			continue
-		}
-		for ; i < len(part) && part[i].key == key; i++ {
+		for i := lowerBound(part, key); i < len(part) && part[i].key == key; i++ {
 			if !dv.visible(part[i]) {
 				continue
 			}

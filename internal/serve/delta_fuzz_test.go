@@ -249,3 +249,85 @@ func FuzzDeltaChains(f *testing.F) {
 		}
 	})
 }
+
+// lowerBoundRef is the slices.BinarySearchFunc search lowerBound replaced:
+// duplicate keys (a live version chain) compare equal, so it lands on the
+// leftmost — newest — entry of the run.
+func lowerBoundRef(part []writeEntry, key uint64) int {
+	i, _ := slices.BinarySearchFunc(part, key, func(e writeEntry, k uint64) int {
+		switch {
+		case e.key < k:
+			return -1
+		case e.key > k:
+			return 1
+		}
+		return 0
+	})
+	return i
+}
+
+// chainPart builds a sorted part from run lengths: key 10·(j+1) repeated
+// runs[j] times, seq-tagged newest-first like a live version chain.
+func chainPart(runs []int) []writeEntry {
+	var part []writeEntry
+	for j, n := range runs {
+		for v := n; v > 0; v-- {
+			part = append(part, writeEntry{key: uint64(10 * (j + 1)), val: uint32(v), seq: uint64(v)})
+		}
+	}
+	return part
+}
+
+// TestLowerBoundOnVersionChains: the branch-free delta lower bound lands
+// where the standard binary search did — on the leftmost entry of a
+// duplicate-key run — for every part length 0–9, at both extremes of the
+// key type, and for probes below, on, between and above the runs.
+func TestLowerBoundOnVersionChains(t *testing.T) {
+	shapes := [][]int{{}, {1}, {2}, {1, 1}, {3}, {1, 2}, {2, 1, 1}, {1, 3, 1}, {5}, {2, 2, 2}, {4, 3}, {1, 1, 1, 1, 1, 1, 1, 1}, {9}, {3, 3, 3}}
+	for _, runs := range shapes {
+		part := chainPart(runs)
+		probes := []uint64{0, 1, ^uint64(0)}
+		for _, e := range part {
+			probes = append(probes, e.key-1, e.key, e.key+1)
+		}
+		for _, k := range probes {
+			got, want := lowerBound(part, k), lowerBoundRef(part, k)
+			if got != want {
+				t.Fatalf("runs %v: lowerBound(%d) = %d, want %d", runs, k, got, want)
+			}
+			if got < len(part) && part[got].key == k && got > 0 && part[got-1].key == k {
+				t.Fatalf("runs %v: lowerBound(%d) = %d is not the head of its run", runs, k, got)
+			}
+		}
+	}
+	ends := []writeEntry{{key: 0}, {key: 0, seq: 1}, {key: ^uint64(0)}, {key: ^uint64(0), seq: 1}}
+	for _, k := range []uint64{0, 1, ^uint64(0) - 1, ^uint64(0)} {
+		if got, want := lowerBound(ends, k), lowerBoundRef(ends, k); got != want {
+			t.Fatalf("extremes: lowerBound(%d) = %d, want %d", k, got, want)
+		}
+	}
+}
+
+// FuzzLowerBound: arbitrary run lengths and key gaps (one byte a run: low
+// nibble the gap to the previous key, high nibble the run length) and an
+// arbitrary probe against the standard binary search.
+func FuzzLowerBound(f *testing.F) {
+	f.Add([]byte{}, uint64(0))
+	f.Add([]byte{0x11, 0x31, 0x12}, uint64(2))
+	f.Add([]byte{0xf0, 0x1f, 0x2f}, ^uint64(0))
+	f.Fuzz(func(t *testing.T, raw []byte, probe uint64) {
+		var part []writeEntry
+		key := uint64(0)
+		for _, b := range raw {
+			key += uint64(b & 0xf) // gap 0 extends the previous run
+			for v := 0; v <= int(b>>4); v++ {
+				part = append(part, writeEntry{key: key, seq: uint64(len(part))})
+			}
+		}
+		for _, k := range []uint64{probe, probe % (key + 2), key} {
+			if got, want := lowerBound(part, k), lowerBoundRef(part, k); got != want {
+				t.Fatalf("len %d: lowerBound(%d) = %d, want %d", len(part), k, got, want)
+			}
+		}
+	})
+}

@@ -15,9 +15,12 @@ import (
 // (native.RunSequential / RunFrameDirect, and Table.RunSequential over the
 // codes the dictionary stage resolves to). Whatever lookupBatch costs over
 // RunFrameDirect at the same group is the scheduler, the delta check and
-// the result scatter. The 2^15-key table is cache-resident (switch cost
-// unhidden), the 2^23-key one far beyond the LLC (the paper's case). Keys
-// are redrawn before every call, untimed, so no kernel turns cache-warm.
+// the result scatter; native.RunGP is the level-synchronous (lockstep)
+// form of the same search, on record as the number a lockstep lookup
+// drain would be measured against. The 2^15-key table is cache-resident
+// (switch cost unhidden), the 2^23-key one far beyond the LLC (the paper's
+// case). Keys are redrawn before every call, untimed, so no kernel turns
+// cache-warm.
 func BenchmarkDrainKernels(b *testing.B) {
 	const vec = 1024
 	groups := []int{1, 6, 16, 32}
@@ -55,6 +58,9 @@ func BenchmarkDrainKernels(b *testing.B) {
 		run("native.RunSequential", func() { native.RunSequential(table, keys, pos) })
 		for _, g := range groups {
 			run(fmt.Sprintf("native.RunFrameDirect/g=%d", g), func() { native.RunFrameDirect(table, keys, g, pos) })
+		}
+		for _, g := range groups {
+			run(fmt.Sprintf("native.RunGP/g=%d", g), func() { native.RunGP(table, keys, g, pos) })
 		}
 		x := newNativeIndex(table, codes)
 		out := make([]Result, vec)

@@ -4,12 +4,11 @@ import (
 	"time"
 
 	"repro/internal/coro"
-	"repro/internal/native"
 	"repro/internal/nativejoin"
 )
 
 // This file is the join execution path: the service's build side and the
-// composite dictionary→probe coroutine it drains join batches through.
+// two-stage drain join batches go through.
 //
 // A join service (New with WithBuild) gives every shard, next to its
 // dictionary partition, a build-side partition: a real-memory
@@ -17,21 +16,23 @@ import (
 // tuples' *global dictionary codes*. Build tuples are partitioned by the
 // same key hash as the dictionary, so the shard that resolves a probe
 // key to its code also owns every build tuple with that key — the
-// dictionary lookup can pipe its code straight into the hash probe
-// without leaving the shard.
+// dictionary lookup pipes its code into the hash probe without leaving
+// the shard.
 //
-// One joinFrame is the whole per-key pipeline as a single hand-written
-// coroutine frame: probe the shard's write delta (host-side — the delta
-// is a small cache-resident buffer, delta.go), then binary-search the
-// dictionary partition (early-load interleaving, as internal/native),
-// then — within the same drain — walk the hash-table chain for the
-// resulting code via nativejoin.Cursor. A delta-resolved key skips the
-// search stage and enters the chain walk directly with its delta code;
-// on a service whose dictionary mutates, joins stay consistent with
-// lookups because both go through the same delta-then-main composite.
-// Chains diverge per key, so batch streams fall out of lockstep; the
+// Stage 1 resolves the whole segment (or point run) to codes through the
+// very lookupBatch a lookup service runs — delta first, then the
+// interleaved binary search over the dictionary partition — so joins stay
+// consistent with lookups on a service whose dictionary mutates, and a
+// plain lookup on a join service costs what it costs on a lookup service.
+// Stage 2 walks the hash chains of the keys stage 1 found, one small
+// probeFrame each; a delta hit carries its delta code into the walk, a
+// tombstone or a miss never gets that far. The stages suspend where their
+// own loads can miss and drag no state of the other along (CoroBase's
+// two-level argument). Every search takes the same number of rounds, but
+// chains diverge per key, so stage 2's streams fall out of lockstep; the
 // round-robin scheduler (coro.DrainFlat) absorbs that, which is exactly
-// the decoupled-control-flow case the paper builds coroutines for.
+// the decoupled-control-flow case the paper builds coroutines for. Both
+// stages run at the one group size the shard's controller tunes.
 
 // BuildTuple is one build-side row: a join key from the value domain and
 // an opaque payload aggregated by probes.
@@ -57,182 +58,101 @@ type JoinResult struct {
 // Found reports whether the probe matched at least one build tuple.
 func (r JoinResult) Found() bool { return r.Hits > 0 }
 
-// joinOut is the drain-internal result of a composite lookup/join frame.
-type joinOut struct {
-	code  uint32
-	hits  uint32
-	agg   uint64
-	found bool // key present in the dictionary
-}
-
-// joinFrame is the composite coroutine frame: delta probe, dictionary
-// binary search, and hash-table chain walk, all live state hand-spilled
-// into one flat struct (see internal/native's SearchCursor for why
-// closures won't do). One frame per scheduler slot lives by value in the
-// shard's coro.FlatSlots — init resets it in place — so a shard drains an
+// probeFrame is stage 2's coroutine frame: one hash-chain walk, plus —
+// on a vectorized join — the match it streams per matching build tuple,
+// all live state hand-spilled into one flat struct (see internal/native's
+// SearchCursor for why closures won't do). One frame per scheduler slot
+// lives by value in the shard's coro.FlatSlots, so a shard drains an
 // unbounded request sequence with no per-request allocation.
-type joinFrame struct {
-	idx  *nativeJoinIndex
-	key  uint64
-	join bool
-	// msink, when non-nil, streams each build-tuple match (payload plus
-	// the probe's identity) into the owning batch's per-shard match
-	// buffer; probe is the key's index in the partitioned column.
+type probeFrame struct {
+	jt  *nativejoin.Table
+	cur nativejoin.Cursor
+	// msink, when non-nil, is the owning batch's per-shard match buffer;
+	// m is the match to stream into it (the probe's index in the
+	// partitioned column, its key and code), less the payload.
 	msink *[]Match
-	probe int
-	// Dictionary stage: the early-load binary search, embedded by value
-	// from internal/native (one state machine, shared with the lookup
-	// kernels).
-	search native.SearchCursor
-	// Probe stage: the chain walk.
-	cur     nativejoin.Cursor
-	out     joinOut
-	walking bool // false = dictionary search, true = chain walk
+	m     Match
 }
 
-// init resets the frame for one key and reports whether it needs the
-// scheduler. The delta probe happens here, at frame start: a key the
-// delta resolves outright (a tombstone, or a hit on a plain lookup) and
-// any key of an empty partition is answered in f.out and init returns
-// false — it never occupies a slot; a delta-resolved join enters the
-// chain walk with its delta code, issuing the bucket-head early load
-// immediately, like the search stage would have.
+// Step is the frame's resume (coro.FlatFrame): one chain node.
 //
 //isi:hotpath
-func (f *joinFrame) init(x *nativeJoinIndex, dv deltaView, key uint64, join bool, msink *[]Match, probe int) bool {
-	*f = joinFrame{idx: x, key: key, join: join, msink: msink, probe: probe}
-	if !dv.empty() {
-		if v, oc := dv.lookup(key); oc != deltaMiss {
-			if oc == deltaDel {
-				f.out = joinOut{code: NotFound}
-				return false
-			}
-			f.out = joinOut{code: v, found: true}
-			if !join {
-				return false
-			}
-			f.cur = x.jt.Start(uint64(v))
-			f.walking = true
-			return true
-		}
-	}
-	if len(x.table) == 0 {
-		f.out = joinOut{code: NotFound}
-		return false
-	}
-	f.search = native.StartSearch(x.table, key)
-	return true
-}
-
-// Step is the frame's resume (coro.FlatFrame).
-//
-//isi:hotpath
-func (f *joinFrame) Step() (joinOut, bool) {
-	if !f.walking {
-		low, done := f.search.Step()
-		if !done {
-			return joinOut{}, false
-		}
-		if f.idx.table[low] != f.key {
-			return joinOut{code: NotFound}, true
-		}
-		code := f.idx.codes[low]
-		f.out = joinOut{code: code, found: true}
-		if !f.join {
-			return f.out, true
-		}
-		// Pipe the code into the hash probe within the same drain: Start
-		// issues the bucket-head early load, then suspend.
-		f.cur = f.idx.jt.Start(uint64(code))
-		f.walking = true
-		return joinOut{}, false
-	}
-	r, done := f.cur.Step(f.idx.jt)
+func (f *probeFrame) Step() (nativejoin.Result, bool) {
+	r, done := f.cur.Step(f.jt)
 	if f.msink != nil {
 		if payload, hit := f.cur.Matched(); hit {
-			*f.msink = append(*f.msink, Match{Probe: f.probe, Key: f.key, Code: f.out.code, Payload: payload}) //isi:allow-alloc(streams into the batch's per-shard match buffer, whose growth amortizes across batches)
+			f.m.Payload = payload
+			*f.msink = append(*f.msink, f.m) //isi:allow-alloc(streams into the batch's per-shard match buffer, whose growth amortizes across batches)
 		}
 	}
-	if !done {
-		return joinOut{}, false
-	}
-	f.out.hits = r.Hits
-	f.out.agg = r.Agg
-	return f.out, true
+	return r, done
 }
 
-// nativeJoinIndex is a shard's join backend: the dictionary partition
-// (sorted values + global codes, as nativeIndex) plus the build-side
-// hash-table partition, drained together through per-slot composite
-// frames. The cost unit is wall nanoseconds.
+// nativeJoinIndex is a shard's join backend: the lookup backend over the
+// dictionary partition (stage 1, and OpRange scans — ranges are a
+// dictionary operation; the build side is keyed by code and plays no part
+// in them) plus the build-side hash-table partition and the drain state
+// of stage 2. The cost unit is wall nanoseconds.
 type nativeJoinIndex struct {
-	table []uint64
-	codes []uint32
-	jt    *nativejoin.Table
-	// slots holds one composite frame per scheduler slot across every
-	// batch the shard ever drains.
-	slots *coro.FlatSlots[joinFrame]
-	// rs drains OpRange scans over the dictionary column (ranges are a
-	// dictionary operation; the build side is keyed by code and plays no
-	// part in them).
-	rs *rangeScanner
+	nativeIndex
+	jt *nativejoin.Table
+	st *joinScratch
+}
+
+// joinScratch is what a join backend reuses across every batch the shard
+// ever drains, and carries across rebuilds: one probe frame per scheduler
+// slot, and the point path's gather scratch.
+type joinScratch struct {
+	probes coro.FlatSlots[probeFrame]
+	pt     pointScratch
 }
 
 func newNativeJoinIndex(vals []uint64, codes []uint32, jt *nativejoin.Table) *nativeJoinIndex {
-	return &nativeJoinIndex{
-		table: vals,
-		codes: codes,
-		jt:    jt,
-		slots: new(coro.FlatSlots[joinFrame]),
-		rs:    new(rangeScanner),
-	}
-}
-
-// scanRanges scans the dictionary column, exactly as the lookup backend.
-func (x *nativeJoinIndex) scanRanges(ops []Op, limits []int, group int, pairs [][]native.Pair) float64 {
-	return x.rs.scan(x.table, x.codes, ops, limits, group, pairs)
+	return &nativeJoinIndex{nativeIndex: *newNativeIndex(vals, codes), jt: jt, st: new(joinScratch)}
 }
 
 // rebuild constructs the next-epoch join backend over the merged
 // dictionary column. The build-side table is keyed by code, which writes
 // edit only through the dictionary mapping, so the table and the drain
-// slots carry over — a join install is a pointer swap.
+// state carry over — a join install is a pointer swap.
 func (x *nativeJoinIndex) rebuild(vals []uint64, codes []uint32) *nativeJoinIndex {
-	return &nativeJoinIndex{table: vals, codes: codes, jt: x.jt, slots: x.slots, rs: x.rs}
+	next := *x
+	next.table, next.codes = vals, codes
+	return &next
 }
 
-// drainBatch resolves one point sub-batch of mixed lookup/join futures
-// against the given delta view and completes their result fields (not
-// their done channels — the shard closes those after recording latency).
-// Futures pre-marked dropped decline their start: they never occupy a
-// slot and are never probed. Returns the batch cost in nanoseconds for
-// the controller.
+// drainBatch resolves one point run of mixed lookup/join futures against
+// the given delta view and completes their result fields (not their done
+// channels — the shard closes those after recording latency). Futures
+// pre-marked dropped are left out of the gathered key column: they reach
+// neither stage and are never probed. Returns the batch cost in
+// nanoseconds for the controller.
 //
 //isi:hotpath
 func (x *nativeJoinIndex) drainBatch(dv deltaView, sub []*Future, group int) float64 {
 	t0 := time.Now()
-	//isi:allow-alloc(two closures per batch over the batch's columns, called and not retained by DrainFlat; O(1) per batch, not per key)
-	sink := func(i int, r joinOut) {
-		f := sub[i]
-		f.res = Result{Code: r.code, Found: r.found}
-		if f.op.Kind == OpJoin {
-			f.jres = JoinResult{Code: r.code, Hits: r.hits, Agg: r.agg}
-		}
-	}
-	coro.DrainFlat(x.slots, len(sub), group,
-		//isi:allow-alloc(see the sink closure above)
-		func(fr *joinFrame, i int) bool {
-			f := sub[i]
-			if f.dropped {
+	keys, out, live := x.st.pt.gather(sub)
+	x.lookupBatch(dv, keys, group, out)
+	coro.DrainFlat(&x.st.probes, len(live), group,
+		//isi:allow-alloc(two closures per batch over the batch's columns, called and not retained by DrainFlat; O(1) per batch, not per key)
+		func(fr *probeFrame, i int) bool {
+			f := live[i]
+			f.res = out[i] // stage 1's answer, for lookups and joins alike
+			if f.op.Kind != OpJoin {
 				return false
 			}
-			if fr.init(x, dv, f.op.Key, f.op.Kind == OpJoin, nil, i) {
-				return true
+			f.jres = JoinResult{Code: out[i].Code}
+			if !out[i].Found {
+				return false
 			}
-			sink(i, fr.out)
-			return false
+			*fr = probeFrame{jt: x.jt, cur: x.jt.Start(uint64(out[i].Code))}
+			return true
 		},
-		sink)
+		//isi:allow-alloc(see the start closure above)
+		func(i int, r nativejoin.Result) {
+			live[i].jres.Hits, live[i].jres.Agg = r.Hits, r.Agg
+		})
+	clear(live) // drop future references between batches
 	return float64(time.Since(t0))
 }
 
@@ -245,28 +165,29 @@ func (x *nativeJoinIndex) drainBatch(dv deltaView, sub []*Future, group int) flo
 //isi:hotpath
 func (x *nativeJoinIndex) drainSegment(dv deltaView, bf *BatchFuture, shardID, lo, hi, group int) float64 {
 	t0 := time.Now()
-	join := bf.kind == OpJoin
-	var msink *[]Match
-	if join {
-		msink = &bf.matches[shardID]
+	keys, res := bf.keys[lo:hi], bf.res[lo:hi]
+	x.lookupBatch(dv, keys, group, res)
+	if bf.kind != OpJoin {
+		return float64(time.Since(t0))
 	}
-	keys := bf.keys[lo:hi]
-	//isi:allow-alloc(two closures per batch over the batch's columns, called and not retained by DrainFlat; O(1) per batch, not per key)
-	sink := func(i int, r joinOut) {
-		bf.res[lo+i] = Result{Code: r.code, Found: r.found}
-		if join {
-			bf.jres[lo+i] = JoinResult{Code: r.code, Hits: r.hits, Agg: r.agg}
-		}
-	}
-	coro.DrainFlat(x.slots, len(keys), group,
-		//isi:allow-alloc(see the sink closure above)
-		func(fr *joinFrame, i int) bool {
-			if fr.init(x, dv, keys[i], join, msink, lo+i) {
-				return true
+	jres, msink := bf.jres[lo:hi], &bf.matches[shardID]
+	coro.DrainFlat(&x.st.probes, len(keys), group,
+		//isi:allow-alloc(two closures per batch over the batch's columns, called and not retained by DrainFlat; O(1) per batch, not per key)
+		func(fr *probeFrame, i int) bool {
+			code := res[i].Code
+			jres[i] = JoinResult{Code: code}
+			if !res[i].Found {
+				return false
 			}
-			sink(i, fr.out)
-			return false
+			*fr = probeFrame{
+				jt: x.jt, cur: x.jt.Start(uint64(code)),
+				msink: msink, m: Match{Probe: lo + i, Key: keys[i], Code: code},
+			}
+			return true
 		},
-		sink)
+		//isi:allow-alloc(see the start closure above)
+		func(i int, r nativejoin.Result) {
+			jres[i].Hits, jres[i].Agg = r.Hits, r.Agg
+		})
 	return float64(time.Since(t0))
 }

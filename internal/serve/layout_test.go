@@ -34,6 +34,11 @@ func TestHotStructLayout(t *testing.T) {
 		{"Match", unsafe.Sizeof(Match{}), 24},
 		// One merged range entry (range result columns).
 		{"RangeEntry", unsafe.Sizeof(RangeEntry{}), 16},
+		// Stage 2's per-slot frame: table pointer, the 56-byte chain
+		// cursor, match sink pointer and the 24-byte match template — a
+		// cache line and a half, against the ~170 bytes of the composite
+		// search+walk frame it replaced.
+		{"probeFrame", unsafe.Sizeof(probeFrame{}), 96},
 	}
 	for _, c := range cases {
 		if c.size != c.want {

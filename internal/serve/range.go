@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"iter"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -201,12 +200,6 @@ func (s *Service) rangeBatch(ctx context.Context, ops []Op, sn *Snap, pin bool) 
 		sh.in <- shardMsg{rf: rf, id: id}
 	}
 	return rf
-}
-
-// lowerBound returns the position of the first delta entry with key ≥ lo.
-func lowerBound(part []writeEntry, lo uint64) int {
-	i, _ := slices.BinarySearchFunc(part, lo, cmpWriteEntry)
-	return i
 }
 
 // countInRange counts the view's entries with lo ≤ key ≤ hi — the bound

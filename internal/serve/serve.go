@@ -67,6 +67,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/native"
 	"repro/internal/nativejoin"
 	"repro/internal/obs"
 )
@@ -498,6 +499,16 @@ type Service struct {
 	batchSeq atomic.Uint64
 }
 
+// strictlyIncreasing reports whether vals is sorted and duplicate-free.
+func strictlyIncreasing(vals []uint64) bool {
+	for i := 1; i < len(vals); i++ {
+		if vals[i-1] >= vals[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // shardOf routes a key to its shard: a Fibonacci-multiplicative hash so
 // dense integer domains still spread evenly.
 func shardOf(key uint64, shards int) int {
@@ -508,7 +519,8 @@ func shardOf(key uint64, shards int) int {
 
 // New builds a service over the given value domain. values need not be
 // sorted; duplicates are discarded. The global code of a value is its
-// position in the sorted, deduplicated domain. Options compose over
+// position in the sorted, deduplicated domain. values is read, never
+// modified, and not retained once New returns. Options compose over
 // DefaultConfig; WithBuild adds a build side and enables OpJoin.
 func New(values []uint64, opts ...Option) (*Service, error) {
 	o := options{cfg: DefaultConfig()}
@@ -519,9 +531,15 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 	if o.hasBuild && cfg.Kind != NativeSorted {
 		return nil, fmt.Errorf("serve: join execution requires the %s backend (got %s)", NativeSorted, cfg.Kind)
 	}
-	sorted := append([]uint64(nil), values...)
-	slices.Sort(sorted)
-	sorted = slices.Compact(sorted)
+	// sorted is only read below and not retained past New (every shard
+	// gets its own columns), so an input that is already the sorted,
+	// duplicate-free domain is used in place: no copy, no sort.
+	sorted := values
+	if !strictlyIncreasing(values) {
+		sorted = slices.Clone(values)
+		slices.Sort(sorted)
+		sorted = slices.Compact(sorted)
+	}
 	n := len(sorted)
 	// Codes are uint32 with NotFound as sentinel: the domain must leave
 	// every code below the sentinel.
@@ -532,10 +550,19 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 		return nil, fmt.Errorf("serve: %s backend requires values < 2^32 (got %d)", cfg.Kind, sorted[n-1])
 	}
 
-	// Partition the sorted domain: local arrays stay sorted because the
-	// global order is preserved per shard.
+	// Partition the sorted domain, count then fill, so every shard's
+	// columns are allocated once at their exact size: local arrays stay
+	// sorted because the global order is preserved per shard.
+	counts := make([]int, cfg.Shards)
+	for _, v := range sorted {
+		counts[shardOf(v, cfg.Shards)]++
+	}
 	locVals := make([][]uint64, cfg.Shards)
 	locCodes := make([][]uint32, cfg.Shards)
+	for i, c := range counts {
+		locVals[i] = make([]uint64, 0, c)
+		locCodes[i] = make([]uint32, 0, c)
+	}
 	for code, v := range sorted {
 		i := shardOf(v, cfg.Shards)
 		locVals[i] = append(locVals[i], v)
@@ -548,29 +575,34 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 	// never crosses shards). Keys outside the domain are dropped.
 	var joinTabs []*nativejoin.Table
 	if o.hasBuild {
-		// Resolve each tuple's key to (shard, code) once; the second pass
-		// inserts from the resolved slice so large build sides pay one
-		// binary search per tuple, not two.
-		type resolved struct {
-			shard   int
-			code    uint32
-			payload uint32
-		}
-		res := make([]resolved, 0, len(o.build))
-		counts := make([]int, cfg.Shards)
+		// Size every shard's table by the tuples whose keys hash to it (an
+		// upper bound: the ones outside the domain are still in), then
+		// resolve and insert in one pass. The resolution is the service's
+		// own index join over the whole sorted domain, so it runs
+		// interleaved like the ones it serves: a chunk of keys at a time
+		// through the lockstep kernel.
+		clear(counts)
 		for _, t := range o.build {
-			if code, ok := slices.BinarySearch(sorted, t.Key); ok {
-				sh := shardOf(t.Key, cfg.Shards)
-				res = append(res, resolved{shard: sh, code: uint32(code), payload: t.Payload})
-				counts[sh]++
-			}
+			counts[shardOf(t.Key, cfg.Shards)]++
 		}
 		joinTabs = make([]*nativejoin.Table, cfg.Shards)
 		for i := range joinTabs {
 			joinTabs[i] = nativejoin.New(counts[i])
 		}
-		for _, r := range res {
-			joinTabs[r.shard].Insert(uint64(r.code), r.payload)
+		const chunk, group = 4096, 32
+		keys, pos := make([]uint64, chunk), make([]int, chunk)
+		for tuples := range slices.Chunk(o.build, chunk) {
+			for i, t := range tuples {
+				keys[i] = t.Key
+			}
+			native.RunGP(sorted, keys[:len(tuples)], group, pos)
+			for i, t := range tuples {
+				// p < n: on an empty domain the search answers 0, and
+				// there is no sorted[0] to compare with.
+				if p := pos[i]; p < n && sorted[p] == t.Key {
+					joinTabs[shardOf(t.Key, cfg.Shards)].Insert(uint64(p), t.Payload)
+				}
+			}
 		}
 	}
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -143,6 +144,88 @@ func TestServiceDedupAndUnsortedDomain(t *testing.T) {
 		if got := s.Lookup(context.Background(), key); !got.Found || got.Code != code {
 			t.Fatalf("lookup(%d) = %+v, want code %d", key, got, code)
 		}
+	}
+}
+
+// TestNewDomainShapes: New's partition takes a strictly increasing input
+// as it is (no copy, no sort) and sends everything else — unsorted,
+// duplicate-carrying, both — through sort + Compact; either way the codes
+// are positions in the sorted duplicate-free domain, the caller's slice is
+// left as it was, every shard's columns are allocated at their exact size,
+// and a build side larger than one resolution chunk, with keys outside the
+// domain, joins on exactly the tuples inside it. An empty domain with a
+// non-empty build side builds (and matches nothing).
+func TestNewDomainShapes(t *testing.T) {
+	const n = 5000
+	domain := make([]uint64, n) // 3·i: the sorted duplicate-free domain
+	for i := range domain {
+		domain[i] = uint64(3 * i)
+	}
+	reversed := slices.Clone(domain)
+	slices.Reverse(reversed)
+	withDups := append(slices.Clone(domain), domain[n/2:]...)
+	slices.Sort(withDups)
+	shuffledDups := append(slices.Clone(reversed), domain[:n/3]...)
+	var build []BuildTuple
+	want := make(map[uint64]JoinResult)
+	for i := 0; i < 3*n; i++ { // even keys below 4n, each drawn at least once: the multiples of 6 below 3n are in the domain
+		k := uint64(i % (2 * n) * 2)
+		build = append(build, BuildTuple{Key: k, Payload: uint32(i)})
+		if k%3 == 0 && k/3 < n {
+			r := want[k]
+			r.Hits++
+			r.Agg += uint64(i)
+			want[k] = r
+		}
+	}
+	for name, in := range map[string][]uint64{
+		"sorted": domain, "unsorted": reversed, "duplicates": withDups, "unsorted+duplicates": shuffledDups, "empty": nil,
+	} {
+		t.Run(name, func(t *testing.T) {
+			before := slices.Clone(in)
+			s, err := New(in, WithShards(3), WithBuild(build))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if !slices.Equal(in, before) {
+				t.Fatal("New modified the caller's values")
+			}
+			total := 0
+			for _, sh := range s.shards {
+				ep := sh.epoch.Load()
+				if cap(ep.vals) != len(ep.vals) || cap(ep.codes) != len(ep.codes) {
+					t.Fatalf("shard %d columns: len %d cap %d / len %d cap %d, want exact capacity",
+						sh.id, len(ep.vals), cap(ep.vals), len(ep.codes), cap(ep.codes))
+				}
+				total += len(ep.vals)
+			}
+			if in == nil {
+				if r := s.Join(context.Background(), 0); r != (JoinResult{Code: NotFound}) || total != 0 {
+					t.Fatalf("empty domain: join(0) = %+v, %d keys partitioned", r, total)
+				}
+				return
+			}
+			if total != n {
+				t.Fatalf("partitioned %d keys, want %d", total, n)
+			}
+			keys := make([]uint64, 0, 2*n)
+			for i := 0; i < n; i++ {
+				keys = append(keys, uint64(3*i), uint64(3*i+1))
+			}
+			bf := s.JoinBatch(context.Background(), keys)
+			for i, r := range bf.WaitJoin() {
+				k := bf.Keys()[i]
+				w := want[k]
+				w.Code = NotFound
+				if k%3 == 0 {
+					w.Code = uint32(k / 3)
+				}
+				if r != w {
+					t.Fatalf("join(%d) = %+v, want %+v", k, r, w)
+				}
+			}
+		})
 	}
 }
 

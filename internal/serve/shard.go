@@ -53,9 +53,7 @@ type shard struct {
 	viewParts [][]writeEntry
 
 	// Point-path scratch, reused across sub-batches (shard-local).
-	keys []uint64
-	out  []Result
-	live []*Future
+	pt pointScratch
 
 	// Range-path scratch: per-range snapshot pairs and kernel limits,
 	// reused across range batches.
@@ -249,9 +247,9 @@ func (sh *shard) drainPoint(sub []*Future, id uint64) {
 }
 
 // drainReadRun drains one run of point reads (dropped futures in the
-// run are skipped through the scheduler's declined-start contract) against
-// the epoch snapshot and delta view of the run's read horizon,
-// completing their result fields. The view is built per run, not per
+// run are left out of the gathered key column) against the epoch
+// snapshot and delta view of the run's read horizon, completing their
+// result fields. The view is built per run, not per
 // sub-batch: a write between runs can install a pending epoch, and a
 // read after it must probe the post-install pair or it would miss the
 // writes the merge just retired from the delta. It returns the run's
@@ -272,34 +270,52 @@ func (sh *shard) drainReadRun(run []*Future, g int, n *int) float64 {
 		}
 		return ep.joinIdx.drainBatch(dv, run, g)
 	}
-	live := 0
-	for _, f := range run {
-		if !f.dropped {
-			live++
-		}
-	}
-	if live == 0 {
+	keys, out, live := sh.pt.gather(run)
+	if len(live) == 0 {
 		return 0
 	}
-	*n += live
-	if cap(sh.keys) < live {
-		sh.keys = make([]uint64, live)  //isi:allow-alloc(cap-guarded growth of the shard's drain scratch to a new max run size)
-		sh.out = make([]Result, live)   //isi:allow-alloc(grows with keys above)
-		sh.live = make([]*Future, live) //isi:allow-alloc(grows with keys above)
+	*n += len(live)
+	cost := ep.idx.lookupBatch(dv, keys, g, out)
+	for i, f := range live {
+		f.res = out[i]
 	}
-	keys, out, lf := sh.keys[:0], sh.out[:live], sh.live[:0]
+	clear(live) // drop future references between batches
+	return cost
+}
+
+// pointScratch is the point path's gather scratch: a run's live futures
+// compacted into the key column the batch kernels take, and the result
+// column they fill. Shard-local, reused across runs.
+type pointScratch struct {
+	keys []uint64
+	out  []Result
+	live []*Future
+}
+
+// gather compacts run's live (not dropped) futures and their keys; out
+// has one slot per live future. The caller clears live when done.
+//
+//isi:hotpath
+func (ps *pointScratch) gather(run []*Future) (keys []uint64, out []Result, live []*Future) {
+	n := 0
+	for _, f := range run {
+		if !f.dropped {
+			n++
+		}
+	}
+	if cap(ps.keys) < n {
+		ps.keys = make([]uint64, n)  //isi:allow-alloc(cap-guarded growth of the shard's drain scratch to a new max run size)
+		ps.out = make([]Result, n)   //isi:allow-alloc(grows with keys above)
+		ps.live = make([]*Future, n) //isi:allow-alloc(grows with keys above)
+	}
+	keys, live = ps.keys[:0], ps.live[:0]
 	for _, f := range run {
 		if !f.dropped {
 			keys = append(keys, f.op.Key) //isi:allow-alloc(appends stay within the cap-guarded scratch sized above)
-			lf = append(lf, f)            //isi:allow-alloc(within scratch cap, as above)
+			live = append(live, f)        //isi:allow-alloc(within scratch cap, as above)
 		}
 	}
-	cost := ep.idx.lookupBatch(dv, keys, g, out)
-	for i, f := range lf {
-		f.res = out[i]
-	}
-	clear(sh.live[:len(lf)]) // drop future references between batches
-	return cost
+	return keys, ps.out[:n], live
 }
 
 // drainSegment resolves one shard segment of a vectorized batch, writing
@@ -448,9 +464,8 @@ func (sh *shard) drainRange(rf *RangeFuture, id uint64) {
 
 // rangeScanner drains interleaved range scans over a real sorted column:
 // one native.RangeCursor per scheduler slot, seeks suspending per
-// early-load round, each scan completing in its final resume. Shared by
-// the lookup and join native backends (the scan side is identical);
-// carried across rebuilds like the other drain slots.
+// early-load round, each scan completing in its final resume. Carried
+// across rebuilds like the other drain slots.
 type rangeScanner struct {
 	slots coro.FlatSlots[native.RangeCursor]
 }
