@@ -50,9 +50,9 @@ type call struct {
 
 func (c *call) complete() { close(c.done) }
 
-// failAll completes the call as refused: every result dropped, err set.
-func (c *call) failAll(err error) {
-	c.err = err
+// dropAll marks every op of the call dropped (the result shape a shard
+// gives an op it never probed).
+func (c *call) dropAll() {
 	c.res = make([]serve.Result, c.n)
 	for i := range c.res {
 		c.res[i] = serve.Result{Code: serve.NotFound, Dropped: true}
@@ -63,10 +63,14 @@ func (c *call) failAll(err error) {
 			c.jres[i] = serve.JoinResult{Code: serve.NotFound, Dropped: true}
 		}
 	}
-	if c.kind == ckRange {
-		c.rdrop = true
-	}
+	c.rdrop = c.kind == ckRange
 	c.dropped = c.n
+}
+
+// failAll completes the call as refused: every result dropped, err set.
+func (c *call) failAll(err error) {
+	c.err = err
+	c.dropAll()
 	c.complete()
 }
 
@@ -250,7 +254,6 @@ func (r *Remote) dialConn(addr string) (*cconn, error) {
 	c := &cconn{
 		r:       r,
 		nc:      nc,
-		bw:      bufio.NewWriterSize(nc, 64<<10),
 		pending: make(map[uint64]*call),
 	}
 	c.co.maxOps = r.cfg.coalesceMax
@@ -258,7 +261,10 @@ func (r *Remote) dialConn(addr string) (*cconn, error) {
 
 	// Handshake synchronously before the read loop owns the stream.
 	nc.SetDeadline(time.Now().Add(r.cfg.dialTimeout))
-	if err := c.writeFrame(wire.MsgHello, wire.AppendHello(nil, wire.Hello{Version: wire.Version, Tenant: r.cfg.tenant})); err != nil {
+	hello := func(dst []byte, _ wire.ReqHeader) []byte {
+		return wire.AppendHello(dst, wire.Hello{Version: wire.Version, Tenant: r.cfg.tenant})
+	}
+	if err := c.writeFrame(wire.MsgHello, wire.ReqHeader{}, hello); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -375,25 +381,7 @@ func (r *Remote) finish(c *call) {
 // cancelled ctx at submission — the in-process paths drop those at
 // drain with the same result shape, without an error).
 func (r *Remote) localDrop(c *call) {
-	if c.kind == ckLookup || c.kind == ckWrite {
-		c.res = make([]serve.Result, c.n)
-		for i := range c.res {
-			c.res[i] = serve.Result{Code: serve.NotFound, Dropped: true}
-		}
-	}
-	if c.kind == ckJoin {
-		c.res = make([]serve.Result, c.n)
-		c.jres = make([]serve.JoinResult, c.n)
-		for i := range c.res {
-			c.res[i] = serve.Result{Code: serve.NotFound, Dropped: true}
-			c.jres[i] = serve.JoinResult{Code: serve.NotFound, Dropped: true}
-		}
-	}
-	if c.kind == ckRange {
-		c.ents = make([][]serve.RangeEntry, c.n)
-		c.rdrop = true
-	}
-	c.dropped = c.n
+	c.dropAll()
 	r.finish(c)
 }
 
@@ -519,10 +507,9 @@ func (r *Remote) SubmitBatch(ctx context.Context, kind serve.OpKind, keys []uint
 		r.localDrop(c)
 		return &BatchFuture{c: c}
 	}
-	conn := r.pick()
-	id := conn.register(c)
-	payload := wire.AppendKeyBatch(nil, wire.KeyBatch{Hdr: wire.ReqHeader{ID: id, DeadlineUS: us, Flags: r.readFlags()}, Keys: keys})
-	conn.sendOrFail(c, id, mt, payload)
+	r.pick().submit(c, mt, wire.ReqHeader{DeadlineUS: us, Flags: r.readFlags()}, func(dst []byte, h wire.ReqHeader) []byte {
+		return wire.AppendKeyBatch(dst, wire.KeyBatch{Hdr: h, Keys: keys})
+	})
 	return &BatchFuture{c: c}
 }
 
@@ -573,10 +560,9 @@ func (r *Remote) applyBatch(ctx context.Context, ops []serve.Op, flags uint8) *B
 		r.localDrop(c)
 		return &BatchFuture{c: c}
 	}
-	conn := r.pick()
-	id := conn.register(c)
-	payload := wire.AppendWriteBatch(nil, wire.WriteBatch{Hdr: wire.ReqHeader{ID: id, DeadlineUS: us, Flags: flags}, Ops: wops})
-	conn.sendOrFail(c, id, wire.MsgWriteBatch, payload)
+	r.pick().submit(c, wire.MsgWriteBatch, wire.ReqHeader{DeadlineUS: us, Flags: flags}, func(dst []byte, h wire.ReqHeader) []byte {
+		return wire.AppendWriteBatch(dst, wire.WriteBatch{Hdr: h, Ops: wops})
+	})
 	return &BatchFuture{c: c}
 }
 
@@ -616,36 +602,42 @@ func (r *Remote) RangeBatch(ctx context.Context, ops []serve.Op) *RangeFuture {
 		r.localDrop(c)
 		return &RangeFuture{c: c}
 	}
-	conn := r.pick()
-	id := conn.register(c)
-	payload := wire.AppendRangeBatch(nil, wire.RangeBatch{Hdr: wire.ReqHeader{ID: id, DeadlineUS: us, Flags: r.readFlags()}, Ranges: reqs})
-	conn.sendOrFail(c, id, wire.MsgRangeBatch, payload)
+	r.pick().submit(c, wire.MsgRangeBatch, wire.ReqHeader{DeadlineUS: us, Flags: r.readFlags()}, func(dst []byte, h wire.ReqHeader) []byte {
+		return wire.AppendRangeBatch(dst, wire.RangeBatch{Hdr: h, Ranges: reqs})
+	})
 	return &RangeFuture{c: c}
 }
 
 // --- connection ----------------------------------------------------
 
-// cconn is one client connection: a synchronous write path (mutex +
-// buffered writer, flushed per frame), a read loop resolving responses
-// to pending calls, and a point-op coalescer.
+// cconn is one client connection: a synchronous write path (a mutex
+// over a recycled encode buffer, one socket write per frame), a read
+// loop resolving responses to pending calls, and a point-op coalescer.
 type cconn struct {
 	r  *Remote
 	nc net.Conn
 
 	wmu sync.Mutex
-	bw  *bufio.Writer
+	enc []byte // the frame being written; guarded by wmu
 
 	fr  *wire.FrameReader
 	seq atomic.Uint64
 
 	pmu     sync.Mutex
 	pending map[uint64]*call
+	// dead is set, with pending swept, once the read loop has exited:
+	// nothing will resolve a call registered after that, so submit
+	// refuses it instead.
+	dead bool
 	// waiters are Quiesce registrations: channels closed (and cleared)
 	// whenever the pending set drains to empty. Guarded by pmu.
 	waiters []chan struct{}
 
 	co coalescer
 }
+
+// encRetain caps the encode buffer a connection keeps between frames.
+const encRetain = 1 << 20
 
 // drained returns a channel closed when the connection has no in-flight
 // requests (closed immediately if it already has none).
@@ -671,14 +663,6 @@ func (c *cconn) notifyDrained() {
 	c.waiters = nil
 }
 
-func (c *cconn) register(cl *call) uint64 {
-	id := c.seq.Add(1)
-	c.pmu.Lock()
-	c.pending[id] = cl
-	c.pmu.Unlock()
-	return id
-}
-
 func (c *cconn) take(id uint64) *call {
 	c.pmu.Lock()
 	cl := c.pending[id]
@@ -697,29 +681,51 @@ func (c *cconn) peek(id uint64) *call {
 	return cl
 }
 
-func (c *cconn) writeFrame(t wire.MsgType, payload []byte) error {
+// writeFrame builds one frame in the connection's encode buffer — body
+// appends the payload, under h for a request — and writes it to the
+// socket in one call.
+//
+//isi:hotpath
+func (c *cconn) writeFrame(t wire.MsgType, h wire.ReqHeader, body func([]byte, wire.ReqHeader) []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := wire.WriteFrame(c.bw, t, payload); err != nil {
-		return err
+	b := body(wire.BeginFrame(c.enc, t), h)
+	wire.EndFrame(b)
+	c.enc = b
+	if cap(b) > encRetain {
+		c.enc = nil
 	}
-	if err := c.bw.Flush(); err != nil {
+	if _, err := c.nc.Write(b); err != nil {
 		return err
 	}
 	c.r.framesOut.Add(1)
-	c.r.bytesOut.Add(uint64(5 + len(payload)))
+	c.r.bytesOut.Add(uint64(len(b)))
 	return nil
 }
 
-// sendOrFail ships one registered request frame; a write failure
-// unregisters and fails the call immediately.
-func (c *cconn) sendOrFail(cl *call, id uint64, t wire.MsgType, payload []byte) {
-	if err := c.writeFrame(t, payload); err != nil {
-		if taken := c.take(id); taken != nil {
-			taken.failAll(serve.ErrClosed)
-			c.r.shed.Add(uint64(taken.n))
+// submit registers cl under a fresh id and ships its request frame. A
+// connection whose read loop has exited, or a failed write, refuses the
+// call with serve.ErrClosed.
+//
+//isi:hotpath
+func (c *cconn) submit(cl *call, t wire.MsgType, h wire.ReqHeader, body func([]byte, wire.ReqHeader) []byte) {
+	h.ID = c.seq.Add(1)
+	c.pmu.Lock()
+	dead := c.dead
+	if !dead {
+		c.pending[h.ID] = cl
+	}
+	c.pmu.Unlock()
+	if !dead {
+		if c.writeFrame(t, h, body) == nil {
+			return
+		}
+		if cl = c.take(h.ID); cl == nil {
+			return // the read loop's sweep refused it first
 		}
 	}
+	cl.failAll(serve.ErrClosed) //isi:allow-alloc(refusal path: the connection is gone)
+	c.r.shed.Add(uint64(cl.n))
 }
 
 // readLoop resolves response frames until the stream dies, then fails
@@ -741,8 +747,10 @@ func (c *cconn) readLoop() {
 	}
 }
 
+// failPending marks the connection dead and refuses every pending call.
 func (c *cconn) failPending() {
 	c.pmu.Lock()
+	c.dead = true
 	calls := make([]*call, 0, len(c.pending))
 	for id, cl := range c.pending {
 		calls = append(calls, cl)
@@ -760,34 +768,21 @@ func (c *cconn) failPending() {
 func (c *cconn) handle(t wire.MsgType, p []byte) bool {
 	switch t {
 	case wire.MsgResults:
-		r, err := wire.DecodeResults(p)
-		if err != nil {
-			return false
-		}
-		cl := c.take(r.ID)
-		if cl == nil {
-			return true
-		}
-		cl.res = make([]serve.Result, len(r.Res))
-		for i, e := range r.Res {
-			cl.res[i] = fromWireResult(e)
-			if cl.res[i].Dropped {
-				cl.dropped++
-			}
-		}
-		c.r.finish(cl)
+		return c.handleResults(p)
 	case wire.MsgJoinResults:
-		r, err := wire.DecodeJoinResults(p)
+		id, recs, err := wire.SplitJoinResults(p)
 		if err != nil {
 			return false
 		}
-		cl := c.take(r.ID)
+		cl := c.take(id)
 		if cl == nil {
 			return true
 		}
-		cl.res = make([]serve.Result, len(r.Res))
-		cl.jres = make([]serve.JoinResult, len(r.Res))
-		for i, e := range r.Res {
+		n := len(recs) / wire.JoinResSize
+		cl.res = make([]serve.Result, n)
+		cl.jres = make([]serve.JoinResult, n)
+		for i := range cl.jres {
+			e := wire.JoinResAt(recs, i)
 			cl.jres[i] = serve.JoinResult{Code: e.Code, Hits: e.Hits, Agg: e.Agg, Dropped: e.Flags&wire.FlagDropped != 0}
 			cl.res[i] = serve.Result{Code: e.Code, Found: e.Code != serve.NotFound, Dropped: cl.jres[i].Dropped}
 			if cl.jres[i].Dropped {
@@ -839,13 +834,10 @@ func (c *cconn) handle(t wire.MsgType, p []byte) bool {
 			return true
 		}
 		if s.Reason == wire.ShedClosed {
-			cl.err = serve.ErrClosed
+			cl.failAll(serve.ErrClosed)
 		} else {
-			cl.err = &ShedError{Reason: s.Reason}
+			cl.failAll(&ShedError{Reason: s.Reason})
 		}
-		err2 := cl.err
-		cl.err = nil // failAll sets it; keep a single assignment path
-		cl.failAll(err2)
 		c.r.shed.Add(uint64(cl.n))
 	case wire.MsgErr:
 		return false
@@ -855,6 +847,31 @@ func (c *cconn) handle(t wire.MsgType, p []byte) bool {
 	return true
 }
 
+// handleResults resolves a MsgResults frame: the records are validated
+// in place and decoded straight into the call's result column.
+//
+//isi:hotpath
+func (c *cconn) handleResults(p []byte) bool {
+	id, recs, err := wire.SplitResults(p)
+	if err != nil {
+		return false
+	}
+	cl := c.take(id)
+	if cl == nil {
+		return true
+	}
+	cl.res = make([]serve.Result, len(recs)/wire.ResultSize) //isi:allow-alloc(the result column the caller receives, one per frame)
+	for i := range cl.res {
+		cl.res[i] = fromWireResult(wire.ResultAt(recs, i))
+		if cl.res[i].Dropped {
+			cl.dropped++
+		}
+	}
+	c.r.finish(cl)
+	return true
+}
+
+//isi:hotpath
 func fromWireResult(e wire.Result) serve.Result {
 	return serve.Result{
 		Code:    e.Code,
@@ -1011,17 +1028,17 @@ func (co *coalescer) flushAll(conn *cconn) {
 
 func (fl *flushed) send(conn *cconn) {
 	fl.c.keys = fl.keys
-	id := conn.register(fl.c)
-	hdr := wire.ReqHeader{ID: id}
-	if fl.ck != ckWrite {
-		hdr.Flags = conn.r.readFlags()
+	if fl.ck == ckWrite {
+		conn.submit(fl.c, wire.MsgWriteBatch, wire.ReqHeader{}, func(dst []byte, h wire.ReqHeader) []byte {
+			return wire.AppendWriteBatch(dst, wire.WriteBatch{Hdr: h, Ops: fl.wops})
+		})
+		return
 	}
-	switch fl.ck {
-	case ckLookup:
-		conn.sendOrFail(fl.c, id, wire.MsgLookupBatch, wire.AppendKeyBatch(nil, wire.KeyBatch{Hdr: hdr, Keys: fl.keys}))
-	case ckJoin:
-		conn.sendOrFail(fl.c, id, wire.MsgJoinBatch, wire.AppendKeyBatch(nil, wire.KeyBatch{Hdr: hdr, Keys: fl.keys}))
-	default:
-		conn.sendOrFail(fl.c, id, wire.MsgWriteBatch, wire.AppendWriteBatch(nil, wire.WriteBatch{Hdr: hdr, Ops: fl.wops}))
+	mt := wire.MsgLookupBatch
+	if fl.ck == ckJoin {
+		mt = wire.MsgJoinBatch
 	}
+	conn.submit(fl.c, mt, wire.ReqHeader{Flags: conn.r.readFlags()}, func(dst []byte, h wire.ReqHeader) []byte {
+		return wire.AppendKeyBatch(dst, wire.KeyBatch{Hdr: h, Keys: fl.keys})
+	})
 }

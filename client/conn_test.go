@@ -64,6 +64,83 @@ func dialTestRemote(t *testing.T, opts ...Option) *Remote {
 	return rm
 }
 
+// TestSubmitOnDeadConnection is the deterministic form of the hang
+// TestServerCloseFailsClient used to hit: once a connection's read loop
+// has swept its pending set and exited, nothing resolves a call
+// registered afterwards — and the first write into the peer-closed
+// socket still succeeds — so every submission surface must refuse with
+// serve.ErrClosed on the spot, count the ops as shed, and send nothing.
+func TestSubmitOnDeadConnection(t *testing.T) {
+	svc, err := serve.New([]uint64{2, 4, 6}, serve.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := wire.NewServer(svc, wire.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	rm, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rm.Close()
+	ctx := context.Background()
+	if r := rm.Lookup(ctx, 4); !r.Found {
+		t.Fatalf("warmup lookup: %+v", r)
+	}
+	srv.Close()
+	conn := rm.conns[0]
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		conn.pmu.Lock()
+		dead := conn.dead
+		conn.pmu.Unlock()
+		if dead {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("client read loop still running 5s after the server closed")
+		}
+	}
+
+	before := rm.Stats()
+	write := []serve.Op{{Kind: serve.OpInsert, Key: 8, Val: 1}, {Kind: serve.OpDelete, Key: 2}}
+	pf, rf := rm.Go(ctx, 4), rm.RangeBatch(ctx, []serve.Op{serve.RangeOp(0, 10, 0)})
+	calls := map[string]interface {
+		Err() error
+	}{
+		"GoBatch":    rm.GoBatch(ctx, []uint64{2, 4}),
+		"JoinBatch":  rm.JoinBatch(ctx, []uint64{2}),
+		"ApplyBatch": rm.ApplyBatch(ctx, write),
+		"RangeBatch": rf,
+		"Go":         pf,
+	}
+	for name, c := range calls {
+		errc := make(chan error, 1)
+		go func() { errc <- c.Err() }()
+		select {
+		case err := <-errc:
+			if err != serve.ErrClosed {
+				t.Errorf("%s on a dead connection: %v, want ErrClosed", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s on a dead connection never resolved", name)
+		}
+	}
+	if r := pf.Wait(); !r.Dropped || !rf.Dropped() {
+		t.Errorf("refused calls must read as dropped: point %+v, range dropped %v", r, rf.Dropped())
+	}
+	after := rm.Stats()
+	if shed := after.Shed - before.Shed; shed != 7 { // 2 + 1 + 2 + 1 + 1 ops
+		t.Errorf("Stats.Shed grew by %d, want 7", shed)
+	}
+	if after.FramesOut != before.FramesOut || after.BytesOut != before.BytesOut {
+		t.Errorf("a dead connection still wrote: %d frames, %d bytes", after.FramesOut-before.FramesOut, after.BytesOut-before.BytesOut)
+	}
+}
+
 // TestCoalescerAddVsLingerRace hammers point submission from several
 // goroutines against a linger short enough that expiry callbacks fire
 // constantly mid-enqueue. Every future must complete with a served

@@ -3,55 +3,172 @@ package serve
 import (
 	"context"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 )
 
-// TestBatchPartitionInPlace checks the in-place shard partition: the
-// permuted key vector is a rearrangement of the input, every key sits
-// inside the segment of the shard it hashes to — the same shard the
-// equivalent point op would land on — and segment bounds tile the
-// vector exactly.
+// checkPartitions runs both partitioners over orig and checks each:
+// bounds tile [0, n] monotonically, every key sits inside the segment of
+// the shard it hashes to — the same shard the equivalent point op would
+// land on — and the key multiset is preserved. The in-place form (a nil
+// index column: GoBatch's path) permutes a copy; the scatter form must
+// leave its source alone, return the same bounds, keep arrival order
+// within a segment, and record the permutation: idx is a rearrangement
+// of 0..n-1 with dst[j] == orig[idx[j]].
+func checkPartitions(t *testing.T, orig []uint64, nsh int) {
+	t.Helper()
+	n := len(orig)
+	check := func(form string, keys []uint64, bounds []int) {
+		t.Helper()
+		if len(bounds) != nsh+1 || bounds[0] != 0 || bounds[nsh] != n {
+			t.Fatalf("%s nsh=%d n=%d: bounds %v do not tile [0,%d]", form, nsh, n, bounds, n)
+		}
+		for sh := 0; sh < nsh; sh++ {
+			if bounds[sh+1] < bounds[sh] {
+				t.Fatalf("%s nsh=%d n=%d: bounds %v not monotone", form, nsh, n, bounds)
+			}
+			for i := bounds[sh]; i < bounds[sh+1]; i++ {
+				if got := shardOf(keys[i], nsh); got != sh {
+					t.Fatalf("%s nsh=%d n=%d: keys[%d]=%d in segment %d but hashes to shard %d",
+						form, nsh, n, i, keys[i], sh, got)
+				}
+			}
+		}
+		freq := map[uint64]int{}
+		for i := range orig {
+			freq[orig[i]]++
+			freq[keys[i]]--
+		}
+		for k, c := range freq {
+			if c != 0 {
+				t.Fatalf("%s nsh=%d n=%d: key %d count off by %d after partition", form, nsh, n, k, c)
+			}
+		}
+	}
+
+	inPlace := slices.Clone(orig)
+	inBounds := partitionByShard(inPlace, nsh, func(k uint64) uint64 { return k })
+	check("in-place", inPlace, inBounds)
+
+	src, dst, idx := slices.Clone(orig), make([]uint64, n), make([]uint32, n)
+	bounds := scatterByShard(src, dst, idx, nsh)
+	check("scatter", dst, bounds)
+	if !slices.Equal(src, orig) {
+		t.Fatalf("scatter nsh=%d n=%d: source column modified", nsh, n)
+	}
+	if !slices.Equal(bounds, inBounds) {
+		t.Fatalf("scatter nsh=%d n=%d: bounds %v, in-place %v", nsh, n, bounds, inBounds)
+	}
+	seen := make([]bool, n)
+	for j, i := range idx {
+		if int(i) >= n || seen[i] {
+			t.Fatalf("scatter nsh=%d n=%d: idx %v is not a permutation of 0..%d", nsh, n, idx, n-1)
+		}
+		seen[i] = true
+		if dst[j] != orig[i] {
+			t.Fatalf("scatter nsh=%d n=%d: dst[%d]=%d but orig[idx[%d]=%d]=%d", nsh, n, j, dst[j], j, i, orig[i])
+		}
+	}
+	for sh := 0; sh < nsh; sh++ {
+		if seg := idx[bounds[sh]:bounds[sh+1]]; !slices.IsSorted(seg) {
+			t.Fatalf("scatter nsh=%d n=%d: segment %d not in arrival order: %v", nsh, n, sh, seg)
+		}
+	}
+}
+
+// TestBatchPartitionInPlace checks both shard partitioners — the
+// in-place permutation and the scatter with its index column — over
+// duplicate-heavy columns at several shard counts and sizes.
 func TestBatchPartitionInPlace(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 7} {
-		s, err := New(testDomain(100, 1), WithShards(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
 		rng := rand.New(rand.NewPCG(uint64(shards), 3))
 		for _, n := range []int{0, 1, 2, 5, 64, 1000} {
 			keys := make([]uint64, n)
-			freq := map[uint64]int{}
 			for i := range keys {
 				keys[i] = rng.Uint64N(200)
-				freq[keys[i]]++
 			}
-			bounds := partitionByShard(keys, shards, func(k uint64) uint64 { return k })
-			if len(bounds) != shards+1 || bounds[0] != 0 || bounds[shards] != n {
-				t.Fatalf("shards=%d n=%d: bounds %v do not tile [0,%d]", shards, n, bounds, n)
+			checkPartitions(t, keys, shards)
+		}
+	}
+}
+
+// TestSubmitBatchScatter drives the scatter admission end to end: the
+// caller's source column comes back untouched, result j belongs to
+// src[idx[j]] (so un-permuting through idx gives submission order, every
+// duplicate its own position), every Match.Probe re-points through idx
+// at an occurrence of the matched key, and each position's match count
+// equals its Hits. A refused submission leaves the columns unwritten.
+func TestSubmitBatchScatter(t *testing.T) {
+	const domainN = 300
+	rng := rand.New(rand.NewPCG(5, 6))
+	var build []BuildTuple
+	for range 500 {
+		build = append(build, BuildTuple{Key: rng.Uint64N(domainN), Payload: rng.Uint32N(100)})
+	}
+	s, err := New(testDomain(domainN, 1), WithShards(3), WithBuild(build))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, n := range []int{1, 7, 2000} {
+		for _, snapshot := range []bool{false, true} {
+			src := make([]uint64, n)
+			for i := range src {
+				src[i] = rng.Uint64N(domainN + 50) // duplicates and misses
 			}
-			for sh := 0; sh < shards; sh++ {
-				if bounds[sh+1] < bounds[sh] {
-					t.Fatalf("shards=%d n=%d: bounds %v not monotone", shards, n, bounds)
+			orig := slices.Clone(src)
+			keys, idx := make([]uint64, n), make([]uint32, n)
+			bf := s.SubmitBatchScatter(ctx, OpJoin, src, keys, idx, snapshot)
+			jres := bf.WaitJoin()
+			if err := bf.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(src, orig) {
+				t.Fatalf("n=%d: source column modified", n)
+			}
+			res := bf.Wait()
+			hits := make([]uint32, n)
+			for j := range keys {
+				i := idx[j]
+				if keys[j] != orig[i] {
+					t.Fatalf("n=%d: keys[%d]=%d, src[idx]=%d", n, j, keys[j], orig[i])
 				}
-				for i := bounds[sh]; i < bounds[sh+1]; i++ {
-					if got := shardOf(keys[i], shards); got != sh {
-						t.Fatalf("shards=%d n=%d: keys[%d]=%d in segment %d but hashes to shard %d",
-							shards, n, i, keys[i], sh, got)
-					}
+				want := Result{Code: NotFound}
+				if k := orig[i]; k < domainN {
+					want = Result{Code: uint32(k), Found: true}
 				}
+				if res[j] != want {
+					t.Fatalf("n=%d position %d key %d: %+v, want %+v", n, i, orig[i], res[j], want)
+				}
+				hits[i] = jres[j].Hits
 			}
-			for _, k := range keys {
-				freq[k]--
+			for m := range bf.Matches() {
+				i := idx[m.Probe]
+				if orig[i] != m.Key {
+					t.Fatalf("n=%d: match for key %d re-points to position %d holding %d", n, m.Key, i, orig[i])
+				}
+				hits[i]--
 			}
-			for k, c := range freq {
-				if c != 0 {
-					t.Fatalf("shards=%d n=%d: key %d count off by %d after partition", shards, n, k, c)
+			for i, h := range hits {
+				if h != 0 {
+					t.Fatalf("n=%d position %d (key %d): Hits and streamed matches differ by %d", n, i, orig[i], int32(h))
 				}
 			}
 		}
-		s.Close()
 	}
+
+	s.Close()
+	keys, idx := []uint64{99}, []uint32{99}
+	if bf := s.SubmitBatchScatter(ctx, OpLookup, []uint64{1}, keys, idx, false); bf.Err() != ErrClosed || keys[0] != 99 || idx[0] != 99 {
+		t.Fatalf("after Close: err %v, columns %v %v", bf.Err(), keys, idx)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("columns of different lengths must panic")
+		}
+	}()
+	s.SubmitBatchScatter(ctx, OpLookup, []uint64{1, 2}, keys, idx, false)
 }
 
 // TestGoBatchMatchesPointOps drives the vectorized lookup path against

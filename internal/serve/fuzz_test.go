@@ -5,13 +5,15 @@ import (
 	"testing"
 )
 
-// FuzzBatchPartition fuzzes the American-flag batch partitioner of
-// batch.go: for arbitrary key columns and shard counts, permuting a
-// batch in place must preserve the key multiset, the returned bounds
-// must tile [0, n] monotonically, and every key must land in the
-// segment of the shard it hashes to — the same shard the equivalent
-// point op would route to. The seed corpus covers the regression-prone
-// shapes: duplicates, already-sorted input, single-shard, and empty.
+// FuzzBatchPartition fuzzes both batch partitioners of batch.go — the
+// American-flag in-place permutation and the scatter with its index
+// column — through checkPartitions: for arbitrary key columns and shard
+// counts the key multiset is preserved, the bounds tile [0, n]
+// monotonically and agree between the two, every key lands in the
+// segment of the shard it hashes to, and the index column is the
+// permutation that was applied. The seed corpus covers the
+// regression-prone shapes: duplicates, already-sorted input,
+// single-shard, and empty.
 func FuzzBatchPartition(f *testing.F) {
 	enc := func(keys ...uint64) []byte {
 		b := make([]byte, 8*len(keys))
@@ -28,37 +30,11 @@ func FuzzBatchPartition(f *testing.F) {
 	f.Add(enc(0, 1<<63, 42, 42, 0, ^uint64(0)), uint8(7))    // extremes + dups
 	f.Add(enc(3, 1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 1), uint8(5)) // alternating dups
 	f.Fuzz(func(t *testing.T, data []byte, nshRaw uint8) {
-		nsh := int(nshRaw%16) + 1
 		keys := make([]uint64, len(data)/8)
-		freq := map[uint64]int{}
 		for i := range keys {
 			keys[i] = binary.LittleEndian.Uint64(data[8*i:])
-			freq[keys[i]]++
 		}
-		n := len(keys)
-		bounds := partitionByShard(keys, nsh, func(k uint64) uint64 { return k })
-		if len(bounds) != nsh+1 || bounds[0] != 0 || bounds[nsh] != n {
-			t.Fatalf("nsh=%d n=%d: bounds %v do not tile [0,%d]", nsh, n, bounds, n)
-		}
-		for sh := 0; sh < nsh; sh++ {
-			if bounds[sh+1] < bounds[sh] {
-				t.Fatalf("nsh=%d: bounds %v not monotone", nsh, bounds)
-			}
-			for i := bounds[sh]; i < bounds[sh+1]; i++ {
-				if got := shardOf(keys[i], nsh); got != sh {
-					t.Fatalf("nsh=%d: keys[%d]=%d in segment %d, hashes to shard %d",
-						nsh, i, keys[i], sh, got)
-				}
-			}
-		}
-		for _, k := range keys {
-			freq[k]--
-		}
-		for k, c := range freq {
-			if c != 0 {
-				t.Fatalf("nsh=%d: key %d count off by %d after permutation", nsh, k, c)
-			}
-		}
+		checkPartitions(t, keys, int(nshRaw%16)+1)
 	})
 }
 

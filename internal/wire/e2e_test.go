@@ -61,7 +61,7 @@ func testService(t *testing.T, o *obs.Observer) *serve.Service {
 
 // startServer wraps svc in a wire server on a loopback listener and
 // returns the dial address. Cleanup closes the server but not svc.
-func startServer(t *testing.T, svc *serve.Service, cfg wire.Config) string {
+func startServer(t testing.TB, svc *serve.Service, cfg wire.Config) string {
 	t.Helper()
 	srv := wire.NewServer(svc, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -335,6 +335,135 @@ func TestLoopbackVectorDifferential(t *testing.T) {
 		if !slices.Equal(w, g) {
 			t.Fatalf("RangeBatch range %d: remote %v, local %v", r, g, w)
 		}
+	}
+}
+
+// TestLoopbackPositional is the realignment check the key→result
+// comparison above cannot make: result i must be the oracle's answer for
+// submitted key i — duplicates included, each at its own position — and
+// Keys()[i] the key submitted there. Frame sizes straddle the server's
+// point/vector threshold (default CoalesceBelow 64) and reach past one
+// socket read; both read modes, since snapshot reads always take the
+// vector path.
+func TestLoopbackPositional(t *testing.T) {
+	svc := testService(t, nil)
+	defer svc.Close()
+	addr := startServer(t, svc, wire.Config{})
+	ctx := context.Background()
+	for _, snapshot := range []bool{false, true} {
+		rm, err := client.Dial(addr, client.WithSnapshotReads(snapshot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewPCG(31, 32))
+		for _, n := range []int{1, 63, 64, 1024, 5000} {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = rng.Uint64N(40) * 13 // 40 distinct keys, hits and misses, across all shards
+			}
+			bf := rm.GoBatch(ctx, slices.Clone(keys))
+			res := bf.Wait()
+			if err := bf.Err(); err != nil || len(res) != n || !slices.Equal(bf.Keys(), keys) {
+				t.Fatalf("snapshot=%v n=%d: err %v, %d results, keys reordered %v", snapshot, n, err, len(res), !slices.Equal(bf.Keys(), keys))
+			}
+			for i, k := range keys {
+				// testService's domain is the even keys below 512, code = rank.
+				want := serve.Result{Code: serve.NotFound}
+				if k%2 == 0 && k < 512 {
+					want = serve.Result{Code: uint32(k / 2), Found: true}
+				}
+				if res[i] != want {
+					t.Fatalf("snapshot=%v n=%d position %d key %d: %+v, want %+v", snapshot, n, i, k, res[i], want)
+				}
+			}
+		}
+		rm.Close()
+	}
+}
+
+// TestLoopbackJoinDuplicateProbes: every occurrence of a duplicated
+// probe key keeps its own matches. Per wire position i the number of
+// streamed matches with Probe == i equals WaitJoin()[i].Hits, each such
+// match carries key i's key, Keys()[i] is the submitted key, and the
+// aggregates agree with the in-process point join. (Pointing every match
+// at its key's first occurrence gave position 3 both occurrences' matches
+// and position 9 none while JoinRes[9].Hits said otherwise.)
+func TestLoopbackJoinDuplicateProbes(t *testing.T) {
+	svc := testService(t, nil)
+	defer svc.Close()
+	addr := startServer(t, svc, wire.Config{ChunkSize: 7})
+	rm, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rm.Close()
+	ctx := context.Background()
+
+	rng := rand.New(rand.NewPCG(41, 42))
+	keys := make([]uint64, 400)
+	for i := range keys {
+		keys[i] = rng.Uint64N(30) * 6
+	}
+	bf := rm.JoinBatch(ctx, slices.Clone(keys))
+	jres := bf.WaitJoin()
+	if err := bf.Err(); err != nil || len(jres) != len(keys) || !slices.Equal(bf.Keys(), keys) {
+		t.Fatalf("err %v, %d results, keys reordered %v", err, len(jres), !slices.Equal(bf.Keys(), keys))
+	}
+	perProbe := make([]uint32, len(keys))
+	var total uint32
+	for m := range bf.Matches() {
+		if m.Probe < 0 || m.Probe >= len(keys) || m.Key != keys[m.Probe] {
+			t.Fatalf("match %+v does not point at an occurrence of its key", m)
+		}
+		perProbe[m.Probe]++
+		total++
+	}
+	if total == 0 {
+		t.Fatal("no matches streamed; the build side misses every probe key")
+	}
+	want := map[uint64]serve.JoinResult{}
+	for i, k := range keys {
+		if perProbe[i] != jres[i].Hits {
+			t.Fatalf("position %d (key %d): %d matches streamed, Hits %d", i, k, perProbe[i], jres[i].Hits)
+		}
+		if _, ok := want[k]; !ok {
+			want[k] = svc.Join(ctx, k)
+		}
+		if jres[i] != want[k] {
+			t.Fatalf("position %d (key %d): %+v, in-process %+v", i, k, jres[i], want[k])
+		}
+	}
+}
+
+// TestLookupFrameAllocs is the steady-state allocation guard of the
+// vector lookup path, both ends of the loopback included: a frame costs
+// a constant number of allocations — the call and its future, the
+// service's BatchFuture and partition bounds, the two result columns —
+// whatever its key count, because the key, index and payload buffers
+// are recycled slots and encode scratch, not per-frame garbage.
+func TestLookupFrameAllocs(t *testing.T) {
+	svc := testService(t, nil)
+	defer svc.Close()
+	addr := startServer(t, svc, wire.Config{})
+	rm, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rm.Close()
+	ctx := context.Background()
+	allocsAt := func(n int) float64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = uint64(i*7) % 600
+		}
+		for range 8 { // grow every slot, the frame reader and the encode scratch to n
+			rm.GoBatch(ctx, keys).Wait()
+		}
+		return testing.AllocsPerRun(100, func() { rm.GoBatch(ctx, keys).Wait() })
+	}
+	const bound = 20 // 13 measured; the rest is scheduler and netpoll noise
+	if small, large := allocsAt(256), allocsAt(4096); small > bound || large > bound {
+		t.Fatalf("allocations per lookup frame: %v at 256 keys, %v at 4096, want at most %d at both", small, large, bound)
 	}
 }
 

@@ -308,6 +308,23 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	return err
 }
 
+// BeginFrame starts a frame at the front of an emptied scratch buffer:
+// the type tag behind a length prefix EndFrame fills in once the payload
+// has been appended. A sender that owns the scratch builds the whole
+// frame in it and hands the socket one write.
+//
+//isi:hotpath
+func BeginFrame(scratch []byte, t MsgType) []byte {
+	return append(scratch[:0], 0, 0, 0, 0, byte(t)) //isi:allow-alloc(grows the caller's scratch to the frames it sends, then reuses it)
+}
+
+// EndFrame closes the frame BeginFrame started at frame[0].
+//
+//isi:hotpath
+func EndFrame(frame []byte) {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+}
+
 // AppendHello encodes a Hello payload.
 func AppendHello(dst []byte, h Hello) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, Magic)
@@ -385,6 +402,50 @@ func AppendJoinResults(dst []byte, r JoinResults) []byte {
 		dst = append(dst, e.Flags)
 	}
 	return dst
+}
+
+// ResultSize and JoinResSize are the encoded record sizes of MsgResults
+// and MsgJoinResults; both payloads are u64 id | u32 n | n records.
+const (
+	ResultSize  = 5
+	JoinResSize = 17
+	recordsHdr  = 12
+)
+
+// beginRecords resizes dst (reusing its backing array when it is large
+// enough) to a results payload of n size-byte records with the header
+// written, and returns the payload and its record column. The records
+// are then written in any order with putResult or putJoinRes — each
+// exactly once, nothing is zeroed — which is how the server answers in
+// wire order from a shard-partitioned result column without an
+// intermediate slice.
+//
+//isi:hotpath
+func beginRecords(dst []byte, id uint64, n, size int) (payload, recs []byte) {
+	need := recordsHdr + n*size
+	if cap(dst) < need {
+		dst = make([]byte, need) //isi:allow-alloc(cold growth: a slot's payload buffer grows to the largest frame its connection sent)
+	}
+	dst = dst[:need]
+	binary.LittleEndian.PutUint64(dst, id)
+	binary.LittleEndian.PutUint32(dst[8:], uint32(n))
+	return dst, dst[recordsHdr:]
+}
+
+//isi:hotpath
+func putResult(recs []byte, i int, code uint32, flags uint8) {
+	r := recs[i*ResultSize:][:ResultSize]
+	binary.LittleEndian.PutUint32(r, code)
+	r[4] = flags
+}
+
+//isi:hotpath
+func putJoinRes(recs []byte, i int, e JoinRes) {
+	r := recs[i*JoinResSize:][:JoinResSize]
+	binary.LittleEndian.PutUint32(r, e.Code)
+	binary.LittleEndian.PutUint32(r[4:], e.Hits)
+	binary.LittleEndian.PutUint64(r[8:], e.Agg)
+	r[16] = e.Flags
 }
 
 // AppendMatchChunk encodes a MatchChunk payload.
@@ -542,16 +603,32 @@ func DecodeHelloAck(p []byte) (HelloAck, error) {
 
 // DecodeKeyBatch decodes a MsgLookupBatch or MsgJoinBatch payload.
 func DecodeKeyBatch(p []byte) (KeyBatch, error) {
+	return DecodeKeyBatchInto(p, nil)
+}
+
+// DecodeKeyBatchInto is DecodeKeyBatch decoding into keys' backing array,
+// which is replaced only when it is too small: the returned column
+// aliases it, so a receiver that recycles the column decodes without
+// allocating. The count is checked against the bytes present and the
+// payload for trailing bytes before anything is grown or written.
+//
+//isi:hotpath
+func DecodeKeyBatchInto(p []byte, keys []uint64) (KeyBatch, error) {
 	d := dec{p: p}
 	b := KeyBatch{Hdr: d.header()}
 	n := d.count(d.u32(), 8)
-	if n > 0 {
-		b.Keys = make([]uint64, n)
-		for i := range b.Keys {
-			b.Keys[i] = d.u64()
-		}
+	raw := d.bytes(8 * n)
+	if err := d.fin(); err != nil {
+		return b, err
 	}
-	return b, d.fin()
+	if cap(keys) < n {
+		keys = make([]uint64, n) //isi:allow-alloc(cold growth, bounded by the frame: n keys were just checked to be present in p)
+	}
+	b.Keys = keys[:n]
+	for i := range b.Keys {
+		b.Keys[i] = binary.LittleEndian.Uint64(raw[8*i:])
+	}
+	return b, nil
 }
 
 // DecodeRangeBatch decodes a MsgRangeBatch payload.
@@ -582,32 +659,78 @@ func DecodeWriteBatch(p []byte) (WriteBatch, error) {
 	return b, d.fin()
 }
 
+// splitRecords validates a results payload of size-byte records — the
+// count against the bytes present, nothing trailing — and returns its id
+// and the undecoded record column.
+//
+//isi:hotpath
+func splitRecords(p []byte, size int) (id uint64, recs []byte, err error) {
+	d := dec{p: p}
+	id = d.u64()
+	recs = d.bytes(size * d.count(d.u32(), size))
+	return id, recs, d.fin()
+}
+
+// SplitResults validates a MsgResults payload as DecodeResults does and
+// returns its id and its record column, still encoded: len(recs) /
+// ResultSize records, read with ResultAt. A receiver that knows where
+// the results go (the client, once the id names the call) decodes
+// straight into place instead of through a []Result.
+//
+//isi:hotpath
+func SplitResults(p []byte) (id uint64, recs []byte, err error) {
+	return splitRecords(p, ResultSize)
+}
+
+// ResultAt decodes record i of a SplitResults column.
+//
+//isi:hotpath
+func ResultAt(recs []byte, i int) Result {
+	r := recs[i*ResultSize:][:ResultSize]
+	return Result{Code: binary.LittleEndian.Uint32(r), Flags: r[4]}
+}
+
+// SplitJoinResults is SplitResults for a MsgJoinResults payload
+// (JoinResSize-byte records, read with JoinResAt).
+func SplitJoinResults(p []byte) (id uint64, recs []byte, err error) {
+	return splitRecords(p, JoinResSize)
+}
+
+// JoinResAt decodes record i of a SplitJoinResults column.
+func JoinResAt(recs []byte, i int) JoinRes {
+	r := recs[i*JoinResSize:][:JoinResSize]
+	return JoinRes{
+		Code:  binary.LittleEndian.Uint32(r),
+		Hits:  binary.LittleEndian.Uint32(r[4:]),
+		Agg:   binary.LittleEndian.Uint64(r[8:]),
+		Flags: r[16],
+	}
+}
+
 // DecodeResults decodes a MsgResults payload.
 func DecodeResults(p []byte) (Results, error) {
-	d := dec{p: p}
-	r := Results{ID: d.u64()}
-	n := d.count(d.u32(), 5)
-	if n > 0 {
+	id, recs, err := SplitResults(p)
+	r := Results{ID: id}
+	if n := len(recs) / ResultSize; err == nil && n > 0 {
 		r.Res = make([]Result, n)
 		for i := range r.Res {
-			r.Res[i] = Result{Code: d.u32(), Flags: d.u8()}
+			r.Res[i] = ResultAt(recs, i)
 		}
 	}
-	return r, d.fin()
+	return r, err
 }
 
 // DecodeJoinResults decodes a MsgJoinResults payload.
 func DecodeJoinResults(p []byte) (JoinResults, error) {
-	d := dec{p: p}
-	r := JoinResults{ID: d.u64()}
-	n := d.count(d.u32(), 17)
-	if n > 0 {
+	id, recs, err := SplitJoinResults(p)
+	r := JoinResults{ID: id}
+	if n := len(recs) / JoinResSize; err == nil && n > 0 {
 		r.Res = make([]JoinRes, n)
 		for i := range r.Res {
-			r.Res[i] = JoinRes{Code: d.u32(), Hits: d.u32(), Agg: d.u64(), Flags: d.u8()}
+			r.Res[i] = JoinResAt(recs, i)
 		}
 	}
-	return r, d.fin()
+	return r, err
 }
 
 // DecodeMatchChunk decodes a MsgMatchChunk payload.

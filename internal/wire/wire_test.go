@@ -61,6 +61,50 @@ func TestKeyBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeKeyBatchInto pins the recycling contract: a column with room
+// is decoded into in place, one without is replaced by exactly the
+// frame's count, and a malformed payload leaves the column alone.
+func TestDecodeKeyBatchInto(t *testing.T) {
+	in := KeyBatch{Hdr: ReqHeader{ID: 7, Flags: ReqFlagSnapshot}, Keys: []uint64{9, 8, 9, ^uint64(0)}}
+	p := AppendKeyBatch(nil, in)
+	col := make([]uint64, 1, 16)
+	col[0] = 12345
+	out, err := DecodeKeyBatchInto(p, col)
+	if err != nil || out.Hdr != in.Hdr || !slices.Equal(out.Keys, in.Keys) {
+		t.Fatalf("got %+v, %v", out, err)
+	}
+	if &out.Keys[0] != &col[0] || cap(out.Keys) != 16 {
+		t.Fatal("a column with room was not decoded into in place")
+	}
+	out, err = DecodeKeyBatchInto(p, make([]uint64, 0, 3))
+	if err != nil || !slices.Equal(out.Keys, in.Keys) || cap(out.Keys) != len(in.Keys) {
+		t.Fatalf("short column: got %+v (cap %d), %v", out, cap(out.Keys), err)
+	}
+	col[0] = 12345
+	if _, err := DecodeKeyBatchInto(append(p, 0xee), col); !errors.Is(err, ErrMalformed) || col[0] != 12345 {
+		t.Fatalf("trailing garbage: err %v, column %v", err, col[:1])
+	}
+}
+
+// TestFrameInPlace: BeginFrame/EndFrame around an appended payload are
+// byte-identical to WriteFrame of that payload, and reuse the scratch.
+func TestFrameInPlace(t *testing.T) {
+	kb := KeyBatch{Hdr: ReqHeader{ID: 3}, Keys: []uint64{1, 2, 3}}
+	var want bytes.Buffer
+	if err := WriteFrame(&want, MsgLookupBatch, AppendKeyBatch(nil, kb)); err != nil {
+		t.Fatal(err)
+	}
+	scratch := append(make([]byte, 0, 256), "stale bytes"...)
+	got := AppendKeyBatch(BeginFrame(scratch, MsgLookupBatch), kb)
+	EndFrame(got)
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("got % x\nwant % x", got, want.Bytes())
+	}
+	if &got[0] != &scratch[:1][0] {
+		t.Fatal("scratch with room was not reused")
+	}
+}
+
 func TestRangeBatchRoundTrip(t *testing.T) {
 	in := RangeBatch{
 		Hdr:    ReqHeader{ID: 9},
@@ -130,6 +174,59 @@ func TestResultFramesRoundTrip(t *testing.T) {
 	msg, err := DecodeErr(AppendErr(nil, "boom"))
 	if err != nil || msg != "boom" {
 		t.Fatalf("err frame: %q, %v", msg, err)
+	}
+}
+
+// TestResultsInPlace holds the in-place forms to the Append/Decode pair:
+// records written out of order into a recycled payload encode to the
+// same bytes AppendResults produces, and SplitResults/ResultAt read them
+// back — for both record types.
+func TestResultsInPlace(t *testing.T) {
+	res := Results{ID: 5, Res: []Result{{Code: 1, Flags: FlagFound}, {Code: ^uint32(0), Flags: FlagDropped}, {Code: 7}}}
+	stale := bytes.Repeat([]byte{0xaa}, 64)
+	payload, recs := beginRecords(stale, res.ID, len(res.Res), ResultSize)
+	for _, i := range []int{2, 0, 1} {
+		putResult(recs, i, res.Res[i].Code, res.Res[i].Flags)
+	}
+	if want := AppendResults(nil, res); !bytes.Equal(payload, want) || &payload[0] != &stale[0] {
+		t.Fatalf("results in place: % x, want % x", payload, want)
+	}
+	id, col, err := SplitResults(payload)
+	if err != nil || id != res.ID || len(col) != len(res.Res)*ResultSize {
+		t.Fatalf("split: id %d, %d bytes, %v", id, len(col), err)
+	}
+	for i, want := range res.Res {
+		if got := ResultAt(col, i); got != want {
+			t.Fatalf("record %d: %+v, want %+v", i, got, want)
+		}
+	}
+
+	jr := JoinResults{ID: 6, Res: []JoinRes{{Code: 2, Hits: 3, Agg: 1 << 40, Flags: FlagFound}, {Code: 9, Hits: 1, Agg: 4}}}
+	payload, recs = beginRecords(nil, jr.ID, len(jr.Res), JoinResSize)
+	for _, i := range []int{1, 0} {
+		putJoinRes(recs, i, jr.Res[i])
+	}
+	if want := AppendJoinResults(nil, jr); !bytes.Equal(payload, want) {
+		t.Fatalf("join results in place: % x, want % x", payload, want)
+	}
+	id, col, err = SplitJoinResults(payload)
+	if err != nil || id != jr.ID || len(col) != len(jr.Res)*JoinResSize {
+		t.Fatalf("split join: id %d, %d bytes, %v", id, len(col), err)
+	}
+	for i, want := range jr.Res {
+		if got := JoinResAt(col, i); got != want {
+			t.Fatalf("join record %d: %+v, want %+v", i, got, want)
+		}
+	}
+	// The split forms keep the decoders' guards: a lying count and
+	// trailing bytes are both malformed.
+	if _, _, err := SplitResults(append(slices.Clone(payload), 0)); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("trailing byte: %v", err)
+	}
+	lying := AppendResults(nil, Results{ID: 1})
+	lying[8] = 0xff
+	if _, col, err := SplitResults(lying); !errors.Is(err, ErrMalformed) || len(col) != 0 {
+		t.Fatalf("lying count: %d bytes, %v", len(col), err)
 	}
 }
 
@@ -232,16 +329,46 @@ func FuzzWireDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		DecodeHello(p)
 		DecodeHelloAck(p)
-		DecodeKeyBatch(p)
 		DecodeRangeBatch(p)
 		DecodeWriteBatch(p)
-		DecodeResults(p)
-		DecodeJoinResults(p)
 		DecodeMatchChunk(p)
 		DecodeRangeChunk(p)
 		DecodeRangeDone(p)
 		DecodeShed(p)
 		DecodeErr(p)
+		// The decode-into and split forms the server and client run on:
+		// the same verdict as the allocating decoders, and nothing they
+		// hand back — a grown column, a record view — reaches past what
+		// the payload itself holds, whatever its count field says.
+		small := make([]uint64, 0, 2)
+		kb, kerr := DecodeKeyBatch(p)
+		into, ierr := DecodeKeyBatchInto(p, small)
+		if (kerr == nil) != (ierr == nil) || (ierr == nil && !slices.Equal(into.Keys, kb.Keys)) {
+			t.Fatalf("DecodeKeyBatchInto %v %v, DecodeKeyBatch %v %v", into.Keys, ierr, kb.Keys, kerr)
+		}
+		if c := cap(into.Keys); c > cap(small) && c > len(p)/8 {
+			t.Fatalf("DecodeKeyBatchInto grew to %d keys from a %d-byte payload", c, len(p))
+		}
+		rs, rerr := DecodeResults(p)
+		if _, recs, err := SplitResults(p); (err == nil) != (rerr == nil) || len(recs) > len(p) {
+			t.Fatalf("SplitResults: %d bytes of %d, %v (DecodeResults %v)", len(recs), len(p), err, rerr)
+		} else if err == nil {
+			for i, want := range rs.Res {
+				if got := ResultAt(recs, i); got != want {
+					t.Fatalf("ResultAt(%d) = %+v, want %+v", i, got, want)
+				}
+			}
+		}
+		js, jerr := DecodeJoinResults(p)
+		if _, recs, err := SplitJoinResults(p); (err == nil) != (jerr == nil) || len(recs) > len(p) {
+			t.Fatalf("SplitJoinResults: %d bytes of %d, %v (DecodeJoinResults %v)", len(recs), len(p), err, jerr)
+		} else if err == nil {
+			for i, want := range js.Res {
+				if got := JoinResAt(recs, i); got != want {
+					t.Fatalf("JoinResAt(%d) = %+v, want %+v", i, got, want)
+				}
+			}
+		}
 		// The frame reader over the same bytes: must terminate with a
 		// frame, an error, or EOF — never hang or panic. Cap the frame
 		// size small so a lying length prefix cannot allocate big.
