@@ -52,6 +52,13 @@ var searchKernels = []struct {
 		RunCoro(table, keys[:n], g, out[:n], Goroutine)
 		RunSequential(table, keys[n:], out[n:])
 	}},
+	{"two-level", func(table, keys []uint64, _ int, out []int) { runTwoLevel(table, Sample(table), keys, out) }},
+}
+
+// runTwoLevel is the serving drains' two-level search run sequentially:
+// the lockstep pass over the page sample, then Baseline inside the page.
+func runTwoLevel(table, top, keys []uint64, out []int) {
+	SampleWindows(top, keys, func(i, w int) { out[i] = w*PageKeys + Baseline(Window(table, w), keys[i]) })
 }
 
 // checkKernels runs every kernel over (table, keys) at the given group

@@ -14,17 +14,20 @@ import (
 // the join drainSegment, next to the standalone kernels on the same table
 // (native.RunSequential / RunFrameDirect, and Table.RunSequential over the
 // codes the dictionary stage resolves to). Whatever lookupBatch costs over
-// RunFrameDirect at the same group is the scheduler, the delta check and
+// RunFrameDirect at the same group is the two-level split (the page
+// sample searched in lockstep, then suspended levels inside one page
+// instead of over the whole column), the scheduler, the delta check and
 // the result scatter; native.RunGP is the level-synchronous (lockstep)
-// form of the same search, on record as the number a lockstep lookup
-// drain would be measured against. The 2^15-key table is cache-resident
-// (switch cost unhidden), the 2^23-key one far beyond the LLC (the paper's
-// case). Keys are redrawn before every call, untimed, so no kernel turns
-// cache-warm.
+// form of the full-column search, on record as the number a lockstep
+// lookup drain would be measured against. The 2^15-key table is
+// cache-resident (switch cost unhidden), the 2^23-key one far beyond the
+// LLC (the paper's case), and 2^21 keys — join_probe's per-shard table —
+// the middle of the curve. Keys are redrawn before every call, untimed,
+// so no kernel turns cache-warm.
 func BenchmarkDrainKernels(b *testing.B) {
 	const vec = 1024
 	groups := []int{1, 6, 16, 32}
-	for _, logN := range []int{15, 23} {
+	for _, logN := range []int{15, 21, 23} {
 		n := 1 << logN
 		table := make([]uint64, n)
 		codes := make([]uint32, n)
@@ -62,7 +65,7 @@ func BenchmarkDrainKernels(b *testing.B) {
 		for _, g := range groups {
 			run(fmt.Sprintf("native.RunGP/g=%d", g), func() { native.RunGP(table, keys, g, pos) })
 		}
-		x := newNativeIndex(table, codes)
+		x := newNativeIndex(table, codes, native.Sample(table))
 		out := make([]Result, vec)
 		for _, g := range groups {
 			run(fmt.Sprintf("lookupBatch/g=%d", g), func() { x.lookupBatch(deltaView{}, keys, g, out) })
@@ -75,7 +78,7 @@ func BenchmarkDrainKernels(b *testing.B) {
 			}
 			jt.RunSequential(keys, jres)
 		})
-		jx := newNativeJoinIndex(table, codes, jt)
+		jx := newNativeJoinIndex(table, codes, native.Sample(table), jt)
 		bf := &BatchFuture{kind: OpJoin, keys: keys, res: out, jres: make([]JoinResult, vec), matches: make([][]Match, 1)}
 		for _, g := range groups {
 			run(fmt.Sprintf("join.drainSegment/g=%d", g), func() {

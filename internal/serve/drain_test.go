@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -35,19 +37,13 @@ type drainWorld struct {
 const drainTableLen = 37
 
 func newDrainWorld(tableLen int, withDelta bool) *drainWorld {
-	w := &drainWorld{jt: nativejoin.New(256)}
+	w := &drainWorld{}
 	for j := 0; j < tableLen; j++ {
 		w.table = append(w.table, uint64(4*j))
 		w.codes = append(w.codes, uint32(1000+j))
 	}
-	for j := 0; j < drainTableLen; j++ {
-		for m := 0; m < j%4; m++ { // multiplicities 0..3, so chains diverge
-			w.jt.Insert(uint64(1000+j), uint32(10*j+m))
-			w.jt.Insert(uint64(7000+j), uint32(50*j+m))
-		}
-	}
+	var part []writeEntry
 	if withDelta {
-		var part []writeEntry
 		for j := 0; j < drainTableLen; j++ {
 			if j%5 == 0 {
 				part = append(part, writeEntry{key: uint64(4 * j), val: uint32(7000 + j), del: j%10 == 0})
@@ -56,10 +52,70 @@ func newDrainWorld(tableLen int, withDelta bool) *drainWorld {
 				writeEntry{key: uint64(4*j + 1), val: uint32(7000 + j)},
 				writeEntry{key: uint64(4*j + 2), del: true})
 		}
+	}
+	return w.index(part)
+}
+
+// newPageWorld is a world for the two-level search's page windows: table
+// key 4(j+1) with code 1000+j, so keys 0…3 fall below the first entry.
+// With delta, every sampled key (native.Sample: every PageKeys-th) is
+// overridden — upserted and tombstoned alternately — and its neighbours
+// are an upsert (below) and a tombstone (above), so delta answers land
+// on every window boundary.
+func newPageWorld(tableLen int, withDelta bool) *drainWorld {
+	w := &drainWorld{}
+	for j := 0; j < tableLen; j++ {
+		w.table = append(w.table, uint64(4*(j+1)))
+		w.codes = append(w.codes, uint32(1000+j))
+	}
+	var part []writeEntry
+	if withDelta {
+		for j := 0; j < tableLen; j += native.PageKeys {
+			m := j / native.PageKeys
+			s := w.table[j]
+			part = append(part,
+				writeEntry{key: s - 1, val: uint32(7000 + m)},
+				writeEntry{key: s, val: uint32(7000 + m), del: m%2 == 1},
+				writeEntry{key: s + 1, del: true})
+		}
+	}
+	return w.index(part)
+}
+
+// pageKeys are the probes of a page world: every sampled key and one
+// below and one above it, the last key of every window, keys below the
+// first and above the last entry, 0 and MaxUint64.
+func pageKeys(table []uint64) []uint64 {
+	keys := []uint64{0, 1, 3, math.MaxUint64 - 1, math.MaxUint64}
+	if n := len(table); n > 0 {
+		keys = append(keys, table[n-1], table[n-1]+1, table[n-1]+4)
+	}
+	for j := 0; j < len(table); j += native.PageKeys {
+		keys = append(keys, table[j]-1, table[j], table[j]+1)
+		if j > 0 {
+			keys = append(keys, table[j-1])
+		}
+	}
+	return keys
+}
+
+// index completes a world over its table: the build side (chains of
+// multiplicity 0..3 hang off table codes and delta codes alike, so they
+// diverge), part as the delta, and both native indexes.
+func (w *drainWorld) index(part []writeEntry) *drainWorld {
+	w.jt = nativejoin.New(256)
+	for j := 0; j < drainTableLen; j++ {
+		for m := 0; m < j%4; m++ {
+			w.jt.Insert(uint64(1000+j), uint32(10*j+m))
+			w.jt.Insert(uint64(7000+j), uint32(50*j+m))
+		}
+	}
+	if part != nil {
 		w.dv = deltaView{parts: [][]writeEntry{part}}
 	}
-	w.x = newNativeIndex(w.table, w.codes)
-	w.jx = newNativeJoinIndex(w.table, w.codes, w.jt)
+	top := native.Sample(w.table)
+	w.x = newNativeIndex(w.table, w.codes, top)
+	w.jx = newNativeJoinIndex(w.table, w.codes, top, w.jt)
 	return w
 }
 
@@ -239,22 +295,41 @@ func TestDrainEquivalence(t *testing.T) {
 			})
 		}
 	}
+	// Page windows: tables around a page boundary, where the two-level
+	// search's stage 1 picks the window and stage 2 searches inside it,
+	// with and without delta answers on the window boundaries.
+	for _, n := range []int{0, 1, 511, 512, 513, 1023, 1024, 1025, 3*native.PageKeys + 7, 1 << 15} {
+		for _, withDelta := range []bool{false, true} {
+			w := newPageWorld(n, withDelta)
+			keys := pageKeys(w.table)
+			t.Run(fmt.Sprintf("pages/n=%d/delta=%v", n, withDelta), func(t *testing.T) {
+				for _, g := range []int{1, 6, 16, DefaultConfig().MaxGroup + 1} {
+					checkDrains(t, w, keys, g, func(i int) bool { return i%7 == 3 })
+				}
+			})
+		}
+	}
 }
 
 // FuzzDrainEquivalence: arbitrary key vectors (two bytes a key, folded
-// into the worlds' key window so that hits, misses, delta entries and
-// duplicates all occur), group and drop mask through every drain.
+// into each world's key window so that hits, misses, delta entries and
+// duplicates all occur — across every page window of the multi-page
+// worlds), group and drop mask through every drain.
 func FuzzDrainEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 4, 0, 5, 0, 6, 0, 7, 0, 4}, uint8(2), uint64(0b100101))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18}, uint8(33), uint64(0))
 	f.Add([]byte{}, uint8(0), ^uint64(0))
-	worlds := []*drainWorld{newDrainWorld(drainTableLen, true), newDrainWorld(drainTableLen, false), newDrainWorld(0, true)}
+	f.Add([]byte{8, 3, 8, 4, 8, 5, 16, 3, 16, 4, 16, 5, 24, 27, 24, 28, 0, 3}, uint8(7), uint64(0b1010))
+	worlds := []*drainWorld{
+		newDrainWorld(drainTableLen, true), newDrainWorld(drainTableLen, false), newDrainWorld(0, true),
+		newPageWorld(3*native.PageKeys+7, true), newPageWorld(2*native.PageKeys, false),
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, group uint8, mask uint64) {
-		keys := make([]uint64, min(len(raw)/2, 256))
-		for i := range keys {
-			keys[i] = (uint64(raw[2*i])<<8 | uint64(raw[2*i+1])) % (4*drainTableLen + 8)
-		}
 		for _, w := range worlds {
+			keys := make([]uint64, min(len(raw)/2, 256))
+			for i := range keys {
+				keys[i] = (uint64(raw[2*i])<<8 | uint64(raw[2*i+1])) % uint64(4*max(len(w.table), drainTableLen)+8)
+			}
 			checkDrains(t, w, keys, int(group)%(DefaultConfig().MaxGroup+2), func(i int) bool { return mask>>(i%64)&1 == 1 })
 		}
 	})

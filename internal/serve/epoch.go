@@ -96,14 +96,15 @@ type rebuildJob struct {
 }
 
 // installMsg is a completed merge parked for the owning shard: the
-// merged column, the flattened generation batch it absorbed (the tree
-// backend replays it through csbtree.BulkMerge at install), the raw
-// generations for the retained ring's pinned-reader replay, and the
-// visibility fence they carry.
+// merged column and its page sample, the flattened generation batch it
+// absorbed (the tree backend replays it through csbtree.BulkMerge at
+// install), the raw generations for the retained ring's pinned-reader
+// replay, and the visibility fence they carry.
 type installMsg struct {
 	seq      uint64
 	vals     []uint64
 	codes    []uint32
+	top      []uint64 // vals' page sample (native.Sample), built with the merge
 	flat     []writeEntry
 	absorbed [][]writeEntry
 	upTo     uint64
@@ -133,6 +134,9 @@ func (em *epochManager) run() {
 		flat, upTo := flattenGens(j.gens)
 		keys, vals, del := deltaColumns(flat)
 		mergedVals, mergedCodes := native.MergeSorted(j.vals, j.codes, keys, vals, del)
+		// The sample is built here, off the shard goroutine, like the
+		// column it samples: an install stays a pointer swap.
+		top := native.Sample(mergedVals)
 		// Stamped into the owning shard's ring from this goroutine — the
 		// ring's mutex exists exactly for this cross-goroutine writer.
 		j.sh.ring.Record(obs.SpanMergeDone, j.sh.id, j.seq, len(flat), int64(len(mergedVals)))
@@ -145,7 +149,7 @@ func (em *epochManager) run() {
 		// never has two rebuilds in flight, so the slot cannot clobber an
 		// unconsumed install.
 		j.sh.pendingInstall.Store(&installMsg{
-			seq: j.seq, vals: mergedVals, codes: mergedCodes,
+			seq: j.seq, vals: mergedVals, codes: mergedCodes, top: top,
 			flat: flat, absorbed: absorbed, upTo: upTo,
 		})
 	}
@@ -240,9 +244,9 @@ func (sh *shard) installPending() {
 		upTo: max(old.upTo, im.upTo), absorbed: im.absorbed,
 	}
 	if old.joinIdx != nil {
-		ep.joinIdx = old.joinIdx.rebuild(im.vals, im.codes)
+		ep.joinIdx = old.joinIdx.rebuild(im.vals, im.codes, im.top)
 	} else {
-		ep.idx = old.idx.rebuild(im.vals, im.codes, im.flat)
+		ep.idx = old.idx.rebuild(im.vals, im.codes, im.top, im.flat)
 	}
 	sh.epoch.Store(ep)
 	sh.retained = append(sh.retained, ep)

@@ -21,9 +21,11 @@ import (
 //
 // Stage 1 resolves the whole segment (or point run) to codes through the
 // very lookupBatch a lookup service runs — delta first, then the
-// interleaved binary search over the dictionary partition — so joins stay
-// consistent with lookups on a service whose dictionary mutates, and a
-// plain lookup on a join service costs what it costs on a lookup service.
+// two-level search over the dictionary partition (the page sample in
+// lockstep, then an interleaved binary search inside one page) — so
+// joins stay consistent with lookups on a service whose dictionary
+// mutates, and a plain lookup on a join service costs what it costs on a
+// lookup service.
 // Stage 2 walks the hash chains of the keys stage 1 found, one small
 // probeFrame each; a delta hit carries its delta code into the walk, a
 // tombstone or a miss never gets that far. The stages suspend where their
@@ -107,17 +109,18 @@ type joinScratch struct {
 	pt     pointScratch
 }
 
-func newNativeJoinIndex(vals []uint64, codes []uint32, jt *nativejoin.Table) *nativeJoinIndex {
-	return &nativeJoinIndex{nativeIndex: *newNativeIndex(vals, codes), jt: jt, st: new(joinScratch)}
+func newNativeJoinIndex(vals []uint64, codes []uint32, top []uint64, jt *nativejoin.Table) *nativeJoinIndex {
+	return &nativeJoinIndex{nativeIndex: *newNativeIndex(vals, codes, top), jt: jt, st: new(joinScratch)}
 }
 
 // rebuild constructs the next-epoch join backend over the merged
-// dictionary column. The build-side table is keyed by code, which writes
-// edit only through the dictionary mapping, so the table and the drain
-// state carry over — a join install is a pointer swap.
-func (x *nativeJoinIndex) rebuild(vals []uint64, codes []uint32) *nativeJoinIndex {
+// dictionary column and its page sample. The build-side table is keyed
+// by code, which writes edit only through the dictionary mapping, so the
+// table and the drain state carry over — a join install is a pointer
+// swap.
+func (x *nativeJoinIndex) rebuild(vals []uint64, codes []uint32, top []uint64) *nativeJoinIndex {
 	next := *x
-	next.table, next.codes = vals, codes
+	next.table, next.codes, next.top = vals, codes, top
 	return &next
 }
 

@@ -552,19 +552,27 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 
 	// Partition the sorted domain, count then fill, so every shard's
 	// columns are allocated once at their exact size: local arrays stay
-	// sorted because the global order is preserved per shard.
+	// sorted because the global order is preserved per shard. The fill
+	// also samples every native.PageKeys-th local key into the shard's
+	// page sample (native.Sample's layout), the top level of the drains'
+	// two-level search, so no second pass walks the columns.
 	counts := make([]int, cfg.Shards)
 	for _, v := range sorted {
 		counts[shardOf(v, cfg.Shards)]++
 	}
 	locVals := make([][]uint64, cfg.Shards)
 	locCodes := make([][]uint32, cfg.Shards)
+	locTop := make([][]uint64, cfg.Shards)
 	for i, c := range counts {
 		locVals[i] = make([]uint64, 0, c)
 		locCodes[i] = make([]uint32, 0, c)
+		locTop[i] = make([]uint64, 0, (c+native.PageKeys-1)/native.PageKeys)
 	}
 	for code, v := range sorted {
 		i := shardOf(v, cfg.Shards)
+		if len(locVals[i])%native.PageKeys == 0 {
+			locTop[i] = append(locTop[i], v)
+		}
 		locVals[i] = append(locVals[i], v)
 		locCodes[i] = append(locCodes[i], uint32(code))
 	}
@@ -631,9 +639,9 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 		}
 		ep := &epochState{vals: locVals[i], codes: locCodes[i]}
 		if joinTabs != nil {
-			ep.joinIdx = newNativeJoinIndex(locVals[i], locCodes[i], joinTabs[i])
+			ep.joinIdx = newNativeJoinIndex(locVals[i], locCodes[i], locTop[i], joinTabs[i])
 		} else {
-			idx, err := newShardIndex(cfg, i, locVals[i], locCodes[i])
+			idx, err := newShardIndex(cfg, i, locVals[i], locCodes[i], locTop[i])
 			if err != nil {
 				return nil, err
 			}

@@ -95,13 +95,13 @@ type shardMsg struct {
 // limits[i] in-range (key, code) pairs in ascending key order to
 // pairs[i] (limits[i] <= 0 is unbounded) — the delta merge happens
 // outside, in mergeRange. rebuild constructs the next-epoch index over
-// a merged column, reusing the engine and drain slots of the current
-// one; it runs on the shard goroutine between batches
+// a merged column and that column's page sample (native.Sample),
+// reusing the engine and drain slots of the current one; it runs on the shard goroutine between batches
 // and its duration is the rebuild pause.
 type shardIndex interface {
 	lookupBatch(dv deltaView, keys []uint64, group int, out []Result) float64
 	scanRanges(ops []Op, limits []int, group int, pairs [][]native.Pair) float64
-	rebuild(vals []uint64, codes []uint32, frozen []writeEntry) shardIndex
+	rebuild(vals []uint64, codes []uint32, top []uint64, frozen []writeEntry) shardIndex
 }
 
 // run drains point sub-batches, vectorized segments, and range batches
@@ -493,11 +493,11 @@ func (rs *rangeScanner) scan(table []uint64, codes []uint32, ops []Op, limits []
 }
 
 // newShardIndex builds shard i's epoch-0 index over its local (sorted)
-// values and their global codes.
-func newShardIndex(cfg Config, i int, vals []uint64, codes []uint32) (shardIndex, error) {
+// values, their global codes and the values' page sample.
+func newShardIndex(cfg Config, i int, vals []uint64, codes []uint32, top []uint64) (shardIndex, error) {
 	switch cfg.Kind {
 	case NativeSorted:
-		return newNativeIndex(vals, codes), nil
+		return newNativeIndex(vals, codes, top), nil
 	case SimMain:
 		simCfg := memsim.DefaultConfig()
 		simCfg.Seed = cfg.SimSeed + uint64(i)
@@ -521,25 +521,35 @@ type errUnknownKind IndexKind
 
 func (e errUnknownKind) Error() string { return "serve: unknown index kind " + IndexKind(e).String() }
 
-// nativeIndex is the real-hardware backend: a sorted slice probed by the
-// frame-coroutine binary search of internal/native, one SearchCursor per
+// nativeIndex is the real-hardware backend: a sorted slice probed by a
+// two-level search. Stage 1 searches the column's page sample (top,
+// native.Sample: every 512th key, cache-resident) for the whole batch in
+// lockstep — no suspension — and parks each key's page window in its
+// result slot. Stage 2 is the frame-coroutine binary search of
+// internal/native inside that one 4 KB page, one SearchCursor per
 // scheduler slot held by value and resumed through its concrete Step
-// (coro.DrainFlat) — the steady-state drain allocates nothing.
-// Delta-resolved keys complete at start time through the scheduler's
-// declined-start contract, so they never occupy a slot; everything else
-// falls through to the main search — the delta-then-main composite. The
-// cost unit is wall nanoseconds.
+// (coro.DrainFlat), so a key suspends only on the ≤ 9 levels whose loads
+// can miss; the steady-state drain allocates nothing. Delta-resolved keys
+// complete at start time through the scheduler's declined-start
+// contract, so they never occupy a slot; everything else falls through
+// to the main search — the delta-then-main composite. The cost unit is
+// wall nanoseconds.
 type nativeIndex struct {
 	table []uint64
 	codes []uint32
+	// top is table's page sample, built where the column is built (New's
+	// partition pass, the epoch manager's merge) and never on the shard
+	// goroutine.
+	top   []uint64
 	slots *coro.FlatSlots[native.SearchCursor]
 	rs    *rangeScanner
 }
 
-func newNativeIndex(vals []uint64, codes []uint32) *nativeIndex {
+func newNativeIndex(vals []uint64, codes []uint32, top []uint64) *nativeIndex {
 	return &nativeIndex{
 		table: vals,
 		codes: codes,
+		top:   top,
 		slots: new(coro.FlatSlots[native.SearchCursor]),
 		rs:    new(rangeScanner),
 	}
@@ -554,35 +564,64 @@ func (x *nativeIndex) lookupBatch(dv deltaView, keys []uint64, group int, out []
 		}
 		return float64(time.Since(t0))
 	}
-	coro.DrainFlat(x.slots, len(keys), group,
-		//isi:allow-alloc(two closures per batch over the batch's columns, called and not retained by DrainFlat; O(1) per batch, not per key)
-		func(c *native.SearchCursor, i int) bool {
-			if !dv.empty() {
-				if v, oc := dv.lookup(keys[i]); oc != deltaMiss {
-					if oc == deltaHit {
-						out[i] = Result{Code: v, Found: true}
-					} else {
-						out[i] = Result{Code: NotFound}
-					}
-					return false
-				}
-			}
-			if len(x.table) == 0 {
-				out[i] = Result{Code: NotFound}
-				return false
-			}
-			*c = native.StartSearch(x.table, keys[i])
-			return true
-		},
-		//isi:allow-alloc(see the start closure above)
-		func(i, low int) {
-			if x.table[low] == keys[i] {
-				out[i] = Result{Code: x.codes[low], Found: true}
-			} else {
-				out[i] = Result{Code: NotFound}
-			}
-		})
+	d := lookupDrain{x: x, dv: dv, keys: keys, out: out}
+	native.SampleWindows(x.top, keys, d.window)
+	coro.DrainFlat(x.slots, len(keys), group, d.start, d.sink)
 	return float64(time.Since(t0))
+}
+
+// lookupDrain is one lookupBatch call's two stages over its columns:
+// window takes stage 1's answer, start and sink are stage 2's DrainFlat
+// callbacks. It lives on lookupBatch's stack, and its method values are
+// called, never retained.
+type lookupDrain struct {
+	x    *nativeIndex
+	dv   deltaView
+	keys []uint64
+	out  []Result
+}
+
+// window parks key i's page window in its result slot's Code, until
+// start (which overwrites the slot on a delta answer) or sink (which
+// reads it back) consumes it.
+//
+//isi:hotpath
+func (d *lookupDrain) window(i, w int) { d.out[i].Code = uint32(w) }
+
+// start answers key i from the delta when the delta resolves it (a
+// declined start), else begins its search inside its page window.
+//
+//isi:hotpath
+func (d *lookupDrain) start(c *native.SearchCursor, i int) bool {
+	if !d.dv.empty() {
+		if v, oc := d.dv.lookup(d.keys[i]); oc != deltaMiss {
+			if oc == deltaHit {
+				d.out[i] = Result{Code: v, Found: true}
+			} else {
+				d.out[i] = Result{Code: NotFound}
+			}
+			return false
+		}
+	}
+	if len(d.x.table) == 0 {
+		d.out[i] = Result{Code: NotFound}
+		return false
+	}
+	*c = native.StartSearch(native.Window(d.x.table, int(d.out[i].Code)), d.keys[i])
+	return true
+}
+
+// sink shifts the in-window answer back by the window's offset and
+// resolves key i's code.
+//
+//isi:hotpath
+func (d *lookupDrain) sink(i, low int) {
+	low += int(d.out[i].Code) * native.PageKeys
+	if d.x.table[low] == d.keys[i] {
+		d.out[i] = Result{Code: d.x.codes[low], Found: true}
+	} else {
+		d.out[i] = Result{Code: NotFound}
+	}
 }
 
 //isi:hotpath
@@ -590,10 +629,10 @@ func (x *nativeIndex) scanRanges(ops []Op, limits []int, group int, pairs [][]na
 	return x.rs.scan(x.table, x.codes, ops, limits, group, pairs)
 }
 
-func (x *nativeIndex) rebuild(vals []uint64, codes []uint32, _ []writeEntry) shardIndex {
-	// The merged column is the index; the drain slots carry over, so a
-	// native install is a pointer swap — near-zero pause.
-	return &nativeIndex{table: vals, codes: codes, slots: x.slots, rs: x.rs}
+func (x *nativeIndex) rebuild(vals []uint64, codes []uint32, top []uint64, _ []writeEntry) shardIndex {
+	// The merged column and its sample are the index; the drain slots
+	// carry over, so a native install is a pointer swap — near-zero pause.
+	return &nativeIndex{table: vals, codes: codes, top: top, slots: x.slots, rs: x.rs}
 }
 
 // resolveDelta answers the delta-resolved keys of a batch host-side (the
@@ -693,7 +732,7 @@ func (x *simMainIndex) scanRanges(ops []Op, limits []int, group int, pairs [][]n
 	return float64(x.e.Now() - start)
 }
 
-func (x *simMainIndex) rebuild(vals []uint64, codes []uint32, _ []writeEntry) shardIndex {
+func (x *simMainIndex) rebuild(vals []uint64, codes []uint32, _ []uint64, _ []writeEntry) shardIndex {
 	// Rebuilding the simulated sorted array is the install pause for this
 	// backend; the engine is shard-owned, so construction must run here.
 	return &simMainIndex{e: x.e, dict: dict.NewMain(x.e, vals), codes: codes}
@@ -781,7 +820,7 @@ func (x *simTreeIndex) scanRanges(ops []Op, limits []int, _ int, pairs [][]nativ
 	return float64(x.e.Now() - start)
 }
 
-func (x *simTreeIndex) rebuild(_ []uint64, _ []uint32, frozen []writeEntry) shardIndex {
+func (x *simTreeIndex) rebuild(_ []uint64, _ []uint32, _ []uint64, frozen []writeEntry) shardIndex {
 	// The tree rebuild goes through the incremental bulk-merge entry
 	// point: walk the current tree's entries in order and merge the
 	// frozen delta in, rather than reloading the merged column wholesale.
