@@ -62,7 +62,6 @@ func main() {
 		scenario = flag.String("scenario", "", "named workload scenario, optionally with overrides: name[:key=val,...] (see -listscenarios); replaces the -mode flag family")
 		list     = flag.Bool("listscenarios", false, "list registered scenarios and aliases, then exit")
 		shards   = flag.Int("shards", 4, "number of index shards (one goroutine each)")
-		index    = flag.String("index", "native", "shard index backend: native (real hardware), main (memsim sorted array), tree (memsim CSB+-tree)")
 		mode     = flag.String("mode", "lookup", "legacy request type: lookup, join, or range — assembles an ad-hoc scenario; ignored when -scenario is set")
 		width    = flag.Int("width", 16, "mean domain entries per range (1 = seek-only; large = scan-dominated)")
 		rngLimit = flag.Int("rangelimit", 0, "per-range result cap (0 = unbounded)")
@@ -93,7 +92,7 @@ func main() {
 		jsonOut  = flag.String("json", "", "write a structured JSON run report to this path ('-' = stdout) — the BENCH_*.json trajectory writer")
 		tsEvery  = flag.Duration("tsinterval", 100*time.Millisecond, "per-op latency time-series sampling interval for the -json report (0 = no time series)")
 		smoke    = flag.Bool("smoke", false, "pin the canonical CI sizing (shards/domain/workers/duration/seed) so the report compares against the scenario's committed BENCH_serve*.json baseline; alone it implies -scenario smoke")
-		obsAddr  = flag.String("obs", "", "serve observability HTTP on this address (e.g. localhost:6060): /obs (full snapshot), /metrics (registry), /debug/pprof/* (profiles carrying shard/backend/op labels)")
+		obsAddr  = flag.String("obs", "", "serve observability HTTP on this address (e.g. localhost:6060): /obs (full snapshot), /metrics (registry), /debug/pprof/* (profiles carrying shard/op labels)")
 		remote   = flag.String("remote", "", "drive a cmd/isiserved server at this address over the wire protocol instead of an in-process service; -dict/-seed must match the server's")
 		conns    = flag.Int("conns", 64, "remote mode: connections the client multiplexes over")
 		tenant   = flag.String("tenant", "default", "remote mode: tenant identity for the server's quota/shed accounting")
@@ -118,7 +117,6 @@ func main() {
 		// the regression gate to mean anything. The scenario supplies the
 		// mix and distribution; observation is attached (below), so smoke
 		// scores also guard the observation-on hot path.
-		*index = "native"
 		*shards, *dictMB, *buildMB = 4, 8, 32
 		*workers = 4
 		*duration = time.Second
@@ -134,7 +132,7 @@ func main() {
 			*scenario = "smoke"
 		}
 		// Sizing pins beat any explicit flag except the scenario itself.
-		for _, f := range []string{"index", "shards", "dict", "build", "workers",
+		for _, f := range []string{"shards", "dict", "build", "workers",
 			"duration", "adaptive", "group", "deadline", "rebuild", "seed", "rate"} {
 			delete(explicit, f)
 		}
@@ -196,34 +194,9 @@ func main() {
 		scn = workload.AdHoc("legacy-"+*mode, cfg)
 	}
 
-	var kind serve.IndexKind
-	switch *index {
-	case "native":
-		kind = serve.NativeSorted
-	case "main":
-		kind = serve.SimMain
-	case "tree":
-		kind = serve.SimTree
-	default:
-		fmt.Fprintf(os.Stderr, "isiserve: unknown -index %q (native|main|tree)\n", *index)
-		os.Exit(2)
-	}
-
 	n := int(int64(*dictMB) << 20 / 8)
-	if kind == serve.SimTree && n > 1<<31 {
-		fmt.Fprintln(os.Stderr, "isiserve: -dict too large for the tree backend (uint32 keys)")
-		os.Exit(2)
-	}
 	cfg.Domain, cfg.Workers, cfg.Seed = n, *workers, *seed
 	setup := scn.Setup(cfg)
-	if setup.NeedsBuild && kind != serve.NativeSorted {
-		fmt.Fprintf(os.Stderr, "isiserve: join scenarios require -index native (got %s)\n", kind)
-		os.Exit(2)
-	}
-	if setup.GrowsDomain && kind == serve.SimTree && uint64(2*n)*2 > uint64(^uint32(0)) {
-		fmt.Fprintln(os.Stderr, "isiserve: fresh-insert scenarios with -index tree need a domain whose fresh keys fit uint32 (shrink -dict)")
-		os.Exit(2)
-	}
 	if cfg.Mixed() && cfg.Vector > 0 {
 		fmt.Fprintln(os.Stderr, "isiserve: mixed op streams run point admission (drop -vector)")
 		os.Exit(2)
@@ -247,8 +220,7 @@ func main() {
 		// match the server's domain.
 		os.Exit(runRemote(remoteParams{
 			addr: *remote, tenant: *tenant, conns: *conns,
-			scn: scn, cfg: cfg, scnName: scnName,
-			index: *index, domainKeys: n,
+			scn: scn, cfg: cfg, scnName: scnName, domainKeys: n,
 			deadline: *deadline, rangeLimit: *rngLimit,
 			workers: *workers, duration: *duration, seed: *seed,
 			jsonOut: *jsonOut,
@@ -262,7 +234,6 @@ func main() {
 
 	scfg := serve.Config{
 		Shards:           *shards,
-		Kind:             kind,
 		MaxBatch:         *batch,
 		MaxWait:          *wait,
 		Group:            *group,
@@ -270,7 +241,6 @@ func main() {
 		MaxGroup:         *maxGroup,
 		Adaptive:         *adaptive,
 		AdaptEvery:       *epoch,
-		SimSeed:          *seed,
 		RebuildThreshold: *rebuild,
 	}
 
@@ -283,8 +253,8 @@ func main() {
 	if scnLabel == "" {
 		scnLabel = "(legacy flags)"
 	}
-	fmt.Printf("isiserve: scenario=%s mode=%s admission=%s index=%s shards=%d domain=%d keys (%d MB) batch=%d/%v group=%d adaptive=%v pacing=%s\n",
-		scnLabel, runMode, admission, kind, *shards, n, *dictMB, *batch, *wait, *group, *adaptive, pacingOf(cfg, scnName != ""))
+	fmt.Printf("isiserve: scenario=%s mode=%s admission=%s shards=%d domain=%d keys (%d MB) batch=%d/%v group=%d adaptive=%v pacing=%s\n",
+		scnLabel, runMode, admission, *shards, n, *dictMB, *batch, *wait, *group, *adaptive, pacingOf(cfg, scnName != ""))
 
 	opts := []serve.Option{serve.WithConfig(scfg)}
 	var observer *obs.Observer
@@ -396,7 +366,7 @@ func main() {
 	if *jsonOut != "" {
 		calNS := calibrate()
 		rcfg := RunConfig{
-			Scenario: scnName, Mode: runMode, Index: *index, Shards: *shards, DomainKeys: n,
+			Scenario: scnName, Mode: runMode, Index: indexNative, Shards: *shards, DomainKeys: n,
 			Vector: cfg.Vector, Batch: *batch,
 			Group: *group, MinGroup: *minGroup, MaxGroup: *maxGroup, Adaptive: *adaptive,
 			Workers: *workers, RateRPS: cfg.Rate, Pacing: pacingOf(cfg, scnName != ""),

@@ -36,7 +36,6 @@ type remoteParams struct {
 	scn          workload.Scenario
 	cfg          workload.ScenarioConfig
 	scnName      string
-	index        string
 	domainKeys   int
 	deadline     time.Duration
 	rangeLimit   int
@@ -144,7 +143,7 @@ func runRemote(p remoteParams) int {
 		calNS := calibrate()
 		cfg := p.cfg
 		rcfg := RunConfig{
-			Scenario: p.scnName, Mode: modeOf(cfg), Index: p.index,
+			Scenario: p.scnName, Mode: modeOf(cfg), Index: indexNative,
 			Shards: rm.Shards(), DomainKeys: p.domainKeys,
 			Vector:  cfg.Vector,
 			Workers: p.workers, RateRPS: cfg.Rate, Pacing: pacingOf(cfg, p.scnName != ""),

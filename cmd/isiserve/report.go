@@ -27,6 +27,11 @@ import (
 // cmd/benchcmp reads v1 through v3.
 const reportSchema = "isiserve-report/v3"
 
+// indexNative is every report's config.index: the service has one
+// index. benchcmp refuses a config that differs from its baseline's, and
+// the committed BENCH_serve*.json baselines record "native".
+const indexNative = "native"
+
 // RunReport is one benchmark run, serialized to -json and to the
 // repo-root BENCH_serve*.json trajectories. Config pins everything that
 // shapes the workload, so a comparator can refuse apples-to-oranges
@@ -60,7 +65,7 @@ type HostInfo struct {
 type RunConfig struct {
 	Scenario   string  `json:"scenario"` // "" = ad-hoc legacy flags
 	Mode       string  `json:"mode"`     // lookup | join | range | mixed
-	Index      string  `json:"index"`
+	Index      string  `json:"index"`    // always indexNative
 	Shards     int     `json:"shards"`
 	DomainKeys int     `json:"domain_keys"`
 	Vector     int     `json:"vector"` // 0 = point admission

@@ -9,8 +9,8 @@
 // in-flight cap (-maxinflight) refuse whole frames before the shards
 // see them.
 //
-// The service shape flags (shards, index backend, domain, build side,
-// batching, group-size controller) mirror cmd/isiserve exactly, and the
+// The service shape flags (shards, domain, build side, batching,
+// group-size controller) mirror cmd/isiserve exactly, and the
 // domain is constructed identically (even values only, value of code i
 // is 2i; build-side tuples from the same seeded skew), so a remote
 // client driving isiserved with the same seed observes bit-identical
@@ -45,7 +45,6 @@ func main() {
 	var (
 		listen   = flag.String("listen", "localhost:7070", "wire protocol listen address (port 0 picks a free port)")
 		shards   = flag.Int("shards", 4, "number of index shards (one goroutine each)")
-		index    = flag.String("index", "native", "shard index backend: native, main, or tree")
 		dictMB   = flag.Int("dict", 64, "domain size in MB of 8-byte keys")
 		buildMB  = flag.Int("build", 32, "join build side size in MB of 16-byte tuples (0 disables joins)")
 		bZipf    = flag.Float64("buildzipf", 0, "fraction of build tuples on the Zipf hot set")
@@ -59,7 +58,7 @@ func main() {
 		epoch    = flag.Int("epoch", 8, "batches per controller epoch")
 		rebuild  = flag.Int("rebuild", 0, "per-shard delta size triggering a background epoch rebuild (0 = default, <0 disables)")
 		seed     = flag.Uint64("seed", 7, "domain/build seed (must match the client's for differential runs)")
-		smoke    = flag.Bool("smoke", false, "pin the canonical CI sizing (index/shards/dict/build/group/seed), matching isiserve -smoke")
+		smoke    = flag.Bool("smoke", false, "pin the canonical CI sizing (shards/dict/build/group/seed), matching isiserve -smoke")
 
 		coalesce  = flag.Int("coalesce", 64, "frames with fewer ops ride point admission (group-commit coalescing across connections); larger frames go vectorized")
 		inflight  = flag.Int("maxinflight", 1<<20, "server-wide cap on admitted-but-unanswered ops; beyond it frames are shed")
@@ -73,35 +72,13 @@ func main() {
 	flag.Parse()
 
 	if *smoke {
-		*index = "native"
 		*shards, *dictMB, *buildMB = 4, 8, 32
 		*adaptive, *group = false, 6
 		*rebuild = 0
 		*seed = 7
 	}
 
-	var kind serve.IndexKind
-	switch *index {
-	case "native":
-		kind = serve.NativeSorted
-	case "main":
-		kind = serve.SimMain
-	case "tree":
-		kind = serve.SimTree
-	default:
-		fmt.Fprintf(os.Stderr, "isiserved: unknown -index %q (native|main|tree)\n", *index)
-		os.Exit(2)
-	}
-	if *buildMB > 0 && kind != serve.NativeSorted {
-		fmt.Fprintln(os.Stderr, "isiserved: the join build side requires -index native (or pass -build 0)")
-		os.Exit(2)
-	}
-
 	n := int(int64(*dictMB) << 20 / 8)
-	if kind == serve.SimTree && n > 1<<31 {
-		fmt.Fprintln(os.Stderr, "isiserved: -dict too large for the tree backend (uint32 keys)")
-		os.Exit(2)
-	}
 	values := make([]uint64, n)
 	for i := range values {
 		values[i] = uint64(i) * 2 // even values only: odd keys miss — same domain as isiserve
@@ -109,7 +86,6 @@ func main() {
 
 	scfg := serve.Config{
 		Shards:           *shards,
-		Kind:             kind,
 		MaxBatch:         *batch,
 		MaxWait:          *wait,
 		Group:            *group,
@@ -117,7 +93,6 @@ func main() {
 		MaxGroup:         *maxGroup,
 		Adaptive:         *adaptive,
 		AdaptEvery:       *epoch,
-		SimSeed:          *seed,
 		RebuildThreshold: *rebuild,
 	}
 	opts := []serve.Option{serve.WithConfig(scfg)}
@@ -165,8 +140,8 @@ func main() {
 	}
 	// The "listening on" banner is the readiness signal scripts (and the
 	// CI net-smoke leg) wait for; it carries the resolved port for :0.
-	fmt.Printf("isiserved: listening on %s (index=%s shards=%d domain=%d keys, join=%v, coalesce<%d, quota=%.0f ops/s/tenant)\n",
-		ln.Addr(), kind, *shards, n, *buildMB > 0, *coalesce, *trate)
+	fmt.Printf("isiserved: listening on %s (shards=%d domain=%d keys, join=%v, coalesce<%d, quota=%.0f ops/s/tenant)\n",
+		ln.Addr(), *shards, n, *buildMB > 0, *coalesce, *trate)
 
 	done := make(chan os.Signal, 1)
 	signal.Notify(done, syscall.SIGINT, syscall.SIGTERM)

@@ -131,28 +131,6 @@ func (m *Main) LocateAllInterleaved(e *memsim.Engine, values []uint64, group int
 	}
 }
 
-// LowerBoundAllInterleaved finds, for each key, the position of the
-// first value ≥ key (Len() if every value is smaller), hiding the seek
-// misses with coroutine interleaving like LocateAllInterleaved. It is
-// the seek stage of a sorted-array range scan (internal/serve's OpRange
-// on the SimMain backend): the shared search loop lands on the largest
-// position with value ≤ key, and the host-side fixup nudges it forward
-// when that value is strictly below the key.
-func (m *Main) LowerBoundAllInterleaved(e *memsim.Engine, keys []uint64, group int, out []int) {
-	if m.arr.Len() == 0 {
-		for i := range keys {
-			out[i] = 0
-		}
-		return
-	}
-	search.RunCORO[uint64](e, m.costs, m.table(), keys, group, out)
-	for i, low := range out {
-		if m.arr.At(low) < keys[i] {
-			out[i] = low + 1
-		}
-	}
-}
-
 // Delta is the update-friendly dictionary: an unsorted value array plus a
 // CSB+-tree index with code leaves.
 type Delta struct {

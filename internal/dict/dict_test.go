@@ -51,46 +51,6 @@ func TestMainLocateAllSequentialVsInterleaved(t *testing.T) {
 	}
 }
 
-// TestMainLowerBoundAllInterleaved checks the interleaved lower-bound
-// seek against the definition (first position with value ≥ key) at
-// several group sizes, including keys below, between, and above the
-// domain.
-func TestMainLowerBoundAllInterleaved(t *testing.T) {
-	e := newEngine()
-	n := 4000
-	m := NewMainVirtual(e, n, func(i int) uint64 { return uint64(i)*3 + 1 }) // 1, 4, 7, ...
-	rng := rand.New(rand.NewPCG(5, 6))
-	keys := make([]uint64, 500)
-	for i := range keys {
-		keys[i] = rng.Uint64N(uint64(3*n + 10))
-	}
-	keys[0], keys[1], keys[2] = 0, 1, uint64(3*n+9) // below, exact first, above all
-	want := make([]int, len(keys))
-	for i, k := range keys {
-		pos := 0
-		for pos < n && uint64(pos)*3+1 < k {
-			pos++
-		}
-		want[i] = pos
-	}
-	for _, group := range []int{1, 2, 6, 32} {
-		got := make([]int, len(keys))
-		m.LowerBoundAllInterleaved(e, keys, group, got)
-		for i := range keys {
-			if got[i] != want[i] {
-				t.Fatalf("group %d: lower bound of %d = %d, want %d", group, keys[i], got[i], want[i])
-			}
-		}
-	}
-	// Empty dictionary: every lower bound is 0 (= Len()).
-	empty := NewMainVirtual(e, 0, func(int) uint64 { return 0 })
-	out := []int{-1, -1}
-	empty.LowerBoundAllInterleaved(e, []uint64{0, 9}, 4, out)
-	if out[0] != 0 || out[1] != 0 {
-		t.Fatalf("empty lower bounds = %v", out)
-	}
-}
-
 func TestMainEmpty(t *testing.T) {
 	e := newEngine()
 	m := NewMain(e, nil)

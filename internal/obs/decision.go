@@ -14,10 +14,9 @@ import (
 // controller walked the group size From → To (they are equal only when
 // the walk pinned at a bound), having measured Cost per item over Items
 // items this epoch against PrevCost the epoch before. Reversed marks
-// the move as a direction flip (this epoch's cost worsened). Cost units
-// are the backend's (wall nanoseconds native, simulated cycles for the
-// memsim backends) — the drain rate is Items/Cost/Items⁻¹, i.e. 1/Cost
-// items per unit.
+// the move as a direction flip (this epoch's cost worsened). Cost is
+// wall nanoseconds of drain time per item, so the drain rate is 1/Cost
+// items per nanosecond.
 type Decision struct {
 	Seq      uint64  `json:"seq"` // per-log monotone sequence
 	T        int64   `json:"t"`   // unix nanoseconds

@@ -10,10 +10,10 @@ import (
 )
 
 // This file pins the cross-shard atomic batch contract: ApplyBatchAtomic
-// writes become visible all-or-nothing to snapshot readers on every
-// backend, pinned snapshots survive epoch churn through the retained
-// ring, and the WithSnapshotReads service mode routes plain reads
-// through the same machinery.
+// writes become visible all-or-nothing to snapshot readers, pinned
+// snapshots survive epoch churn through the retained ring, and the
+// WithSnapshotReads service mode routes plain reads through the same
+// machinery.
 
 // atomicKeys returns nKeys spread keys disjoint from the test domains
 // and from the plain-churn keyspace (9000+).
@@ -111,7 +111,7 @@ func TestApplyBatchAtomicCommitVisibility(t *testing.T) {
 // one writer commits versions of a cross-shard key set via
 // ApplyBatchAtomic while concurrent snapshot readers — point batches
 // pinned per admission and range scans pinned per batch — hammer the
-// set on every backend. No reader may ever observe a partially applied
+// set. No reader may ever observe a partially applied
 // batch (mixed versions, or a strict subset of the keys), and each
 // reader's observed version must be monotone (the commit horizon only
 // grows). Plain-write churn on a disjoint keyspace keeps merges and
@@ -125,85 +125,131 @@ func TestAtomicBatchSnapshotIsolation(t *testing.T) {
 	}
 	keys := atomicKeys(nKeys)
 	lo, hi := keys[0], keys[nKeys-1]
-	for _, kind := range []IndexKind{NativeSorted, SimMain, SimTree} {
-		s, err := New(testDomain(64, 1), WithBackend(kind), WithShards(4),
-			WithRebuildThreshold(8), WithSimSeed(13))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		var done atomic.Bool
-		var wg sync.WaitGroup
-		var maxSeen atomic.Uint32
-		for r := 0; r < 2; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				last := uint32(0)
-				for !done.Load() {
-					probe := append([]uint64(nil), keys...)
-					v := checkUniformVersion(t, "point-reader", keys, s.GoBatchAt(ctx, probe, nil).Wait())
-					if v < last {
-						t.Errorf("point reader %d: version went backwards %d -> %d", r, last, v)
-						return
-					}
-					last = v
-					if v > maxSeen.Load() {
-						maxSeen.Store(v)
-					}
-				}
-			}(r)
-		}
+	s, err := New(testDomain(64, 1), WithShards(4), WithRebuildThreshold(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	var maxSeen atomic.Uint32
+	for r := 0; r < 2; r++ {
 		wg.Add(1)
-		go func() {
+		go func(r int) {
 			defer wg.Done()
 			last := uint32(0)
 			for !done.Load() {
-				rf := s.RangeBatchAt(ctx, []Op{RangeOp(lo, hi, 0)}, nil)
-				ents := rf.Collect(0)
-				if len(ents) == 0 {
-					continue
-				}
-				if len(ents) != nKeys {
-					t.Errorf("range reader: torn atomic batch: %d of %d keys visible", len(ents), nKeys)
-					return
-				}
-				v := ents[0].Code
-				for _, e := range ents {
-					if e.Code != v {
-						t.Errorf("range reader: torn atomic batch: versions %d and %d coexist", v, e.Code)
-						return
-					}
-				}
+				probe := append([]uint64(nil), keys...)
+				v := checkUniformVersion(t, "point-reader", keys, s.GoBatchAt(ctx, probe, nil).Wait())
 				if v < last {
-					t.Errorf("range reader: version went backwards %d -> %d", last, v)
+					t.Errorf("point reader %d: version went backwards %d -> %d", r, last, v)
 					return
 				}
 				last = v
+				if v > maxSeen.Load() {
+					maxSeen.Store(v)
+				}
 			}
-		}()
-		rng := rand.New(rand.NewPCG(21, uint64(kind)))
-		for v := uint32(1); v <= versions; v++ {
-			s.ApplyBatchAtomic(ctx, versionOps(keys, v)).Wait()
-			// Plain churn on a disjoint keyspace: forces freezes, merges,
-			// and installs underneath the readers.
-			for w := 0; w < 6; w++ {
-				s.Insert(ctx, 9000+rng.Uint64N(200), v).Wait()
+		}(r)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		last := uint32(0)
+		for !done.Load() {
+			rf := s.RangeBatchAt(ctx, []Op{RangeOp(lo, hi, 0)}, nil)
+			ents := rf.Collect(0)
+			if len(ents) == 0 {
+				continue
 			}
+			if len(ents) != nKeys {
+				t.Errorf("range reader: torn atomic batch: %d of %d keys visible", len(ents), nKeys)
+				return
+			}
+			v := ents[0].Code
+			for _, e := range ents {
+				if e.Code != v {
+					t.Errorf("range reader: torn atomic batch: versions %d and %d coexist", v, e.Code)
+					return
+				}
+			}
+			if v < last {
+				t.Errorf("range reader: version went backwards %d -> %d", last, v)
+				return
+			}
+			last = v
 		}
-		done.Store(true)
-		wg.Wait()
-		st := s.Stats()
-		s.Close()
-		if t.Failed() {
-			t.Fatalf("%s: atomicity violated", kind)
+	}()
+	rng := rand.New(rand.NewPCG(21, 0))
+	for v := uint32(1); v <= versions; v++ {
+		s.ApplyBatchAtomic(ctx, versionOps(keys, v)).Wait()
+		// Plain churn on a disjoint keyspace: forces freezes, merges,
+		// and installs underneath the readers.
+		for w := 0; w < 6; w++ {
+			s.Insert(ctx, 9000+rng.Uint64N(200), v).Wait()
 		}
-		if st.Rebuilds == 0 {
-			t.Fatalf("%s: churn forced no rebuilds — isolation never crossed an install", kind)
+	}
+	done.Store(true)
+	wg.Wait()
+	st := s.Stats()
+	s.Close()
+	if t.Failed() {
+		t.Fatal("atomicity violated")
+	}
+	if st.Rebuilds == 0 {
+		t.Fatal("churn forced no rebuilds — isolation never crossed an install")
+	}
+	if maxSeen.Load() == 0 {
+		t.Fatal("readers never observed a committed version")
+	}
+}
+
+// TestRetainedEpochsGauge: the retained-epoch gauge reads the ring's
+// depth after every install — while the first installs fill the ring
+// toward the retention depth, while a live pin holds it beyond that
+// depth, and once the released pin lets it trim back.
+func TestRetainedEpochsGauge(t *testing.T) {
+	s, err := New(testDomain(16, 2), WithShards(1), WithRebuildThreshold(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	sh := s.shards[0]
+	key := uint64(1)
+	// installs commits one-op atomic batches (each advances the commit
+	// horizon, so a pin taken earlier cannot see the epochs they merge
+	// into) until n more epochs have installed, checking the gauge after
+	// each. The shard is idle once a batch completes, so reading its ring
+	// here is ordered after the shard's last write to it.
+	installs := func(n uint64) {
+		t.Helper()
+		target := s.Stats().Shards[0].Epoch + n
+		for deadline := time.Now().Add(5 * time.Second); ; {
+			st := s.Stats().Shards[0]
+			if got, want := st.RetainedEpochs, len(sh.retained); got != want {
+				t.Fatalf("epoch %d: RetainedEpochs = %d, ring holds %d", st.Epoch, got, want)
+			}
+			if st.Epoch >= target {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("stuck at epoch %d, want %d", st.Epoch, target)
+			}
+			s.ApplyBatchAtomic(ctx, []Op{{Kind: OpInsert, Key: key, Val: uint32(key)}}).Wait()
+			key += 2
 		}
-		if maxSeen.Load() == 0 {
-			t.Fatalf("%s: readers never observed a committed version", kind)
-		}
+	}
+	installs(2)
+	sn := s.Snapshot()
+	installs(2 * epochRetain)
+	if n := len(sh.retained); n <= epochRetain {
+		t.Fatalf("a live pin left %d retained epochs, want more than %d", n, epochRetain)
+	}
+	sn.Release()
+	installs(2)
+	if n := len(sh.retained); n > epochRetain {
+		t.Fatalf("after the pin's release the ring still holds %d epochs, want at most %d", n, epochRetain)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -29,8 +30,8 @@ type controller struct {
 	// Epoch accumulators (shard goroutine only).
 	batches int
 	items   int
-	cost    float64
-	prev    float64 // previous epoch's cost per item; 0 = none yet
+	cost    float64 // nanoseconds
+	prev    float64 // previous epoch's nanoseconds per item; 0 = none yet
 
 	group atomic.Int32 // written by observe (shard goroutine) only
 
@@ -72,15 +73,15 @@ func (c *controller) History() []int {
 	return append([]int(nil), c.hist...)
 }
 
-// observe feeds one batch's size and cost (backend units). At each epoch
-// boundary it takes one hill-climb step.
-func (c *controller) observe(items int, cost float64) {
+// observe feeds one batch's size and drain time. At each epoch boundary
+// it takes one hill-climb step.
+func (c *controller) observe(items int, busy time.Duration) {
 	if !c.adaptive || items <= 0 {
 		return
 	}
 	c.batches++
 	c.items += items
-	c.cost += cost
+	c.cost += float64(busy)
 	if c.batches < c.every {
 		return
 	}

@@ -228,9 +228,8 @@ func skipKeyRun(part []writeEntry, i int) int {
 	return i
 }
 
-// columns splits a flattened generation batch into the parallel slices
-// the bulk-merge entry points (native.MergeSorted, csbtree.BulkMerge)
-// consume. The input must be duplicate-free (flattenGens output).
+// deltaColumns splits a flattened generation batch into the parallel
+// slices native.MergeSorted consumes. The input must be duplicate-free (flattenGens output).
 func deltaColumns(flat []writeEntry) (keys []uint64, vals []uint32, del []bool) {
 	keys = make([]uint64, len(flat))
 	vals = make([]uint32, len(flat))

@@ -8,20 +8,19 @@ import (
 	"time"
 )
 
-// This file is the cross-backend differential harness: the same seeded
-// randomized op stream — lookups, range scans, joins, inserts, deletes,
-// and cancellations — replayed against every index backend and a plain
+// This file is the differential harness: the same seeded randomized op
+// stream — lookups, range scans, joins, inserts, deletes, and
+// cancellations — replayed against the service and a plain
 // map[uint64]uint32 oracle, asserting identical results per future and
-// identical ordered range results. The backends share nothing but the
-// serve API (a real-memory sorted array, a simulated sorted array, and
-// a simulated CSB+-tree, each with its own delta/epoch machinery
-// exercised by a tiny rebuild threshold), so any divergence in write
-// visibility, tombstone handling, epoch merges, range-scan ordering, or
-// cancellation accounting shows up as a three-way disagreement with a
-// trivially correct reference.
+// identical ordered range results. The oracle shares nothing with the
+// service but the serve API, and a tiny rebuild threshold keeps the
+// delta/epoch machinery churning, so any divergence in write visibility,
+// tombstone handling, epoch merges, range-scan ordering, or cancellation
+// accounting shows up as a disagreement with a trivially correct
+// reference.
 
 // diffOp is one replayed operation. cancel submits it under an already-
-// cancelled context: every backend must drop it without applying it.
+// cancelled context: the service must drop it without applying it.
 // For kind OpRange, key is the lower bound and hi/limit complete the
 // query.
 type diffOp struct {
@@ -90,17 +89,17 @@ type replayCfg struct {
 	snapEvery int
 }
 
-// replayBackend runs the stream sequentially (submit, wait, record)
-// against one backend and returns the per-op results, the ordered
+// replayService runs the stream sequentially (submit, wait, record)
+// against a service and returns the per-op results, the ordered
 // entries of every range op (nil for dropped ranges, keyed by stream
 // index), a final vectorized sweep of the whole key space through
 // GoBatch, and a final ordered full-domain range sweep.
-func replayBackend(t *testing.T, kind IndexKind, domain []uint64, stream []diffOp, keySpace uint64, cfg replayCfg) (perOp []Result, perRange [][]RangeEntry, sweep map[uint64]Result, ordered []RangeEntry) {
+func replayService(t *testing.T, domain []uint64, stream []diffOp, keySpace uint64, cfg replayCfg) (perOp []Result, perRange [][]RangeEntry, sweep map[uint64]Result, ordered []RangeEntry) {
 	t.Helper()
 	s, err := New(domain,
-		WithBackend(kind), WithShards(3),
+		WithShards(3),
 		WithAdmission(1, 50*time.Microsecond),
-		WithRebuildThreshold(cfg.threshold), WithSimSeed(99))
+		WithRebuildThreshold(cfg.threshold))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +148,7 @@ func replayBackend(t *testing.T, kind IndexKind, domain []uint64, stream []diffO
 	}
 	ordered = s.Range(ctx, 0, ^uint64(0), 0).Collect(0)
 	if st := awaitRebuild(t, s); st.WriteStalls != 0 {
-		t.Fatalf("%s: differential replay hit the degraded write backlog %d times", kind, st.WriteStalls)
+		t.Fatalf("differential replay hit the degraded write backlog %d times", st.WriteStalls)
 	}
 	return perOp, perRange, sweep, ordered
 }
@@ -197,12 +196,40 @@ func replayOracle(domain []uint64, stream []diffOp, keySpace uint64) (perOp []Re
 	return perOp, perRange, sweep, ordered
 }
 
-// TestDifferentialBackendsVsOracle is the cross-backend harness proper.
-// In -short it replays 2 seeds × 700 ops per backend; without -short it
-// goes deeper (4 seeds × 1500 ops). Streams include OpRange, so the
-// harness asserts identical *ordered* range results (per query and on a
-// final full-domain ordered sweep) across epoch churn, next to the
-// per-future point results.
+// diffVsOracle replays stream against a service and the oracle and
+// fails on the first divergence: a per-future result, a range's ordered
+// entries, the final point sweep, or the final ordered range sweep.
+func diffVsOracle(t *testing.T, seed uint64, domain []uint64, stream []diffOp, keySpace uint64, cfg replayCfg) {
+	t.Helper()
+	wantOps, wantRanges, wantSweep, wantOrdered := replayOracle(domain, stream, keySpace)
+	gotOps, gotRanges, gotSweep, gotOrdered := replayService(t, domain, stream, keySpace, cfg)
+	for i := range stream {
+		if gotOps[i] != wantOps[i] {
+			t.Fatalf("seed %d op %d (%+v): got %+v, oracle %+v",
+				seed, i, stream[i], gotOps[i], wantOps[i])
+		}
+		if !slices.Equal(gotRanges[i], wantRanges[i]) {
+			t.Fatalf("seed %d op %d: range [%d,%d] limit %d: got %v, oracle %v",
+				seed, i, stream[i].key, stream[i].hi, stream[i].limit,
+				gotRanges[i], wantRanges[i])
+		}
+	}
+	for k, want := range wantSweep {
+		if gotSweep[k] != want {
+			t.Fatalf("seed %d sweep key %d: got %+v, oracle %+v", seed, k, gotSweep[k], want)
+		}
+	}
+	if !slices.Equal(gotOrdered, wantOrdered) {
+		t.Fatalf("seed %d: ordered full-range sweep diverged (%d entries vs %d)",
+			seed, len(gotOrdered), len(wantOrdered))
+	}
+}
+
+// TestDifferentialBackendsVsOracle is the harness proper. In -short it
+// replays 2 seeds × 700 ops; without -short it goes deeper (4 seeds ×
+// 1500 ops). Streams include OpRange, so the harness asserts identical
+// *ordered* range results (per query and on a final full-domain ordered
+// sweep) across epoch churn, next to the per-future point results.
 func TestDifferentialBackendsVsOracle(t *testing.T) {
 	seeds, nOps := []uint64{1, 2}, 700
 	if !testing.Short() {
@@ -215,34 +242,8 @@ func TestDifferentialBackendsVsOracle(t *testing.T) {
 	for k := uint64(0); k < keySpace/2; k += 3 {
 		domain = append(domain, k)
 	}
-	backends := []IndexKind{NativeSorted, SimMain, SimTree}
 	for _, seed := range seeds {
-		stream := genStream(seed, nOps, keySpace)
-		wantOps, wantRanges, wantSweep, wantOrdered := replayOracle(domain, stream, keySpace)
-		for _, kind := range backends {
-			gotOps, gotRanges, gotSweep, gotOrdered := replayBackend(t, kind, domain, stream, keySpace, replayCfg{threshold: 16, snapEvery: 4})
-			for i := range stream {
-				if gotOps[i] != wantOps[i] {
-					t.Fatalf("seed %d %s op %d (%+v): got %+v, oracle %+v",
-						seed, kind, i, stream[i], gotOps[i], wantOps[i])
-				}
-				if !slices.Equal(gotRanges[i], wantRanges[i]) {
-					t.Fatalf("seed %d %s op %d: range [%d,%d] limit %d: got %v, oracle %v",
-						seed, kind, i, stream[i].key, stream[i].hi, stream[i].limit,
-						gotRanges[i], wantRanges[i])
-				}
-			}
-			for k, want := range wantSweep {
-				if gotSweep[k] != want {
-					t.Fatalf("seed %d %s sweep key %d: got %+v, oracle %+v",
-						seed, kind, k, gotSweep[k], want)
-				}
-			}
-			if !slices.Equal(gotOrdered, wantOrdered) {
-				t.Fatalf("seed %d %s: ordered full-range sweep diverged (%d entries vs %d)",
-					seed, kind, len(gotOrdered), len(wantOrdered))
-			}
-		}
+		diffVsOracle(t, seed, domain, genStream(seed, nOps, keySpace), keySpace, replayCfg{threshold: 16, snapEvery: 4})
 	}
 }
 
@@ -279,9 +280,9 @@ func genBurstStream(seed uint64, n int, keySpace uint64) []diffOp {
 // TestDifferentialRefillPressureVsOracle replays write-burst streams
 // with a rebuild threshold of 4, forcing delta refills during every
 // rebuild (multiple generations queued behind in-flight merges), with
-// every other clean read routed through the snapshot-pinned paths. All
-// three backends must agree with the oracle op for op — and never count
-// a write stall, because writes must not stall under exactly this load.
+// every other clean read routed through the snapshot-pinned paths. The
+// service must agree with the oracle op for op — and never count a
+// write stall, because writes must not stall under exactly this load.
 func TestDifferentialRefillPressureVsOracle(t *testing.T) {
 	seeds := []uint64{11, 12}
 	nOps := 500
@@ -294,38 +295,12 @@ func TestDifferentialRefillPressureVsOracle(t *testing.T) {
 		domain = append(domain, k)
 	}
 	for _, seed := range seeds {
-		stream := genBurstStream(seed, nOps, keySpace)
-		wantOps, wantRanges, wantSweep, wantOrdered := replayOracle(domain, stream, keySpace)
-		for _, kind := range []IndexKind{NativeSorted, SimMain, SimTree} {
-			gotOps, gotRanges, gotSweep, gotOrdered := replayBackend(t, kind, domain, stream, keySpace, replayCfg{threshold: 4, snapEvery: 2})
-			for i := range stream {
-				if gotOps[i] != wantOps[i] {
-					t.Fatalf("seed %d %s op %d (%+v): got %+v, oracle %+v",
-						seed, kind, i, stream[i], gotOps[i], wantOps[i])
-				}
-				if !slices.Equal(gotRanges[i], wantRanges[i]) {
-					t.Fatalf("seed %d %s op %d: range [%d,%d] limit %d: got %v, oracle %v",
-						seed, kind, i, stream[i].key, stream[i].hi, stream[i].limit,
-						gotRanges[i], wantRanges[i])
-				}
-			}
-			for k, want := range wantSweep {
-				if gotSweep[k] != want {
-					t.Fatalf("seed %d %s sweep key %d: got %+v, oracle %+v",
-						seed, kind, k, gotSweep[k], want)
-				}
-			}
-			if !slices.Equal(gotOrdered, wantOrdered) {
-				t.Fatalf("seed %d %s: ordered full-range sweep diverged (%d entries vs %d)",
-					seed, kind, len(gotOrdered), len(wantOrdered))
-			}
-		}
+		diffVsOracle(t, seed, domain, genBurstStream(seed, nOps, keySpace), keySpace, replayCfg{threshold: 4, snapEvery: 2})
 	}
 }
 
 // TestDifferentialJoinVsOracle replays a mixed lookup/join/write stream
-// on a join service (joins require the native backend) against an
-// oracle that models the documented write/join contract exactly: the
+// on a join service against an oracle that models the documented write/join contract exactly: the
 // build side is immutable, keyed by epoch-0 codes, and partitioned by
 // build-key hash, so a probe matches its resolved code's tuples in its
 // own shard's partition.

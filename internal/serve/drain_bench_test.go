@@ -65,7 +65,7 @@ func BenchmarkDrainKernels(b *testing.B) {
 		for _, g := range groups {
 			run(fmt.Sprintf("native.RunGP/g=%d", g), func() { native.RunGP(table, keys, g, pos) })
 		}
-		x := newNativeIndex(table, codes, native.Sample(table))
+		x := newIndex(table, codes, native.Sample(table), jt)
 		out := make([]Result, vec)
 		for _, g := range groups {
 			run(fmt.Sprintf("lookupBatch/g=%d", g), func() { x.lookupBatch(deltaView{}, keys, g, out) })
@@ -78,12 +78,11 @@ func BenchmarkDrainKernels(b *testing.B) {
 			}
 			jt.RunSequential(keys, jres)
 		})
-		jx := newNativeJoinIndex(table, codes, native.Sample(table), jt)
 		bf := &BatchFuture{kind: OpJoin, keys: keys, res: out, jres: make([]JoinResult, vec), matches: make([][]Match, 1)}
 		for _, g := range groups {
 			run(fmt.Sprintf("join.drainSegment/g=%d", g), func() {
 				bf.matches[0] = bf.matches[0][:0]
-				jx.drainSegment(deltaView{}, bf, 0, 0, vec, g)
+				x.drainSegment(deltaView{}, bf, 0, 0, vec, g)
 			})
 		}
 	}

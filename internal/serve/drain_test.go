@@ -10,8 +10,8 @@ import (
 	"repro/internal/nativejoin"
 )
 
-// This file pins the three native drains (lookupBatch, the join
-// drainBatch/drainSegment, rangeScanner.scan) to their sequential
+// This file pins the index's drains (lookupBatch, the join
+// drainBatch/drainSegment, scanRanges) to their sequential
 // references — native.Baseline behind the delta, Table.ProbeEach in chain
 // order, native.RangeSeekScan — over every batch shape the flat scheduler
 // treats differently: group 1…MaxGroup+1, n around the group, inputs that
@@ -25,8 +25,7 @@ type drainWorld struct {
 	codes []uint32
 	jt    *nativejoin.Table
 	dv    deltaView
-	x     *nativeIndex
-	jx    *nativeJoinIndex
+	x     index
 }
 
 // Key law of the test worlds: 4j is in the table (code 1000+j) for
@@ -101,7 +100,7 @@ func pageKeys(table []uint64) []uint64 {
 
 // index completes a world over its table: the build side (chains of
 // multiplicity 0..3 hang off table codes and delta codes alike, so they
-// diverge), part as the delta, and both native indexes.
+// diverge), part as the delta, and the index.
 func (w *drainWorld) index(part []writeEntry) *drainWorld {
 	w.jt = nativejoin.New(256)
 	for j := 0; j < drainTableLen; j++ {
@@ -113,9 +112,7 @@ func (w *drainWorld) index(part []writeEntry) *drainWorld {
 	if part != nil {
 		w.dv = deltaView{parts: [][]writeEntry{part}}
 	}
-	top := native.Sample(w.table)
-	w.x = newNativeIndex(w.table, w.codes, top)
-	w.jx = newNativeJoinIndex(w.table, w.codes, top, w.jt)
+	w.x = newIndex(w.table, w.codes, native.Sample(w.table), w.jt)
 	return w
 }
 
@@ -147,9 +144,9 @@ func (w *drainWorld) join(key uint64) (JoinResult, []uint32) {
 	return JoinResult{Code: r.Code, Hits: pr.Hits, Agg: pr.Agg}, payloads
 }
 
-// checkDrains runs every native drain over keys at the given group and
+// checkDrains runs every drain over keys at the given group and
 // compares each against its reference. A masked input has its future
-// dropped in drainBatch and its range inverted in scan (the key-driven
+// dropped in drainBatch and its range inverted in scanRanges (the key-driven
 // declines — delta hits, tombstones, the empty table — follow from the
 // keys themselves).
 func checkDrains(t *testing.T, w *drainWorld, keys []uint64, group int, masked func(i int) bool) {
@@ -173,7 +170,9 @@ func checkDrains(t *testing.T, w *drainWorld, keys []uint64, group int, masked f
 		}
 		sub[i] = &Future{op: Op{Kind: kind, Key: k}, dropped: masked(i)}
 	}
-	w.jx.drainBatch(w.dv, sub, group)
+	var ps pointScratch
+	gk, gout, live := ps.gather(sub)
+	w.x.drainBatch(w.dv, live, gk, group, gout)
 	for i, f := range sub {
 		wantRes, wantJoin := w.lookup(f.op.Key), JoinResult{}
 		if f.op.Kind == OpJoin {
@@ -199,7 +198,7 @@ func checkDrains(t *testing.T, w *drainWorld, keys []uint64, group int, masked f
 			jres:    make([]JoinResult, lo+n),
 			matches: make([][]Match, 1),
 		}
-		w.jx.drainSegment(w.dv, bf, 0, lo, lo+n, group)
+		w.x.drainSegment(w.dv, bf, 0, lo, lo+n, group)
 		got := make([][]uint32, n)
 		for _, m := range bf.matches[0] {
 			i := m.Probe - lo
@@ -224,7 +223,7 @@ func checkDrains(t *testing.T, w *drainWorld, keys []uint64, group int, masked f
 		}
 	}
 
-	// scan: one range per key, widths 0..16, every third one limited.
+	// scanRanges: one range per key, widths 0..16, every third one limited.
 	ops := make([]Op, n)
 	limits := make([]int, n)
 	pairs := make([][]native.Pair, n)
@@ -237,12 +236,12 @@ func checkDrains(t *testing.T, w *drainWorld, keys []uint64, group int, masked f
 			limits[i] = 1 + i%2
 		}
 	}
-	w.x.rs.scan(w.table, w.codes, ops, limits, group, pairs)
+	w.x.scanRanges(ops, limits, group, pairs)
 	for i, op := range ops {
 		var want []native.Pair
 		native.RangeSeekScan(w.table, w.codes, op.Key, op.Hi, limits[i], &want)
 		if !slices.Equal(pairs[i], want) {
-			t.Fatalf("scan g=%d n=%d: range[%d] [%d,%d] limit %d → %v, want %v", group, n, i, op.Key, op.Hi, limits[i], pairs[i], want)
+			t.Fatalf("scanRanges g=%d n=%d: range[%d] [%d,%d] limit %d → %v, want %v", group, n, i, op.Key, op.Hi, limits[i], pairs[i], want)
 		}
 	}
 }
@@ -355,12 +354,12 @@ func TestDrainKernelsAllocFree(t *testing.T) {
 	pairs := make([][]native.Pair, n)
 	for name, drain := range map[string]func(){
 		"lookupBatch":  func() { w.x.lookupBatch(w.dv, keys, group, out) },
-		"drainSegment": func() { bf.matches[0] = bf.matches[0][:0]; w.jx.drainSegment(w.dv, bf, 0, 0, n, group) },
-		"scan": func() {
+		"drainSegment": func() { bf.matches[0] = bf.matches[0][:0]; w.x.drainSegment(w.dv, bf, 0, 0, n, group) },
+		"scanRanges": func() {
 			for i := range pairs {
 				pairs[i] = pairs[i][:0]
 			}
-			w.x.rs.scan(w.table, w.codes, ops, limits, group, pairs)
+			w.x.scanRanges(ops, limits, group, pairs)
 		},
 	} {
 		drain() // grow slots, match buffer and pair buffers

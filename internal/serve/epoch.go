@@ -18,13 +18,12 @@ import (
 // background merge is idle it picks up every frozen generation at once;
 // if one is already in flight the generation simply queues behind it —
 // writes never park. The manager bulk-merges the flattened generations
-// into the shard's dictionary column off the hot path (native.MergeSorted
-// — pure host CPU, no shared mutable state) and parks the merged column
-// in the shard's pending slot. The shard installs it between batches: it
-// constructs the next backend index over the merged column (for the
-// memsim backends this is the only part that must run on the shard
-// goroutine, because the simulated engine is single-threaded) and
-// publishes it through an atomic epoch-snapshot pointer.
+// into the shard's dictionary column and samples the merged column off
+// the hot path (native.MergeSorted, native.Sample — pure host CPU, no
+// shared mutable state) and parks both in the shard's pending slot. The
+// shard installs them between batches: the next epoch's index is the
+// current one with the merged columns swapped in, published through an
+// atomic epoch-snapshot pointer, so an install is a pointer swap.
 //
 // Installed epochs are multi-versioned: the shard retains the last few
 // epochStates in a shard-local ring, and a reader pinned at an older
@@ -55,22 +54,16 @@ const maxGenBacklog = 32
 // freeze, piling generations toward the degraded fence.
 const genDonateDepth = 4
 
-// epochState is one published snapshot: the merged dictionary column and
-// the backend index built over it. Immutable after publication; the
-// shard goroutine replaces the whole struct at install time and
-// concurrent readers (Stats) only load the pointer.
+// epochState is one published snapshot: the index over the merged
+// dictionary column. Immutable after publication; the shard goroutine
+// replaces the whole struct at install time and concurrent readers
+// (Stats) only load the pointer.
 type epochState struct {
 	// seq increments per install; seq 0 is the domain New was built over.
 	seq uint64
-	// vals/codes are the merged sorted key column and its parallel value
-	// column — the merge input for the next rebuild, and the probe table
-	// of the native backends.
-	vals  []uint64
-	codes []uint32
-	// idx serves lookup-only services; joinIdx (non-nil on a join
-	// service) serves mixed lookup/join batches.
-	idx     shardIndex
-	joinIdx *nativeJoinIndex
+	// idx is the epoch's index; its table and codes columns are also the
+	// merge input of the next rebuild.
+	idx index
 	// upTo is the visibility fence: the highest atomic-batch seq baked
 	// into this epoch's column (monotone across installs). A reader
 	// pinned below upTo cannot use this epoch — it steps back to the
@@ -96,16 +89,14 @@ type rebuildJob struct {
 }
 
 // installMsg is a completed merge parked for the owning shard: the
-// merged column and its page sample, the flattened generation batch it
-// absorbed (the tree backend replays it through csbtree.BulkMerge at
-// install), the raw generations for the retained ring's pinned-reader
-// replay, and the visibility fence they carry.
+// merged column and its page sample, the raw generations it absorbed for
+// the retained ring's pinned-reader replay, and the visibility fence
+// they carry.
 type installMsg struct {
 	seq      uint64
 	vals     []uint64
 	codes    []uint32
 	top      []uint64 // vals' page sample (native.Sample), built with the merge
-	flat     []writeEntry
 	absorbed [][]writeEntry
 	upTo     uint64
 }
@@ -150,7 +141,7 @@ func (em *epochManager) run() {
 		// unconsumed install.
 		j.sh.pendingInstall.Store(&installMsg{
 			seq: j.seq, vals: mergedVals, codes: mergedCodes, top: top,
-			flat: flat, absorbed: absorbed, upTo: upTo,
+			absorbed: absorbed, upTo: upTo,
 		})
 	}
 }
@@ -214,7 +205,7 @@ func (sh *shard) startMerge() {
 		n += len(g)
 	}
 	sh.ring.Record(obs.SpanMergeStart, sh.id, ep.seq+1, n, int64(len(gens)))
-	sh.em.jobs <- rebuildJob{sh: sh, seq: ep.seq + 1, vals: ep.vals, codes: ep.codes, gens: gens}
+	sh.em.jobs <- rebuildJob{sh: sh, seq: ep.seq + 1, vals: ep.idx.table, codes: ep.idx.codes, gens: gens}
 	// Donate the rest of the timeslice to the freshly-woken epoch
 	// manager. Channel direct-handoff keeps a tight synchronous write
 	// loop (submitter ↔ shard) on the processor indefinitely on a small
@@ -226,12 +217,12 @@ func (sh *shard) startMerge() {
 	runtime.Gosched()
 }
 
-// installPending publishes a completed rebuild, if one is parked:
-// construct the backend index over the merged column (the rebuild pause
-// — the only index work that runs on the serving goroutine), swap the
-// epoch pointer, retire the absorbed generations, append the new epoch
-// to the retained ring, and reclaim past epochs no pin still needs.
-// Shard goroutine only, between batches.
+// installPending publishes a completed rebuild, if one is parked: swap
+// the merged columns into a copy of the current index (the build side
+// and the drain slots carry over), swap the epoch pointer, retire the
+// absorbed generations, append the new epoch to the retained ring, and
+// reclaim past epochs no pin still needs. Shard goroutine only, between
+// batches.
 func (sh *shard) installPending() {
 	im := sh.pendingInstall.Swap(nil)
 	if im == nil {
@@ -239,15 +230,8 @@ func (sh *shard) installPending() {
 	}
 	pause := sh.met.beginRebuild()
 	old := sh.epoch.Load()
-	ep := &epochState{
-		seq: im.seq, vals: im.vals, codes: im.codes,
-		upTo: max(old.upTo, im.upTo), absorbed: im.absorbed,
-	}
-	if old.joinIdx != nil {
-		ep.joinIdx = old.joinIdx.rebuild(im.vals, im.codes, im.top)
-	} else {
-		ep.idx = old.idx.rebuild(im.vals, im.codes, im.top, im.flat)
-	}
+	ep := &epochState{seq: im.seq, idx: old.idx, upTo: max(old.upTo, im.upTo), absorbed: im.absorbed}
+	ep.idx.table, ep.idx.codes, ep.idx.top = im.vals, im.codes, im.top
 	sh.epoch.Store(ep)
 	sh.retained = append(sh.retained, ep)
 	// Drop the absorbed generations from the local queue; later freezes
@@ -257,6 +241,7 @@ func (sh *shard) installPending() {
 	sh.gens = sh.gens[:n]
 	sh.merging = 0
 	sh.reclaim()
+	sh.met.setRetained(len(sh.retained))
 	sh.met.endRebuild(pause, im.seq, len(sh.delta))
 	sh.met.setGenDepth(len(sh.gens))
 	sh.ring.Record(obs.SpanInstall, sh.id, im.seq, len(sh.delta), int64(time.Since(pause)))
@@ -285,7 +270,6 @@ func (sh *shard) reclaim() {
 	n := copy(sh.retained, sh.retained[keep:])
 	clear(sh.retained[n:])
 	sh.retained = sh.retained[:n]
-	sh.met.setRetained(n)
 }
 
 // viewAt builds the (epoch, delta view) pair a drain at read horizon

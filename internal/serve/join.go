@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"time"
-
 	"repro/internal/coro"
 	"repro/internal/nativejoin"
 )
@@ -90,57 +88,26 @@ func (f *probeFrame) Step() (nativejoin.Result, bool) {
 	return r, done
 }
 
-// nativeJoinIndex is a shard's join backend: the lookup backend over the
-// dictionary partition (stage 1, and OpRange scans — ranges are a
-// dictionary operation; the build side is keyed by code and plays no part
-// in them) plus the build-side hash-table partition and the drain state
-// of stage 2. The cost unit is wall nanoseconds.
-type nativeJoinIndex struct {
-	nativeIndex
-	jt *nativejoin.Table
-	st *joinScratch
-}
-
-// joinScratch is what a join backend reuses across every batch the shard
-// ever drains, and carries across rebuilds: one probe frame per scheduler
-// slot, and the point path's gather scratch.
-type joinScratch struct {
-	probes coro.FlatSlots[probeFrame]
-	pt     pointScratch
-}
-
-func newNativeJoinIndex(vals []uint64, codes []uint32, top []uint64, jt *nativejoin.Table) *nativeJoinIndex {
-	return &nativeJoinIndex{nativeIndex: *newNativeIndex(vals, codes, top), jt: jt, st: new(joinScratch)}
-}
-
-// rebuild constructs the next-epoch join backend over the merged
-// dictionary column and its page sample. The build-side table is keyed
-// by code, which writes edit only through the dictionary mapping, so the
-// table and the drain state carry over — a join install is a pointer
-// swap.
-func (x *nativeJoinIndex) rebuild(vals []uint64, codes []uint32, top []uint64) *nativeJoinIndex {
-	next := *x
-	next.table, next.codes, next.top = vals, codes, top
-	return &next
-}
-
-// drainBatch resolves one point run of mixed lookup/join futures against
-// the given delta view and completes their result fields (not their done
-// channels — the shard closes those after recording latency). Futures
-// pre-marked dropped are left out of the gathered key column: they reach
-// neither stage and are never probed. Returns the batch cost in
-// nanoseconds for the controller.
+// drainBatch resolves one point run's live futures — keys and out are
+// their gathered key and result columns — against the given delta view
+// and completes their result fields (not their done channels — the shard
+// closes those after recording latency). Stage 1 answers every key; on a
+// join service stage 2 then walks the chains of the join probes it
+// found.
 //
 //isi:hotpath
-func (x *nativeJoinIndex) drainBatch(dv deltaView, sub []*Future, group int) float64 {
-	t0 := time.Now()
-	keys, out, live := x.st.pt.gather(sub)
+func (x *index) drainBatch(dv deltaView, live []*Future, keys []uint64, group int, out []Result) {
 	x.lookupBatch(dv, keys, group, out)
-	coro.DrainFlat(&x.st.probes, len(live), group,
+	for i, f := range live {
+		f.res = out[i] // stage 1's answer, for lookups and joins alike
+	}
+	if x.jt == nil {
+		return
+	}
+	coro.DrainFlat(&x.slots.probes, len(live), group,
 		//isi:allow-alloc(two closures per batch over the batch's columns, called and not retained by DrainFlat; O(1) per batch, not per key)
 		func(fr *probeFrame, i int) bool {
 			f := live[i]
-			f.res = out[i] // stage 1's answer, for lookups and joins alike
 			if f.op.Kind != OpJoin {
 				return false
 			}
@@ -155,26 +122,23 @@ func (x *nativeJoinIndex) drainBatch(dv deltaView, sub []*Future, group int) flo
 		func(i int, r nativejoin.Result) {
 			live[i].jres.Hits, live[i].jres.Agg = r.Hits, r.Agg
 		})
-	clear(live) // drop future references between batches
-	return float64(time.Since(t0))
 }
 
 // drainSegment resolves one shard segment [lo, hi) of a vectorized
 // batch against the given delta view, writing into the batch's
-// caller-visible slices; join segments additionally stream every
-// build-tuple match into the batch's per-shard match buffer. Returns the
-// segment cost in nanoseconds.
+// caller-visible slices; join segments (admitted on a join service only)
+// additionally stream every build-tuple match into the batch's per-shard
+// match buffer.
 //
 //isi:hotpath
-func (x *nativeJoinIndex) drainSegment(dv deltaView, bf *BatchFuture, shardID, lo, hi, group int) float64 {
-	t0 := time.Now()
+func (x *index) drainSegment(dv deltaView, bf *BatchFuture, shardID, lo, hi, group int) {
 	keys, res := bf.keys[lo:hi], bf.res[lo:hi]
 	x.lookupBatch(dv, keys, group, res)
 	if bf.kind != OpJoin {
-		return float64(time.Since(t0))
+		return
 	}
 	jres, msink := bf.jres[lo:hi], &bf.matches[shardID]
-	coro.DrainFlat(&x.st.probes, len(keys), group,
+	coro.DrainFlat(&x.slots.probes, len(keys), group,
 		//isi:allow-alloc(two closures per batch over the batch's columns, called and not retained by DrainFlat; O(1) per batch, not per key)
 		func(fr *probeFrame, i int) bool {
 			code := res[i].Code
@@ -192,5 +156,4 @@ func (x *nativeJoinIndex) drainSegment(dv deltaView, bf *BatchFuture, shardID, l
 		func(i int, r nativejoin.Result) {
 			jres[i].Hits, jres[i].Agg = r.Hits, r.Agg
 		})
-	return float64(time.Since(t0))
 }

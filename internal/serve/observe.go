@@ -21,17 +21,17 @@ import (
 //     pre-sized ring — no allocation, so the O(1)-allocation batch
 //     admission guarantee holds with observation on.
 //   - pprof label contexts are precomputed per shard at attach time
-//     (shard, backend, and one per op class); the run loop swaps the
-//     goroutine's label set with SetGoroutineLabels, which does not
-//     allocate, so CPU profiles attribute kernel samples to
-//     shard/backend/op-kind with no per-message cost beyond the swap.
+//     (subsystem and shard, and one per op class); the run loop swaps
+//     the goroutine's label set with SetGoroutineLabels, which does not
+//     allocate, so CPU profiles attribute kernel samples to shard/op-kind
+//     with no per-message cost beyond the swap.
 
 // WithObserver attaches an observability sink: per-shard metrics are
 // registered into its registry (read live by Snapshot/WriteJSON), batch
 // lifecycles are stamped into per-shard span rings plus a service-level
 // "admit" ring, every controller move is recorded into a per-shard
 // decision log, and the shard goroutines carry pprof labels
-// (shard/backend/op) for profile attribution. Passing nil is the same
+// (subsystem/shard/op) for profile attribution. Passing nil is the same
 // as omitting the option: all recording sites compile down to one nil
 // check.
 func WithObserver(o *obs.Observer) Option {
@@ -48,9 +48,8 @@ func (s *Service) Observer() *obs.Observer { return s.obsv }
 // its goroutine will swap between. Called from New before the shard
 // goroutine starts, so the plain field writes are race-free. Nil-safe:
 // with no observer every recording field stays nil and the shard runs
-// unobserved (New used to be the only caller and guarded this; the
-// method now upholds the obs contract itself).
-func (sh *shard) attachObserver(o *obs.Observer, backend string) {
+// unobserved.
+func (sh *shard) attachObserver(o *obs.Observer) {
 	if o == nil {
 		return
 	}
@@ -58,7 +57,7 @@ func (sh *shard) attachObserver(o *obs.Observer, backend string) {
 	sh.met.register(o.Registry(), sh.id)
 	sh.ring = o.Ring("shard" + id)
 	sh.ctl.dlog = o.DecisionLog("ctl" + id)
-	base := pprof.Labels("subsystem", "serve", "shard", id, "backend", backend)
+	base := pprof.Labels("subsystem", "serve", "shard", id)
 	//isi:allow-ctx(pprof label carrier for the shard goroutine's lifetime, not a request context)
 	sh.baseCtx = pprof.WithLabels(context.Background(), base)
 	for c := opClass(0); c < nOpClasses; c++ {

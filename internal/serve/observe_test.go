@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -161,7 +162,7 @@ func TestControllerDecisionLog(t *testing.T) {
 	costs := []float64{10, 8, 6, 9, 7, 12, 11} // improve, improve, worsen, improve, worsen, improve
 	const itemsPer = 4
 	for _, cost := range costs {
-		c.observe(itemsPer, cost*itemsPer)
+		c.observe(itemsPer, time.Duration(cost*itemsPer))
 	}
 	decs := dlog.Snapshot(nil)
 	if len(decs) != len(costs) {
@@ -315,7 +316,7 @@ func TestGoBatchAllocsO1Observed(t *testing.T) {
 // nil observer must leave the shard unobserved instead of panicking.
 func TestAttachObserverNilObserver(t *testing.T) {
 	sh := &shard{id: 3}
-	sh.attachObserver(nil, "native")
+	sh.attachObserver(nil)
 	if sh.ring != nil {
 		t.Fatalf("nil observer attached a span ring: %v", sh.ring)
 	}

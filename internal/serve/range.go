@@ -15,12 +15,11 @@ import (
 // delta-then-main" to "iterate [lo, hi] delta-then-main in order". A
 // range cannot be routed to one shard — the hash partitioning scatters
 // the key domain — so admission fans every range out to every shard.
-// Each shard scans its epoch snapshot through its backend kernel (the
-// interleaved native.RangeCursor, the SimMain sorted-array scan behind
-// an interleaved lower-bound seek, or the SimTree leaf walk), three-way
-// merges the scan with its delta view's parts (newest wins,
-// tombstones mask — the point composite of delta.go, ordered), and
-// parks its sorted per-range entries on the RangeFuture. The caller
+// Each shard scans its epoch snapshot through the interleaved
+// native.RangeCursor drain (index.scanRanges), three-way merges the scan
+// with its delta view's parts (newest wins, tombstones mask — the point
+// composite of delta.go, ordered), and parks its sorted per-range
+// entries on the RangeFuture. The caller
 // streams the final result through a k-way merge over the per-shard
 // buffers (shards own disjoint key sets, so the merge is a plain
 // ascending interleave): the merged sequence is never materialized, so

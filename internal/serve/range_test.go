@@ -103,11 +103,11 @@ func TestMergeRangeVsOracle(t *testing.T) {
 	}
 }
 
-// TestRangeAcrossBackendsVsOracle runs ranges end to end on every
-// backend — through admission, the fan-out, the backend scan kernels,
-// the delta merge, and the k-way result merge — against a map oracle,
-// with interleaved writes forcing epoch churn (tiny rebuild threshold)
-// so ranges see live deltas, frozen deltas, and merged snapshots.
+// TestRangeAcrossBackendsVsOracle runs ranges end to end — through
+// admission, the fan-out, the scan kernel, the delta merge, and the
+// k-way result merge — against a map oracle, with interleaved writes
+// forcing epoch churn (tiny rebuild threshold) so ranges see live
+// deltas, frozen deltas, and merged snapshots.
 func TestRangeAcrossBackendsVsOracle(t *testing.T) {
 	const keySpace = 200
 	domain := testDomain(60, 3) // every third key in [0, 180)
@@ -115,58 +115,55 @@ func TestRangeAcrossBackendsVsOracle(t *testing.T) {
 	if testing.Short() {
 		iters = 60
 	}
-	for _, kind := range []IndexKind{NativeSorted, SimMain, SimTree} {
-		s, err := New(domain, WithBackend(kind), WithShards(3),
-			WithRebuildThreshold(8), WithSimSeed(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		rng := rand.New(rand.NewPCG(9, uint64(kind)))
-		m := make(map[uint64]uint32, len(domain))
-		for code, v := range domain {
-			m[v] = uint32(code)
-		}
-		for i := 0; i < iters; i++ {
-			// A couple of writes per iteration keeps the deltas busy.
-			for w := 0; w < 2; w++ {
-				k := rng.Uint64N(keySpace)
-				if rng.Uint64N(3) == 0 {
-					s.Delete(ctx, k).Wait()
-					delete(m, k)
-				} else {
-					v := rng.Uint32N(1 << 20)
-					s.Insert(ctx, k, v).Wait()
-					m[k] = v
-				}
-			}
-			lo := rng.Uint64N(keySpace)
-			hi := lo + rng.Uint64N(keySpace-lo)
-			limit := 0
+	s, err := New(domain, WithShards(3), WithRebuildThreshold(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewPCG(9, 0))
+	m := make(map[uint64]uint32, len(domain))
+	for code, v := range domain {
+		m[v] = uint32(code)
+	}
+	for i := 0; i < iters; i++ {
+		// A couple of writes per iteration keeps the deltas busy.
+		for w := 0; w < 2; w++ {
+			k := rng.Uint64N(keySpace)
 			if rng.Uint64N(3) == 0 {
-				limit = 1 + int(rng.Uint64N(10))
-			}
-			got := s.Range(ctx, lo, hi, limit).Collect(0)
-			want := sortedRange(m, lo, hi, limit)
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s iter %d: range [%d,%d] limit %d = %v, oracle %v",
-					kind, i, lo, hi, limit, got, want)
+				s.Delete(ctx, k).Wait()
+				delete(m, k)
+			} else {
+				v := rng.Uint32N(1 << 20)
+				s.Insert(ctx, k, v).Wait()
+				m[k] = v
 			}
 		}
-		// Full-domain sweep: one ordered pass over everything.
-		got := s.Range(ctx, 0, ^uint64(0), 0).Collect(0)
-		want := sortedRange(m, 0, ^uint64(0), 0)
+		lo := rng.Uint64N(keySpace)
+		hi := lo + rng.Uint64N(keySpace-lo)
+		limit := 0
+		if rng.Uint64N(3) == 0 {
+			limit = 1 + int(rng.Uint64N(10))
+		}
+		got := s.Range(ctx, lo, hi, limit).Collect(0)
+		want := sortedRange(m, lo, hi, limit)
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s: full sweep diverged: %d entries vs oracle %d", kind, len(got), len(want))
+			t.Fatalf("iter %d: range [%d,%d] limit %d = %v, oracle %v",
+				i, lo, hi, limit, got, want)
 		}
-		s.Close()
-		st := s.Stats()
-		if st.Rebuilds == 0 {
-			t.Fatalf("%s: range replay forced no epoch rebuilds", kind)
-		}
-		if st.Ranges == 0 || st.RangeEntries == 0 {
-			t.Fatalf("%s: range metrics not recorded: %+v", kind, st)
-		}
+	}
+	// Full-domain sweep: one ordered pass over everything.
+	got := s.Range(ctx, 0, ^uint64(0), 0).Collect(0)
+	want := sortedRange(m, 0, ^uint64(0), 0)
+	if !slices.Equal(got, want) {
+		t.Fatalf("full sweep diverged: %d entries vs oracle %d", len(got), len(want))
+	}
+	s.Close()
+	st := s.Stats()
+	if st.Rebuilds == 0 {
+		t.Fatal("range replay forced no epoch rebuilds")
+	}
+	if st.Ranges == 0 || st.RangeEntries == 0 {
+		t.Fatalf("range metrics not recorded: %+v", st)
 	}
 }
 

@@ -9,31 +9,14 @@ import (
 	"repro/internal/native"
 )
 
-// sampledIndex is the native lookup backend an epoch serves through, nil
-// for the simulated backends (they take no sample).
-func sampledIndex(ep *epochState) *nativeIndex {
-	if ep.joinIdx != nil {
-		return &ep.joinIdx.nativeIndex
-	}
-	x, _ := ep.idx.(*nativeIndex)
-	return x
-}
-
 // checkSamples asserts the page-sample invariant on every shard's current
-// epoch: the index searches the epoch's own column, top[j] ==
-// table[j·PageKeys], and len(top) == ceil(n/PageKeys).
+// epoch: top[j] == table[j·PageKeys] and len(top) == ceil(n/PageKeys).
 func checkSamples(t *testing.T, s *Service) {
 	t.Helper()
 	for _, sh := range s.shards {
 		ep := sh.epoch.Load()
-		x := sampledIndex(ep)
-		if x == nil {
-			continue
-		}
+		x := &ep.idx
 		n := len(x.table)
-		if n != len(ep.vals) || (n > 0 && &x.table[0] != &ep.vals[0]) {
-			t.Fatalf("shard %d epoch %d: index searches a %d-key column, epoch holds %d keys elsewhere", sh.id, ep.seq, n, len(ep.vals))
-		}
 		if want := (n + native.PageKeys - 1) / native.PageKeys; len(x.top) != want {
 			t.Fatalf("shard %d epoch %d: len(top) = %d over %d keys, want %d", sh.id, ep.seq, len(x.top), n, want)
 		}
@@ -111,9 +94,9 @@ func TestSampleAcrossInstalls(t *testing.T) {
 				for i := range probe {
 					probe[i] = uint64(i)
 				}
-				for deadline := time.Now().Add(2 * time.Second); len(s.shards[0].epoch.Load().vals) != want; {
+				for deadline := time.Now().Add(2 * time.Second); len(s.shards[0].epoch.Load().idx.table) != want; {
 					if time.Now().After(deadline) {
-						t.Fatalf("column stuck at %d keys, want %d", len(s.shards[0].epoch.Load().vals), want)
+						t.Fatalf("column stuck at %d keys, want %d", len(s.shards[0].epoch.Load().idx.table), want)
 					}
 					s.GoBatch(ctx, probe[:1]).Wait()
 				}

@@ -39,13 +39,15 @@
 //
 // Either way, requests are hash-partitioned across per-core shards
 // (vectorized batches are partitioned in place) and drained through the
-// coroutine-interleaved kernels (coro.DrainFlat over internal/native frames
-// on real memory, or the memsim-backed dict.Main / csbtree kernels on the
-// simulated hierarchy). Each shard's interleaving group size is tuned
-// online by a hill-climbing controller on measured per-batch cost,
-// instead of hard-coding the paper's group of 6: the optimal group shifts
-// with index size, index type, and batch shape, which is exactly the
-// paper's point about robustness.
+// coroutine-interleaved kernels of one native index per shard
+// (coro.DrainFlat over internal/native frames on real memory). The
+// paper's experiments run on the simulated machine of internal/exp
+// instead; serving has one execution path per operation. Each shard's
+// interleaving group size is tuned online by a hill-climbing controller
+// on the measured per-batch drain time, instead of hard-coding the
+// paper's group of 6: the optimal group shifts with index size, index
+// type, and batch shape, which is exactly the paper's point about
+// robustness.
 //
 // Admission is context-aware: every submission carries a context.Context,
 // and a request whose context is cancelled or past its deadline by the
@@ -78,35 +80,6 @@ import (
 // Dropped result, so a producer draining live traffic at shutdown
 // observes a clean refusal instead of a panic.
 var ErrClosed = errors.New("serve: service closed")
-
-// IndexKind selects the per-shard index backend.
-type IndexKind int
-
-const (
-	// NativeSorted probes a real sorted []uint64 with the frame-coroutine
-	// binary search of internal/native — the wall-clock serving backend.
-	NativeSorted IndexKind = iota
-	// SimMain probes a memsim-backed Main dictionary (sorted array); each
-	// shard owns a private simulated engine.
-	SimMain
-	// SimTree probes a memsim-backed CSB+-tree with value leaves; each
-	// shard owns a private simulated engine. Domain values must fit in
-	// uint32 (the tree's key type).
-	SimTree
-)
-
-// String names the backend.
-func (k IndexKind) String() string {
-	switch k {
-	case NativeSorted:
-		return "native"
-	case SimMain:
-		return "main"
-	case SimTree:
-		return "tree"
-	}
-	return "unknown"
-}
 
 // NotFound is the code reported for absent keys.
 const NotFound = ^uint32(0)
@@ -264,8 +237,6 @@ func (f *Future) fail(err error) {
 type Config struct {
 	// Shards is the number of index partitions (one goroutine each).
 	Shards int
-	// Kind selects the per-shard index backend.
-	Kind IndexKind
 	// MaxBatch seals an admission batch when it reaches this many
 	// requests; MaxWait seals a non-empty batch after this long even if
 	// it is smaller (group-commit semantics). Vectorized submissions
@@ -285,9 +256,6 @@ type Config struct {
 	// QueueDepth is the per-shard sub-batch queue depth; a full queue
 	// back-pressures admission.
 	QueueDepth int
-	// SimSeed seeds the per-shard simulated engines (Sim* kinds); shard i
-	// uses SimSeed+i.
-	SimSeed uint64
 	// RebuildThreshold is the per-shard write-delta size that triggers a
 	// background epoch rebuild (bulk-merging the delta into the shard's
 	// index and publishing the merged snapshot). 0 takes the default; a
@@ -296,13 +264,12 @@ type Config struct {
 	RebuildThreshold int
 }
 
-// DefaultConfig returns the serving defaults: 4 shards over the native
-// backend, 256-request / 200µs admission batches, and an adaptive group
-// starting at the paper's 6.
+// DefaultConfig returns the serving defaults: 4 shards, 256-request /
+// 200µs admission batches, and an adaptive group starting at the paper's
+// 6.
 func DefaultConfig() Config {
 	return Config{
 		Shards:     4,
-		Kind:       NativeSorted,
 		MaxBatch:   256,
 		MaxWait:    200 * time.Microsecond,
 		Group:      6,
@@ -311,7 +278,6 @@ func DefaultConfig() Config {
 		Adaptive:   true,
 		AdaptEvery: 8,
 		QueueDepth: 8,
-		SimSeed:    1,
 		// 4096 writes keep the delta well inside L1/L2 while amortizing
 		// the install pause over thousands of writes.
 		RebuildThreshold: 4096,
@@ -354,9 +320,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = d.QueueDepth
 	}
-	if c.SimSeed == 0 {
-		c.SimSeed = d.SimSeed
-	}
 	if c.RebuildThreshold == 0 {
 		c.RebuildThreshold = d.RebuildThreshold
 	}
@@ -383,9 +346,6 @@ func WithConfig(cfg Config) Option { return func(o *options) { o.cfg = cfg } }
 // WithShards sets the number of index partitions.
 func WithShards(n int) Option { return func(o *options) { o.cfg.Shards = n } }
 
-// WithBackend selects the per-shard index backend.
-func WithBackend(k IndexKind) Option { return func(o *options) { o.cfg.Kind = k } }
-
 // WithAdmission bounds the point-op group-commit batcher: a batch seals
 // at maxBatch requests or maxWait after its first, whichever comes first.
 func WithAdmission(maxBatch int, maxWait time.Duration) Option {
@@ -407,9 +367,6 @@ func WithAdaptive(on bool, every int) Option {
 
 // WithQueueDepth sets the per-shard sub-batch queue depth.
 func WithQueueDepth(d int) Option { return func(o *options) { o.cfg.QueueDepth = d } }
-
-// WithSimSeed seeds the per-shard simulated engines (Sim* backends).
-func WithSimSeed(s uint64) Option { return func(o *options) { o.cfg.SimSeed = s } }
 
 // WithRebuildThreshold sets the per-shard write-delta size that triggers
 // a background epoch rebuild (n < 0 disables rebuilds; 0 keeps the
@@ -435,7 +392,7 @@ func WithSnapshotReads(on bool) Option {
 // against the dictionary and pipe the code into the hash probe within
 // the same interleaved drain. Build tuples whose key is absent from the
 // value domain are dropped — a dictionary-encoded probe can never reach
-// them. Join execution requires the NativeSorted backend.
+// them.
 //
 // Writes and joins: the build side is immutable and keyed by the codes
 // of the domain it was loaded against, partitioned by build-key hash.
@@ -528,9 +485,6 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 		opt(&o)
 	}
 	cfg := o.cfg.withDefaults()
-	if o.hasBuild && cfg.Kind != NativeSorted {
-		return nil, fmt.Errorf("serve: join execution requires the %s backend (got %s)", NativeSorted, cfg.Kind)
-	}
 	// sorted is only read below and not retained past New (every shard
 	// gets its own columns), so an input that is already the sorted,
 	// duplicate-free domain is used in place: no copy, no sort.
@@ -545,9 +499,6 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 	// every code below the sentinel.
 	if uint64(n) >= uint64(NotFound) {
 		return nil, fmt.Errorf("serve: domain of %d values does not fit uint32 codes", n)
-	}
-	if cfg.Kind == SimTree && n > 0 && sorted[n-1] > uint64(^uint32(0)) {
-		return nil, fmt.Errorf("serve: %s backend requires values < 2^32 (got %d)", cfg.Kind, sorted[n-1])
 	}
 
 	// Partition the sorted domain, count then fill, so every shard's
@@ -581,7 +532,7 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 	// tuple's key to its global code (a tuple's key and its dictionary
 	// entry land on the same shard, so the dictionary→probe pipeline
 	// never crosses shards). Keys outside the domain are dropped.
-	var joinTabs []*nativejoin.Table
+	joinTabs := make([]*nativejoin.Table, cfg.Shards) // all nil without a build side
 	if o.hasBuild {
 		// Size every shard's table by the tuples whose keys hash to it (an
 		// upper bound: the ones outside the domain are still in), then
@@ -593,7 +544,6 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 		for _, t := range o.build {
 			counts[shardOf(t.Key, cfg.Shards)]++
 		}
-		joinTabs = make([]*nativejoin.Table, cfg.Shards)
 		for i := range joinTabs {
 			joinTabs[i] = nativejoin.New(counts[i])
 		}
@@ -614,9 +564,6 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 		}
 	}
 
-	// Construct every shard's index before starting any goroutine, so a
-	// backend construction error returns without leaking the epoch
-	// manager or half a shard fleet.
 	s := &Service{cfg: cfg, hasBuild: o.hasBuild, snapReads: o.snapReads, obsv: o.obsv}
 	s.pins.init()
 	if o.obsv != nil {
@@ -634,19 +581,8 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 			hz:        &s.horizon,
 			pins:      &s.pins,
 		}
-		if o.obsv != nil {
-			sh.attachObserver(o.obsv, cfg.Kind.String())
-		}
-		ep := &epochState{vals: locVals[i], codes: locCodes[i]}
-		if joinTabs != nil {
-			ep.joinIdx = newNativeJoinIndex(locVals[i], locCodes[i], locTop[i], joinTabs[i])
-		} else {
-			idx, err := newShardIndex(cfg, i, locVals[i], locCodes[i], locTop[i])
-			if err != nil {
-				return nil, err
-			}
-			ep.idx = idx
-		}
+		sh.attachObserver(o.obsv)
+		ep := &epochState{idx: newIndex(locVals[i], locCodes[i], locTop[i], joinTabs[i])}
 		sh.epoch.Store(ep)
 		sh.retained = []*epochState{ep}
 		sh.met.setRetained(1)
@@ -704,20 +640,14 @@ func (s *Service) Shed(n int) {
 // instead of tripping checkOp's panic.
 func (s *Service) HasBuild() bool { return s.hasBuild }
 
-// Backend reports the per-shard index backend the service was built
-// with.
-func (s *Service) Backend() IndexKind { return s.cfg.Kind }
-
 // Shards reports the service's partition count.
 func (s *Service) Shards() int { return len(s.shards) }
 
 // checkOp validates an operation at point/vector admission, panicking
 // on misuse (as Submit always has for unknown kinds): OpJoin requires a
 // build side, OpRange cannot be routed by key hash and must go through
-// Range/RangeBatch, OpInsert must not carry the NotFound sentinel as
-// its value, and the SimTree backend only indexes keys that fit its
-// uint32 key type — a wider insert would silently vanish at the next
-// rebuild, so it is rejected up front.
+// Range/RangeBatch, and OpInsert must not carry the NotFound sentinel as
+// its value.
 func (s *Service) checkOp(op Op) {
 	if op.Kind >= nOpKinds {
 		panic("serve: unknown op kind " + op.Kind.String())
@@ -730,9 +660,6 @@ func (s *Service) checkOp(op Op) {
 	}
 	if op.Kind == OpInsert && op.Val == NotFound {
 		panic("serve: OpInsert value collides with the NotFound sentinel")
-	}
-	if op.Kind.IsWrite() && s.cfg.Kind == SimTree && op.Key > uint64(^uint32(0)) {
-		panic("serve: write key exceeds the tree backend's uint32 key range")
 	}
 }
 

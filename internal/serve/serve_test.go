@@ -21,7 +21,7 @@ func testDomain(n int, step uint64) []uint64 {
 
 // TestServiceCorrectUnderConcurrency is the service-level acceptance
 // check: under concurrent submission from many goroutines, every
-// submitted key receives its correct join result, for every backend.
+// submitted key receives its correct result.
 func TestServiceCorrectUnderConcurrency(t *testing.T) {
 	const (
 		domainN = 4000
@@ -30,107 +30,91 @@ func TestServiceCorrectUnderConcurrency(t *testing.T) {
 		perW    = 400
 	)
 	vals := testDomain(domainN, step)
-	for _, kind := range []IndexKind{NativeSorted, SimMain, SimTree} {
-		t.Run(kind.String(), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Kind = kind
-			cfg.Shards = 4
-			cfg.MaxBatch = 64
-			cfg.MaxWait = 200 * time.Microsecond
-			s, err := New(vals, WithConfig(cfg))
-			if err != nil {
-				t.Fatal(err)
+	cfg := DefaultConfig()
+	cfg.Shards = 4
+	cfg.MaxBatch = 64
+	cfg.MaxWait = 200 * time.Microsecond
+	s, err := New(vals, WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	futs := make([][]*Future, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(w), 99))
+			for i := 0; i < perW; i++ {
+				// Mix of present keys, absent in-range keys, and
+				// out-of-range keys.
+				key := rng.Uint64N(domainN*step + 100)
+				futs[w] = append(futs[w], s.Go(ctx, key))
 			}
-			ctx := context.Background()
-			var wg sync.WaitGroup
-			futs := make([][]*Future, workers)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewPCG(uint64(w), 99))
-					for i := 0; i < perW; i++ {
-						// Mix of present keys, absent in-range keys, and
-						// out-of-range keys.
-						key := rng.Uint64N(domainN*step + 100)
-						futs[w] = append(futs[w], s.Go(ctx, key))
-					}
-				}(w)
+		}(w)
+	}
+	wg.Wait()
+	for w := range futs {
+		for _, f := range futs[w] {
+			r := f.Wait()
+			key := f.Key()
+			wantFound := key%step == 0 && key/step < domainN
+			if r.Found != wantFound {
+				t.Fatalf("key %d: found=%v, want %v", key, r.Found, wantFound)
 			}
-			wg.Wait()
-			for w := range futs {
-				for _, f := range futs[w] {
-					r := f.Wait()
-					key := f.Key()
-					wantFound := key%step == 0 && key/step < domainN
-					if r.Found != wantFound {
-						t.Fatalf("key %d: found=%v, want %v", key, r.Found, wantFound)
-					}
-					if wantFound && uint64(r.Code) != key/step {
-						t.Fatalf("key %d: code=%d, want %d", key, r.Code, key/step)
-					}
-					if !wantFound && r.Code != NotFound {
-						t.Fatalf("key %d: absent key code=%d, want NotFound", key, r.Code)
-					}
-				}
+			if wantFound && uint64(r.Code) != key/step {
+				t.Fatalf("key %d: code=%d, want %d", key, r.Code, key/step)
 			}
-			s.Close()
-			st := s.Stats()
-			if st.Items != workers*perW {
-				t.Fatalf("stats items=%d, want %d", st.Items, workers*perW)
+			if !wantFound && r.Code != NotFound {
+				t.Fatalf("key %d: absent key code=%d, want NotFound", key, r.Code)
 			}
-			if st.Dropped != 0 {
-				t.Fatalf("stats dropped=%d with no cancellations", st.Dropped)
-			}
-			perShard := map[int]uint64{}
-			for _, ss := range st.Shards {
-				perShard[ss.Shard] = ss.Items
-			}
-			// Every request must have been drained by the shard its key
-			// hashes to.
-			want := map[int]uint64{}
-			for w := range futs {
-				for _, f := range futs[w] {
-					want[shardOf(f.Key(), cfg.Shards)]++
-				}
-			}
-			for i := 0; i < cfg.Shards; i++ {
-				if perShard[i] != want[i] {
-					t.Fatalf("shard %d drained %d items, want %d", i, perShard[i], want[i])
-				}
-			}
-		})
+		}
+	}
+	s.Close()
+	st := s.Stats()
+	if st.Items != workers*perW {
+		t.Fatalf("stats items=%d, want %d", st.Items, workers*perW)
+	}
+	if st.Dropped != 0 {
+		t.Fatalf("stats dropped=%d with no cancellations", st.Dropped)
+	}
+	perShard := map[int]uint64{}
+	for _, ss := range st.Shards {
+		perShard[ss.Shard] = ss.Items
+	}
+	// Every request must have been drained by the shard its key
+	// hashes to.
+	want := map[int]uint64{}
+	for w := range futs {
+		for _, f := range futs[w] {
+			want[shardOf(f.Key(), cfg.Shards)]++
+		}
+	}
+	for i := 0; i < cfg.Shards; i++ {
+		if perShard[i] != want[i] {
+			t.Fatalf("shard %d drained %d items, want %d", i, perShard[i], want[i])
+		}
 	}
 }
 
 // TestServiceTinyDomainEmptyShards: with fewer values than shards some
 // shards own nothing; lookups must still resolve correctly everywhere.
 func TestServiceTinyDomainEmptyShards(t *testing.T) {
-	for _, kind := range []IndexKind{NativeSorted, SimMain, SimTree} {
-		t.Run(kind.String(), func(t *testing.T) {
-			s, err := New([]uint64{10, 20},
-				WithBackend(kind), WithShards(8), WithAdmission(0, 50*time.Microsecond))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			for key, want := range map[uint64]Result{
-				10: {Code: 0, Found: true},
-				20: {Code: 1, Found: true},
-				15: {Code: NotFound},
-				0:  {Code: NotFound},
-			} {
-				if got := s.Lookup(context.Background(), key); got != want {
-					t.Fatalf("lookup(%d) = %+v, want %+v", key, got, want)
-				}
-			}
-		})
+	s, err := New([]uint64{10, 20}, WithShards(8), WithAdmission(0, 50*time.Microsecond))
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestServiceTreeRejectsWideDomain(t *testing.T) {
-	if _, err := New([]uint64{1, 1 << 40}, WithBackend(SimTree)); err == nil {
-		t.Fatal("SimTree accepted a domain wider than uint32")
+	defer s.Close()
+	for key, want := range map[uint64]Result{
+		10: {Code: 0, Found: true},
+		20: {Code: 1, Found: true},
+		15: {Code: NotFound},
+		0:  {Code: NotFound},
+	} {
+		if got := s.Lookup(context.Background(), key); got != want {
+			t.Fatalf("lookup(%d) = %+v, want %+v", key, got, want)
+		}
 	}
 }
 
@@ -194,11 +178,11 @@ func TestNewDomainShapes(t *testing.T) {
 			total := 0
 			for _, sh := range s.shards {
 				ep := sh.epoch.Load()
-				if cap(ep.vals) != len(ep.vals) || cap(ep.codes) != len(ep.codes) {
+				if cap(ep.idx.table) != len(ep.idx.table) || cap(ep.idx.codes) != len(ep.idx.codes) {
 					t.Fatalf("shard %d columns: len %d cap %d / len %d cap %d, want exact capacity",
-						sh.id, len(ep.vals), cap(ep.vals), len(ep.codes), cap(ep.codes))
+						sh.id, len(ep.idx.table), cap(ep.idx.table), len(ep.idx.codes), cap(ep.idx.codes))
 				}
-				total += len(ep.vals)
+				total += len(ep.idx.table)
 			}
 			if in == nil {
 				if r := s.Join(context.Background(), 0); r != (JoinResult{Code: NotFound}) || total != 0 {
@@ -420,14 +404,6 @@ func TestJoinServiceEmptyBuild(t *testing.T) {
 	}
 }
 
-func TestJoinRequiresNativeBackend(t *testing.T) {
-	for _, kind := range []IndexKind{SimMain, SimTree} {
-		if _, err := New(testDomain(10, 1), WithBackend(kind), WithBuild(nil)); err == nil {
-			t.Fatalf("WithBuild accepted the %s backend", kind)
-		}
-	}
-}
-
 func TestGoJoinOnLookupServicePanics(t *testing.T) {
 	s, err := New(testDomain(10, 1))
 	if err != nil {
@@ -588,7 +564,7 @@ func TestControllerConvergesOnConvexCost(t *testing.T) {
 	c := newController(cfg)
 	cost := func(g int) float64 { d := float64(g - 6); return d*d + 50 }
 	for i := 0; i < 120; i++ {
-		c.observe(10, 10*cost(c.Group()))
+		c.observe(10, time.Duration(10*cost(c.Group())))
 	}
 	hist := c.History()
 	if len(hist) == 0 {
@@ -615,7 +591,7 @@ func TestControllerRespectsBounds(t *testing.T) {
 	cfg.AdaptEvery = 1
 	c := newController(cfg)
 	for i := 0; i < 50; i++ {
-		c.observe(1, float64(1+i%7))
+		c.observe(1, time.Duration(1+i%7))
 		if g := c.Group(); g < 2 || g > 3 {
 			t.Fatalf("group %d escaped [2,3]", g)
 		}
@@ -628,7 +604,7 @@ func TestControllerDisabled(t *testing.T) {
 	cfg.Group = 9
 	c := newController(cfg)
 	for i := 0; i < 30; i++ {
-		c.observe(5, float64(100-i))
+		c.observe(5, time.Duration(100-i))
 	}
 	if c.Group() != 9 || len(c.History()) != 0 {
 		t.Fatalf("disabled controller moved: group=%d hist=%v", c.Group(), c.History())
@@ -670,8 +646,8 @@ func TestHistBucketMonotoneInvertible(t *testing.T) {
 }
 
 // TestServiceAdaptiveControllerRuns exercises the adaptive path
-// end-to-end on the native backend and checks the controller stayed in
-// bounds and recorded epochs.
+// end-to-end and checks the controller stayed in bounds and recorded
+// epochs.
 func TestServiceAdaptiveControllerRuns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Shards = 2

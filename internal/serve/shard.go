@@ -8,10 +8,8 @@ import (
 	"time"
 
 	"repro/internal/coro"
-	"repro/internal/csbtree"
-	"repro/internal/dict"
-	"repro/internal/memsim"
 	"repro/internal/native"
+	"repro/internal/nativejoin"
 	"repro/internal/obs"
 )
 
@@ -63,7 +61,7 @@ type shard struct {
 	// Observer wiring (observe.go); all nil when observation is off, so
 	// every recording site costs one pointer check. ring is this shard's
 	// lifecycle span ring; baseCtx/opCtx are the precomputed pprof label
-	// contexts the run loop swaps between (base = shard+backend, opCtx =
+	// contexts the run loop swaps between (base = subsystem+shard, opCtx =
 	// base plus the op class).
 	ring    *obs.SpanRing
 	baseCtx context.Context
@@ -84,24 +82,6 @@ type shardMsg struct {
 	rf     *RangeFuture
 	lo, hi int
 	id     uint64
-}
-
-// shardIndex resolves one batch of keys — each probed delta-then-main
-// against the given write-buffer view — with the given interleaving
-// group size, and returns the batch's cost in backend units (nanoseconds
-// for the native backend, simulated cycles for the memsim backends),
-// which feeds the controller's hill climb. scanRanges scans the epoch
-// snapshot for each range op (ops[i] covers [Key, Hi]), appending up to
-// limits[i] in-range (key, code) pairs in ascending key order to
-// pairs[i] (limits[i] <= 0 is unbounded) — the delta merge happens
-// outside, in mergeRange. rebuild constructs the next-epoch index over
-// a merged column and that column's page sample (native.Sample),
-// reusing the engine and drain slots of the current one; it runs on the shard goroutine between batches
-// and its duration is the rebuild pause.
-type shardIndex interface {
-	lookupBatch(dv deltaView, keys []uint64, group int, out []Result) float64
-	scanRanges(ops []Op, limits []int, group int, pairs [][]native.Pair) float64
-	rebuild(vals []uint64, codes []uint32, top []uint64, frozen []writeEntry) shardIndex
 }
 
 // run drains point sub-batches, vectorized segments, and range batches
@@ -132,7 +112,7 @@ func (sh *shard) run(wg *sync.WaitGroup) {
 			sh.drainSegment(msg.bf, msg.lo, msg.hi, msg.id)
 		default:
 			// Point sub-batches mix op kinds; attribute them to the base
-			// (shard, backend) label set.
+			// (subsystem, shard) label set.
 			sh.setLabels(sh.baseCtx)
 			sh.drainPoint(msg.sub, msg.id)
 		}
@@ -179,7 +159,6 @@ func (sh *shard) drainPoint(sub []*Future, id uint64) {
 		}
 	}
 	g := sh.ctl.Group()
-	var cost float64
 	var kernelBusy, writeBusy time.Duration
 	var reads, writes int
 	for i := 0; i < len(sub); {
@@ -202,11 +181,9 @@ func (sh *shard) drainPoint(sub []*Future, id uint64) {
 		for j < len(sub) && (sub[j].dropped || !sub[j].op.Kind.IsWrite()) {
 			j++
 		}
-		n := 0
 		t0 := time.Now()
-		cost += sh.drainReadRun(sub[i:j], g, &n)
+		reads += sh.drainReadRun(sub[i:j], g)
 		kernelBusy += time.Since(t0)
-		reads += n
 		i = j
 	}
 	sh.ring.Record(obs.SpanKernelDone, sh.id, id, reads, int64(kernelBusy))
@@ -238,7 +215,7 @@ func (sh *shard) drainPoint(sub []*Future, id uint64) {
 	if reads > 0 {
 		sh.met.recordBatch(reads, g, kernelBusy)
 		sh.met.recordJoins(joins, hits)
-		sh.ctl.observe(reads, cost)
+		sh.ctl.observe(reads, kernelBusy)
 	}
 	if writes > 0 {
 		sh.met.recordWriteBusy(writeBusy)
@@ -252,35 +229,20 @@ func (sh *shard) drainPoint(sub []*Future, id uint64) {
 // result fields. The view is built per run, not per
 // sub-batch: a write between runs can install a pending epoch, and a
 // read after it must probe the post-install pair or it would miss the
-// writes the merge just retired from the delta. It returns the run's
-// kernel cost and counts the live reads into n.
+// writes the merge just retired from the delta. It returns the number of
+// live reads drained.
 //
 //isi:hotpath
-func (sh *shard) drainReadRun(run []*Future, g int, n *int) float64 {
+func (sh *shard) drainReadRun(run []*Future, g int) int {
 	at := run[0].snapSeq // uniform per sealed admission batch
 	if at == latestSeq {
 		at = sh.hz.Load()
 	}
 	ep, dv := sh.viewAt(at)
-	if ep.joinIdx != nil {
-		for _, f := range run {
-			if !f.dropped {
-				*n++
-			}
-		}
-		return ep.joinIdx.drainBatch(dv, run, g)
-	}
 	keys, out, live := sh.pt.gather(run)
-	if len(live) == 0 {
-		return 0
-	}
-	*n += len(live)
-	cost := ep.idx.lookupBatch(dv, keys, g, out)
-	for i, f := range live {
-		f.res = out[i]
-	}
+	ep.idx.drainBatch(dv, live, keys, g, out)
 	clear(live) // drop future references between batches
-	return cost
+	return len(live)
 }
 
 // pointScratch is the point path's gather scratch: a run's live futures
@@ -349,7 +311,6 @@ func (sh *shard) drainSegment(bf *BatchFuture, lo, hi int, id uint64) {
 	}
 	g := sh.ctl.Group()
 	t0 := time.Now()
-	var cost float64
 	var joins, hits uint64
 	if bf.ops != nil {
 		for i := lo; i < hi; i++ {
@@ -361,16 +322,12 @@ func (sh *shard) drainSegment(bf *BatchFuture, lo, hi int, id uint64) {
 			at = sh.hz.Load()
 		}
 		ep, dv := sh.viewAt(at)
-		if ep.joinIdx != nil {
-			cost = ep.joinIdx.drainSegment(dv, bf, sh.id, lo, hi, g)
-			if bf.kind == OpJoin {
-				joins = uint64(n)
-				for i := lo; i < hi; i++ {
-					hits += uint64(bf.jres[i].Hits)
-				}
+		ep.idx.drainSegment(dv, bf, sh.id, lo, hi, g)
+		if bf.kind == OpJoin {
+			joins = uint64(n)
+			for i := lo; i < hi; i++ {
+				hits += uint64(bf.jres[i].Hits)
 			}
-		} else {
-			cost = ep.idx.lookupBatch(dv, bf.keys[lo:hi], g, bf.res[lo:hi])
 		}
 	}
 	busy := time.Since(t0)
@@ -385,14 +342,14 @@ func (sh *shard) drainSegment(bf *BatchFuture, lo, hi int, id uint64) {
 		sh.met.recordLatencyN(classOf(bf.kind), time.Since(bf.enq), uint64(n))
 		sh.met.recordBatch(n, g, busy)
 		sh.met.recordJoins(joins, hits)
-		sh.ctl.observe(n, cost)
+		sh.ctl.observe(n, busy)
 	}
 	sh.ring.Record(obs.SpanComplete, sh.id, id, n, 0)
 	bf.segDone(0)
 }
 
 // drainRange scans every range of one fanned-out range batch against
-// this shard's (snapshot, delta) pair: the backend kernel collects the
+// this shard's (snapshot, delta) pair: the kernel collects the
 // snapshot's in-range pairs (interleaved seeks), mergeRange folds the
 // write deltas in (newest wins, tombstones mask), and the sorted
 // per-range entries park on the future for the caller's k-way merge. A
@@ -436,12 +393,7 @@ func (sh *shard) drainRange(rf *RangeFuture, id uint64) {
 		}
 	}
 	t0 := time.Now()
-	var cost float64
-	if ep.joinIdx != nil {
-		cost = ep.joinIdx.scanRanges(rf.ops, limits, g, pairs)
-	} else {
-		cost = ep.idx.scanRanges(rf.ops, limits, g, pairs)
-	}
+	ep.idx.scanRanges(rf.ops, limits, g, pairs)
 	// Busy is kernel time only: the host-side delta merge below is
 	// O(emitted entries) and would dilute the drain-rate metrics on wide
 	// scans, exactly like the write-apply time recordBatch now excludes.
@@ -457,117 +409,68 @@ func (sh *shard) drainRange(rf *RangeFuture, id uint64) {
 	sh.met.recordLatencyN(classRange, time.Since(rf.enq), uint64(nops))
 	sh.met.recordBatch(nops, g, busy)
 	sh.met.recordRanges(uint64(nops), entries)
-	sh.ctl.observe(nops, cost)
+	sh.ctl.observe(nops, busy)
 	sh.ring.Record(obs.SpanComplete, sh.id, id, nops, 0)
 	rf.segDone(0)
 }
 
-// rangeScanner drains interleaved range scans over a real sorted column:
-// one native.RangeCursor per scheduler slot, seeks suspending per
-// early-load round, each scan completing in its final resume. Carried
-// across rebuilds like the other drain slots.
-type rangeScanner struct {
-	slots coro.FlatSlots[native.RangeCursor]
-}
-
-// scan fills pairs[i] with up to limits[i] snapshot entries of ops[i]'s
-// range, seeks interleaved at group; returns wall nanoseconds. An empty
-// table or an inverted range emits nothing and never occupies a slot.
+// index is what an epoch serves through: the shard's sorted key column,
+// its parallel code column and its page sample, searched by a two-level
+// search. Stage 1 searches the page sample (top, native.Sample: every
+// 512th key, cache-resident) for the whole batch in lockstep — no
+// suspension — and parks each key's page window in its result slot.
+// Stage 2 is the frame-coroutine binary search of internal/native inside
+// that one 4 KB page, one SearchCursor per scheduler slot held by value
+// and resumed through its concrete Step (coro.DrainFlat), so a key
+// suspends only on the ≤ 9 levels whose loads can miss; the steady-state
+// drain allocates nothing. Delta-resolved keys complete at start time
+// through the scheduler's declined-start contract, so they never occupy
+// a slot; everything else falls through to the main search — the
+// delta-then-main composite.
 //
-//isi:hotpath
-func (rs *rangeScanner) scan(table []uint64, codes []uint32, ops []Op, limits []int, group int, pairs [][]native.Pair) float64 {
-	t0 := time.Now()
-	coro.DrainFlat(&rs.slots, len(ops), group,
-		//isi:allow-alloc(two closures per batch over the batch's columns, called and not retained by DrainFlat; O(1) per batch, not per range)
-		func(c *native.RangeCursor, i int) bool {
-			op := ops[i]
-			if len(table) == 0 || op.Key > op.Hi {
-				return false
-			}
-			*c = native.StartRangeScan(table, codes, op.Key, op.Hi, limits[i], &pairs[i])
-			return true
-		},
-		//isi:allow-alloc(see the start closure above)
-		func(int, int) {})
-	return float64(time.Since(t0))
-}
-
-// newShardIndex builds shard i's epoch-0 index over its local (sorted)
-// values, their global codes and the values' page sample.
-func newShardIndex(cfg Config, i int, vals []uint64, codes []uint32, top []uint64) (shardIndex, error) {
-	switch cfg.Kind {
-	case NativeSorted:
-		return newNativeIndex(vals, codes, top), nil
-	case SimMain:
-		simCfg := memsim.DefaultConfig()
-		simCfg.Seed = cfg.SimSeed + uint64(i)
-		e := memsim.New(simCfg)
-		return &simMainIndex{e: e, dict: dict.NewMain(e, vals), codes: codes}, nil
-	case SimTree:
-		simCfg := memsim.DefaultConfig()
-		simCfg.Seed = cfg.SimSeed + uint64(i)
-		e := memsim.New(simCfg)
-		keys32 := make([]uint32, len(vals))
-		for j, v := range vals {
-			keys32[j] = uint32(v)
-		}
-		tree := csbtree.BulkLoad(e, csbtree.ValueLeaves, keys32, codes, nil)
-		return &simTreeIndex{e: e, tree: tree, costs: csbtree.DefaultCosts()}, nil
-	}
-	return nil, errUnknownKind(cfg.Kind)
-}
-
-type errUnknownKind IndexKind
-
-func (e errUnknownKind) Error() string { return "serve: unknown index kind " + IndexKind(e).String() }
-
-// nativeIndex is the real-hardware backend: a sorted slice probed by a
-// two-level search. Stage 1 searches the column's page sample (top,
-// native.Sample: every 512th key, cache-resident) for the whole batch in
-// lockstep — no suspension — and parks each key's page window in its
-// result slot. Stage 2 is the frame-coroutine binary search of
-// internal/native inside that one 4 KB page, one SearchCursor per
-// scheduler slot held by value and resumed through its concrete Step
-// (coro.DrainFlat), so a key suspends only on the ≤ 9 levels whose loads
-// can miss; the steady-state drain allocates nothing. Delta-resolved keys
-// complete at start time through the scheduler's declined-start
-// contract, so they never occupy a slot; everything else falls through
-// to the main search — the delta-then-main composite. The cost unit is
-// wall nanoseconds.
-type nativeIndex struct {
+// jt is the shard's build-side partition on a join service, where the
+// join drains (join.go) pipe the codes stage 1 resolves into its hash
+// chains; nil on a lookup-only service, where no drain runs stage 2.
+// jt and the drain slots are the shard's for its lifetime: an install
+// copies the current index with the merged columns swapped in.
+type index struct {
 	table []uint64
 	codes []uint32
 	// top is table's page sample, built where the column is built (New's
 	// partition pass, the epoch manager's merge) and never on the shard
 	// goroutine.
 	top   []uint64
-	slots *coro.FlatSlots[native.SearchCursor]
-	rs    *rangeScanner
+	jt    *nativejoin.Table
+	slots *drainSlots
 }
 
-func newNativeIndex(vals []uint64, codes []uint32, top []uint64) *nativeIndex {
-	return &nativeIndex{
-		table: vals,
-		codes: codes,
-		top:   top,
-		slots: new(coro.FlatSlots[native.SearchCursor]),
-		rs:    new(rangeScanner),
-	}
+// drainSlots is the scheduler state a shard's drains reuse across every
+// batch: one frame per scheduler slot for each kernel — the dictionary
+// search, the range scan, and the join's chain walk.
+type drainSlots struct {
+	search coro.FlatSlots[native.SearchCursor]
+	ranges coro.FlatSlots[native.RangeCursor]
+	probes coro.FlatSlots[probeFrame]
 }
 
+func newIndex(table []uint64, codes []uint32, top []uint64, jt *nativejoin.Table) index {
+	return index{table: table, codes: codes, top: top, jt: jt, slots: new(drainSlots)}
+}
+
+// lookupBatch resolves keys into out, each probed delta-then-main
+// against dv, interleaved at group.
+//
 //isi:hotpath
-func (x *nativeIndex) lookupBatch(dv deltaView, keys []uint64, group int, out []Result) float64 {
-	t0 := time.Now()
+func (x *index) lookupBatch(dv deltaView, keys []uint64, group int, out []Result) {
 	if len(x.table) == 0 && dv.empty() {
 		for i := range out {
 			out[i] = Result{Code: NotFound}
 		}
-		return float64(time.Since(t0))
+		return
 	}
 	d := lookupDrain{x: x, dv: dv, keys: keys, out: out}
 	native.SampleWindows(x.top, keys, d.window)
-	coro.DrainFlat(x.slots, len(keys), group, d.start, d.sink)
-	return float64(time.Since(t0))
+	coro.DrainFlat(&x.slots.search, len(keys), group, d.start, d.sink)
 }
 
 // lookupDrain is one lookupBatch call's two stages over its columns:
@@ -575,7 +478,7 @@ func (x *nativeIndex) lookupBatch(dv deltaView, keys []uint64, group int, out []
 // callbacks. It lives on lookupBatch's stack, and its method values are
 // called, never retained.
 type lookupDrain struct {
-	x    *nativeIndex
+	x    *index
 	dv   deltaView
 	keys []uint64
 	out  []Result
@@ -624,213 +527,26 @@ func (d *lookupDrain) sink(i, low int) {
 	}
 }
 
+// scanRanges scans the column for each range op (ops[i] covers [Key,
+// Hi]), appending up to limits[i] in-range (key, code) pairs in ascending
+// key order to pairs[i] (limits[i] <= 0 is unbounded); the delta merge
+// happens outside, in mergeRange. One native.RangeCursor per scheduler
+// slot: seeks suspend per early-load round, each scan completes in its
+// final resume. An empty table or an inverted range emits nothing and
+// never occupies a slot.
+//
 //isi:hotpath
-func (x *nativeIndex) scanRanges(ops []Op, limits []int, group int, pairs [][]native.Pair) float64 {
-	return x.rs.scan(x.table, x.codes, ops, limits, group, pairs)
-}
-
-func (x *nativeIndex) rebuild(vals []uint64, codes []uint32, top []uint64, _ []writeEntry) shardIndex {
-	// The merged column and its sample are the index; the drain slots
-	// carry over, so a native install is a pointer swap — near-zero pause.
-	return &nativeIndex{table: vals, codes: codes, top: top, slots: x.slots, rs: x.rs}
-}
-
-// resolveDelta answers the delta-resolved keys of a batch host-side (the
-// delta is a small cache-resident write buffer; the simulated engine
-// models the main index only) and compacts the unresolved ones into
-// pendKeys/pendIdx for the simulated drain. Shared by the sim backends.
-func resolveDelta(dv deltaView, keys []uint64, out []Result, pendKeys []uint64, pendIdx []int) ([]uint64, []int) {
-	for i, k := range keys {
-		switch v, oc := dv.lookup(k); oc {
-		case deltaHit:
-			out[i] = Result{Code: v, Found: true}
-		case deltaDel:
-			out[i] = Result{Code: NotFound}
-		default:
-			pendKeys = append(pendKeys, k)
-			pendIdx = append(pendIdx, i)
-		}
-	}
-	return pendKeys, pendIdx
-}
-
-// simMainIndex is the memsim-backed sorted-array dictionary. The cost
-// unit is simulated cycles, so the controller optimizes modeled memory
-// behaviour rather than host simulation overhead.
-type simMainIndex struct {
-	e       *memsim.Engine
-	dict    *dict.Main
-	codes   []uint32 // local code → value (global code)
-	local   []uint32 // scratch
-	pendK   []uint64 // scratch: delta-missed keys
-	pendIdx []int    // scratch: their positions
-	seekLo  []uint64 // scratch: range lower bounds
-	seekPos []int    // scratch: their seek positions
-}
-
-func (x *simMainIndex) lookupBatch(dv deltaView, keys []uint64, group int, out []Result) float64 {
-	start := x.e.Now()
-	probe := keys
-	scatter := []int(nil)
-	if !dv.empty() {
-		x.pendK, x.pendIdx = resolveDelta(dv, keys, out, x.pendK[:0], x.pendIdx[:0])
-		probe, scatter = x.pendK, x.pendIdx
-	}
-	if cap(x.local) < len(probe) {
-		x.local = make([]uint32, len(probe))
-	}
-	x.local = x.local[:len(probe)]
-	x.dict.LocateAllInterleaved(x.e, probe, group, x.local)
-	for i, lc := range x.local {
-		o := i
-		if scatter != nil {
-			o = scatter[i]
-		}
-		if lc == dict.NotFound {
-			out[o] = Result{Code: NotFound}
-		} else {
-			out[o] = Result{Code: x.codes[lc], Found: true}
-		}
-	}
-	return float64(x.e.Now() - start)
-}
-
-// scanRanges seeks every range's lower bound with the interleaved
-// CORO search (the suspension-heavy part, charged through the engine),
-// then walks each range sequentially — the simulated mirror of the
-// native seek-then-scan split. Costs are simulated cycles.
-func (x *simMainIndex) scanRanges(ops []Op, limits []int, group int, pairs [][]native.Pair) float64 {
-	start := x.e.Now()
-	n := x.dict.Len()
-	if n == 0 {
-		return 0
-	}
-	if cap(x.seekLo) < len(ops) {
-		x.seekLo = make([]uint64, len(ops))
-		x.seekPos = make([]int, len(ops))
-	}
-	los, pos := x.seekLo[:len(ops)], x.seekPos[:len(ops)]
-	for i, op := range ops {
-		los[i] = op.Key
-	}
-	x.dict.LowerBoundAllInterleaved(x.e, los, group, pos)
-	for i, op := range ops {
-		if op.Key > op.Hi {
-			continue
-		}
-		for p := pos[i]; p < n; p++ {
-			v := x.dict.Extract(x.e, uint32(p))
-			if v > op.Hi {
-				break
+func (x *index) scanRanges(ops []Op, limits []int, group int, pairs [][]native.Pair) {
+	coro.DrainFlat(&x.slots.ranges, len(ops), group,
+		//isi:allow-alloc(two closures per batch over the batch's columns, called and not retained by DrainFlat; O(1) per batch, not per range)
+		func(c *native.RangeCursor, i int) bool {
+			op := ops[i]
+			if len(x.table) == 0 || op.Key > op.Hi {
+				return false
 			}
-			pairs[i] = append(pairs[i], native.Pair{Key: v, Code: x.codes[p]})
-			if limits[i] > 0 && len(pairs[i]) >= limits[i] {
-				break
-			}
-		}
-	}
-	return float64(x.e.Now() - start)
-}
-
-func (x *simMainIndex) rebuild(vals []uint64, codes []uint32, _ []uint64, _ []writeEntry) shardIndex {
-	// Rebuilding the simulated sorted array is the install pause for this
-	// backend; the engine is shard-owned, so construction must run here.
-	return &simMainIndex{e: x.e, dict: dict.NewMain(x.e, vals), codes: codes}
-}
-
-// simTreeIndex is the memsim-backed CSB+-tree with value leaves holding
-// the key's value (global code) directly. The cost unit is simulated
-// cycles.
-type simTreeIndex struct {
-	e       *memsim.Engine
-	tree    *csbtree.Tree
-	costs   csbtree.Costs
-	k32     []uint32         // scratch
-	res     []csbtree.Result // scratch
-	pendK   []uint64         // scratch: delta-missed keys
-	pendIdx []int            // scratch: their positions
-}
-
-func (x *simTreeIndex) lookupBatch(dv deltaView, keys []uint64, group int, out []Result) float64 {
-	start := x.e.Now()
-	// Compact the batch to the keys that can actually live in the tree:
-	// delta hits answer host-side, and a key wider than the tree's
-	// uint32 key type is a definite miss — routing it into the simulated
-	// probe (truncated) would charge cycles for a phantom descent whose
-	// result is discarded anyway.
-	x.pendK, x.pendIdx = x.pendK[:0], x.pendIdx[:0]
-	for i, k := range keys {
-		if k > uint64(^uint32(0)) {
-			out[i] = Result{Code: NotFound}
-			continue
-		}
-		if !dv.empty() {
-			if v, oc := dv.lookup(k); oc != deltaMiss {
-				if oc == deltaHit {
-					out[i] = Result{Code: v, Found: true}
-				} else {
-					out[i] = Result{Code: NotFound}
-				}
-				continue
-			}
-		}
-		x.pendK = append(x.pendK, k)
-		x.pendIdx = append(x.pendIdx, i)
-	}
-	probe, scatter := x.pendK, x.pendIdx
-	n := len(probe)
-	if cap(x.k32) < n {
-		x.k32 = make([]uint32, n)
-		x.res = make([]csbtree.Result, n)
-	}
-	x.k32, x.res = x.k32[:n], x.res[:n]
-	for i, k := range probe {
-		x.k32[i] = uint32(k)
-	}
-	x.tree.RunCORO(x.e, x.costs, x.k32, group, x.res)
-	for i, r := range x.res {
-		if !r.Found {
-			out[scatter[i]] = Result{Code: NotFound}
-		} else {
-			out[scatter[i]] = Result{Code: r.Value, Found: true}
-		}
-	}
-	return float64(x.e.Now() - start)
-}
-
-// scanRanges reuses the CSB+-tree's in-order leaf walk (csbtree.Scan):
-// one descent per range, then leaves through their parents, pruned by
-// the separators — value leaves hold the global code directly. The tree
-// keys are uint32, so the range is clamped to the key type (keys beyond
-// it cannot be in the tree). Costs are simulated cycles.
-func (x *simTreeIndex) scanRanges(ops []Op, limits []int, _ int, pairs [][]native.Pair) float64 {
-	start := x.e.Now()
-	const max32 = uint64(^uint32(0))
-	for i, op := range ops {
-		if op.Key > op.Hi || op.Key > max32 {
-			continue
-		}
-		hi := min(op.Hi, max32)
-		lim := limits[i]
-		x.tree.Scan(x.e, x.costs, uint32(op.Key), uint32(hi), func(k, v uint32) bool {
-			pairs[i] = append(pairs[i], native.Pair{Key: uint64(k), Code: v})
-			return lim <= 0 || len(pairs[i]) < lim
-		})
-	}
-	return float64(x.e.Now() - start)
-}
-
-func (x *simTreeIndex) rebuild(_ []uint64, _ []uint32, _ []uint64, frozen []writeEntry) shardIndex {
-	// The tree rebuild goes through the incremental bulk-merge entry
-	// point: walk the current tree's entries in order and merge the
-	// frozen delta in, rather than reloading the merged column wholesale.
-	// New-style admission guarantees tree keys fit uint32.
-	upKeys := make([]uint32, len(frozen))
-	upVals := make([]uint32, len(frozen))
-	del := make([]bool, len(frozen))
-	for i, e := range frozen {
-		upKeys[i], upVals[i], del[i] = uint32(e.key), e.val, e.del
-	}
-	merged := csbtree.BulkMerge(x.e, x.tree, upKeys, upVals, del)
-	return &simTreeIndex{e: x.e, tree: merged, costs: x.costs}
+			*c = native.StartRangeScan(x.table, x.codes, op.Key, op.Hi, limits[i], &pairs[i])
+			return true
+		},
+		//isi:allow-alloc(see the start closure above)
+		func(int, int) {})
 }

@@ -3,22 +3,9 @@ package serve
 import (
 	"context"
 	"math/rand/v2"
-	"runtime"
 	"testing"
 	"time"
 )
-
-// writeOpts builds a service configuration that seals every point op
-// immediately (MaxBatch 1) so sequential submit-and-wait replays are
-// deterministic and fast, with a small rebuild threshold to exercise the
-// epoch machinery.
-func writeOpts(kind IndexKind, threshold int) []Option {
-	return []Option{
-		WithBackend(kind), WithShards(3),
-		WithAdmission(1, 50*time.Microsecond),
-		WithRebuildThreshold(threshold),
-	}
-}
 
 // awaitRebuild returns the service's stats once at least one epoch rebuild
 // has installed, failing the test after 2 s without one. A test that has
@@ -45,81 +32,79 @@ func awaitRebuild(t *testing.T, s *Service) Stats {
 }
 
 // TestWritesVisibleAcrossRebuilds drives inserts, upserts, and deletes
-// through every backend with a tiny rebuild threshold and checks
+// with a tiny rebuild threshold and checks
 // read-your-writes at every step — before, during, and after epoch
 // rebuilds — plus the write and rebuild accounting.
 func TestWritesVisibleAcrossRebuilds(t *testing.T) {
 	const domainN = 300
 	vals := testDomain(domainN, 2) // even values; odd keys start absent
-	for _, kind := range []IndexKind{NativeSorted, SimMain, SimTree} {
-		t.Run(kind.String(), func(t *testing.T) {
-			s, err := New(vals, writeOpts(kind, 8)...)
-			if err != nil {
-				t.Fatal(err)
+	// MaxBatch 1 seals every point op immediately, so the sequential
+	// submit-and-wait replay is deterministic and fast.
+	s, err := New(vals, WithShards(3), WithAdmission(1, 50*time.Microsecond), WithRebuildThreshold(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// Mirror of the expected dictionary state.
+	ref := map[uint64]uint32{}
+	for i := 0; i < domainN; i++ {
+		ref[uint64(i)*2] = uint32(i)
+	}
+	rng := rand.New(rand.NewPCG(7, 0))
+	var inserts, deletes uint64
+	for step := 0; step < 600; step++ {
+		key := rng.Uint64N(domainN * 2)
+		switch rng.Uint64N(4) {
+		case 0: // insert (fresh or upsert)
+			val := rng.Uint32N(1 << 30)
+			if r := s.Insert(ctx, key, val).Wait(); !r.Found || r.Code != val {
+				t.Fatalf("step %d: insert ack = %+v", step, r)
 			}
-			ctx := context.Background()
-			// Mirror of the expected dictionary state.
-			ref := map[uint64]uint32{}
-			for i := 0; i < domainN; i++ {
-				ref[uint64(i)*2] = uint32(i)
+			ref[key] = val
+			inserts++
+		case 1: // delete (possibly absent)
+			if r := s.Delete(ctx, key).Wait(); r.Found || r.Code != NotFound || r.Dropped {
+				t.Fatalf("step %d: delete ack = %+v", step, r)
 			}
-			rng := rand.New(rand.NewPCG(7, uint64(kind)))
-			var inserts, deletes uint64
-			for step := 0; step < 600; step++ {
-				key := rng.Uint64N(domainN * 2)
-				switch rng.Uint64N(4) {
-				case 0: // insert (fresh or upsert)
-					val := rng.Uint32N(1 << 30)
-					if r := s.Insert(ctx, key, val).Wait(); !r.Found || r.Code != val {
-						t.Fatalf("step %d: insert ack = %+v", step, r)
-					}
-					ref[key] = val
-					inserts++
-				case 1: // delete (possibly absent)
-					if r := s.Delete(ctx, key).Wait(); r.Found || r.Code != NotFound || r.Dropped {
-						t.Fatalf("step %d: delete ack = %+v", step, r)
-					}
-					delete(ref, key)
-					deletes++
-				default: // lookup
-					r := s.Lookup(ctx, key)
-					want, ok := ref[key]
-					if r.Found != ok || (ok && r.Code != want) {
-						t.Fatalf("step %d: lookup(%d) = %+v, want %d (present %v)", step, key, r, want, ok)
-					}
-				}
+			delete(ref, key)
+			deletes++
+		default: // lookup
+			r := s.Lookup(ctx, key)
+			want, ok := ref[key]
+			if r.Found != ok || (ok && r.Code != want) {
+				t.Fatalf("step %d: lookup(%d) = %+v, want %d (present %v)", step, key, r, want, ok)
 			}
-			// Drain any pending installs by touching every shard, then do a
-			// full sweep: every key in range must match the reference.
-			keys := make([]uint64, domainN*2)
-			for i := range keys {
-				keys[i] = uint64(i)
-			}
-			bf := s.GoBatch(ctx, keys)
-			res := bf.Wait()
-			for i, k := range bf.Keys() {
-				want, ok := ref[k]
-				if res[i].Found != ok || (ok && res[i].Code != want) {
-					t.Fatalf("sweep key %d = %+v, want %d (present %v)", k, res[i], want, ok)
-				}
-			}
-			awaitRebuild(t, s)
-			s.Close()
-			st := s.Stats()
-			if st.Inserts != inserts || st.Deletes != deletes {
-				t.Fatalf("stats writes = %d/%d, want %d/%d", st.Inserts, st.Deletes, inserts, deletes)
-			}
-			var epochs uint64
-			for _, ss := range st.Shards {
-				epochs += ss.Epoch
-				if ss.Epoch != ss.Rebuilds {
-					t.Fatalf("shard %d: epoch %d != rebuilds %d", ss.Shard, ss.Epoch, ss.Rebuilds)
-				}
-			}
-			if epochs == 0 {
-				t.Fatal("no shard advanced past epoch 0")
-			}
-		})
+		}
+	}
+	// Drain any pending installs by touching every shard, then do a
+	// full sweep: every key in range must match the reference.
+	keys := make([]uint64, domainN*2)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	bf := s.GoBatch(ctx, keys)
+	res := bf.Wait()
+	for i, k := range bf.Keys() {
+		want, ok := ref[k]
+		if res[i].Found != ok || (ok && res[i].Code != want) {
+			t.Fatalf("sweep key %d = %+v, want %d (present %v)", k, res[i], want, ok)
+		}
+	}
+	awaitRebuild(t, s)
+	s.Close()
+	st := s.Stats()
+	if st.Inserts != inserts || st.Deletes != deletes {
+		t.Fatalf("stats writes = %d/%d, want %d/%d", st.Inserts, st.Deletes, inserts, deletes)
+	}
+	var epochs uint64
+	for _, ss := range st.Shards {
+		epochs += ss.Epoch
+		if ss.Epoch != ss.Rebuilds {
+			t.Fatalf("shard %d: epoch %d != rebuilds %d", ss.Shard, ss.Epoch, ss.Rebuilds)
+		}
+	}
+	if epochs == 0 {
+		t.Fatal("no shard advanced past epoch 0")
 	}
 }
 
@@ -173,44 +158,24 @@ func TestWriteOrderingWithinMixedBatch(t *testing.T) {
 // the post-install snapshot — an epoch pointer captured once per
 // sub-batch returned NotFound for the merged key here.
 func TestReadYourWritesAcrossMidBatchInstall(t *testing.T) {
-	for _, kind := range []IndexKind{NativeSorted, SimMain, SimTree} {
-		t.Run(kind.String(), func(t *testing.T) {
-			s, err := New(testDomain(8, 1), WithBackend(kind), WithShards(1),
-				WithAdmission(4, 5*time.Millisecond), WithRebuildThreshold(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			ctx := context.Background()
-			// One sealed sub-batch: three inserts (forcing stall-installs
-			// mid-batch) then a lookup of the first key.
-			f1 := s.Insert(ctx, 11, 5)
-			f2 := s.Insert(ctx, 12, 6)
-			f3 := s.Insert(ctx, 13, 7)
-			look := s.Go(ctx, 11)
-			f1.Wait()
-			f2.Wait()
-			f3.Wait()
-			if r := look.Wait(); !r.Found || r.Code != 5 {
-				t.Fatalf("lookup(11) after mid-batch installs = %+v, want code 5", r)
-			}
-		})
+	s, err := New(testDomain(8, 1), WithShards(1),
+		WithAdmission(4, 5*time.Millisecond), WithRebuildThreshold(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestNewErrorDoesNotLeakGoroutines: a failed New (unknown backend) must
-// not leave the epoch manager goroutine running.
-func TestNewErrorDoesNotLeakGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		if _, err := New(testDomain(4, 1), WithBackend(IndexKind(42))); err == nil {
-			t.Fatal("New accepted an unknown backend")
-		}
-	}
-	// Goroutine counts wobble with test machinery; 20 failed News must
-	// not add ~20 goroutines.
-	if after := runtime.NumGoroutine(); after > before+5 {
-		t.Fatalf("failed New calls leaked goroutines: %d -> %d", before, after)
+	defer s.Close()
+	ctx := context.Background()
+	// One sealed sub-batch: three inserts (forcing stall-installs
+	// mid-batch) then a lookup of the first key.
+	f1 := s.Insert(ctx, 11, 5)
+	f2 := s.Insert(ctx, 12, 6)
+	f3 := s.Insert(ctx, 13, 7)
+	look := s.Go(ctx, 11)
+	f1.Wait()
+	f2.Wait()
+	f3.Wait()
+	if r := look.Wait(); !r.Found || r.Code != 5 {
+		t.Fatalf("lookup(11) after mid-batch installs = %+v, want code 5", r)
 	}
 }
 
@@ -454,11 +419,4 @@ func TestWriteAdmissionPanics(t *testing.T) {
 	expectPanic("Insert of NotFound value", func() { s.Insert(ctx, 1, NotFound) })
 	expectPanic("SubmitBatch of a write kind", func() { s.SubmitBatch(ctx, OpInsert, []uint64{1}) })
 	expectPanic("ApplyBatch of a read kind", func() { s.ApplyBatch(ctx, []Op{{Kind: OpLookup, Key: 1}}) })
-
-	tr, err := New([]uint64{1, 2, 3}, WithBackend(SimTree))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	expectPanic("SimTree write beyond uint32", func() { tr.Insert(ctx, 1<<33, 1) })
 }

@@ -13,6 +13,7 @@ package wire_test
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand/v2"
 	"net"
 	"slices"
@@ -226,6 +227,81 @@ func TestLoopbackDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLoopbackWideKeys: keys past 32 bits work end to end, in process
+// and over loopback — a domain holding 1<<40 and MaxUint64-1, and an
+// insert of 1<<33 that is looked up, range-scanned, deleted, and looked
+// up again. A rebuild threshold of 1 merges every write into the next
+// epoch, so the wide keys cross the epoch merge as well as the delta.
+func TestLoopbackWideKeys(t *testing.T) {
+	const wide = uint64(1) << 33
+	top := uint64(math.MaxUint64 - 1)
+	domain := []uint64{top, 1 << 40, 7} // codes: 7 → 0, 1<<40 → 1, top → 2
+	steps := []struct {
+		op        e2eOp
+		want      serve.Result
+		wantRange []serve.RangeEntry
+	}{
+		{op: e2eOp{kind: serve.OpLookup, key: 1 << 40}, want: serve.Result{Code: 1, Found: true}},
+		{op: e2eOp{kind: serve.OpLookup, key: top}, want: serve.Result{Code: 2, Found: true}},
+		{op: e2eOp{kind: serve.OpLookup, key: math.MaxUint64}, want: serve.Result{Code: serve.NotFound}},
+		{op: e2eOp{kind: serve.OpInsert, key: wide, val: 9}, want: serve.Result{Code: 9, Found: true}},
+		{op: e2eOp{kind: serve.OpLookup, key: wide}, want: serve.Result{Code: 9, Found: true}},
+		{op: e2eOp{kind: serve.OpRange, key: 1 << 32, hi: math.MaxUint64},
+			wantRange: []serve.RangeEntry{{Key: wide, Code: 9}, {Key: 1 << 40, Code: 1}, {Key: top, Code: 2}}},
+		{op: e2eOp{kind: serve.OpDelete, key: wide}, want: serve.Result{Code: serve.NotFound}},
+		{op: e2eOp{kind: serve.OpLookup, key: wide}, want: serve.Result{Code: serve.NotFound}},
+		{op: e2eOp{kind: serve.OpRange, key: 1 << 32, hi: 1 << 41},
+			wantRange: []serve.RangeEntry{{Key: 1 << 40, Code: 1}}},
+	}
+	stream := make([]e2eOp, len(steps))
+	for i, st := range steps {
+		stream[i] = st.op
+	}
+	newService := func() *serve.Service {
+		s, err := serve.New(domain, serve.WithShards(3),
+			serve.WithAdmission(1, 50*time.Microsecond), serve.WithRebuildThreshold(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	check := func(binding string, perOp []serve.Result, perRange [][]serve.RangeEntry) {
+		t.Helper()
+		for i, st := range steps {
+			if st.op.kind == serve.OpRange {
+				if !slices.Equal(perRange[i], st.wantRange) {
+					t.Fatalf("%s step %d: range [%d,%d] = %v, want %v", binding, i, st.op.key, st.op.hi, perRange[i], st.wantRange)
+				}
+			} else if perOp[i] != st.want {
+				t.Fatalf("%s step %d (%+v): %+v, want %+v", binding, i, st.op, perOp[i], st.want)
+			}
+		}
+	}
+
+	local := newService()
+	perOp, _, perRange := replayStream(stream, replayFns{
+		point: func(ctx context.Context, op serve.Op) serve.Result { return local.Submit(ctx, op).Wait() },
+		rng: func(ctx context.Context, lo, hi uint64, limit int) []serve.RangeEntry {
+			return local.Range(ctx, lo, hi, limit).Collect(0)
+		},
+	})
+	check("in-process", perOp, perRange)
+
+	rm, err := client.Dial(startServer(t, newService(), wire.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rm.Close()
+	perOp, _, perRange = replayStream(stream, replayFns{
+		point: func(ctx context.Context, op serve.Op) serve.Result { return rm.Submit(ctx, op).Wait() },
+		rng: func(ctx context.Context, lo, hi uint64, limit int) []serve.RangeEntry {
+			return rm.Range(ctx, lo, hi, limit).Collect(0)
+		},
+	})
+	check("loopback", perOp, perRange)
 }
 
 // TestLoopbackVectorDifferential compares the vectorized surfaces:

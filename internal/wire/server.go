@@ -483,7 +483,7 @@ func (c *conn) dispatch(t MsgType, p []byte) bool {
 		}
 		sl.hdr = b.Hdr
 		switch n := len(b.Ops); {
-		case !c.validWrites(b.Ops):
+		case !validWrites(b.Ops):
 			c.shed(sl, ShedBadRequest, n)
 		case c.admit(sl, n, len(p)):
 			go c.respondWrite(sl, b)
@@ -543,18 +543,10 @@ func (c *conn) protoErr(sl *slot, err error) bool {
 
 // validWrites screens remote write ops so invalid input is refused with
 // ShedBadRequest instead of reaching serve's checkOp panics: unknown
-// kinds, inserts colliding with the NotFound sentinel, and keys beyond
-// the tree backend's uint32 key type.
-func (c *conn) validWrites(ops []WriteOp) bool {
-	tree := c.srv.svc.Backend() == serve.SimTree
+// kinds and inserts colliding with the NotFound sentinel.
+func validWrites(ops []WriteOp) bool {
 	for _, o := range ops {
-		if o.Kind > WriteDelete {
-			return false
-		}
-		if o.Kind == WriteInsert && o.Val == serve.NotFound {
-			return false
-		}
-		if tree && o.Key > uint64(^uint32(0)) {
+		if o.Kind > WriteDelete || (o.Kind == WriteInsert && o.Val == serve.NotFound) {
 			return false
 		}
 	}

@@ -125,12 +125,9 @@ type ScenarioConfig struct {
 }
 
 // Setup is what a run must provision before streaming: whether the
-// service needs a join build side, and whether the insert stream grows
-// the key domain (fresh keys above it — relevant to backends with
-// bounded key ranges).
+// service needs a join build side.
 type Setup struct {
-	NeedsBuild  bool
-	GrowsDomain bool
+	NeedsBuild bool
 }
 
 // Scenario is one named, registered workload: its identity, its default
@@ -376,10 +373,7 @@ func (s *coreScenario) Describe() string         { return s.describe }
 func (s *coreScenario) Defaults() ScenarioConfig { return s.defaults }
 
 func (s *coreScenario) Setup(cfg ScenarioConfig) Setup {
-	return Setup{
-		NeedsBuild:  cfg.JoinFrac > 0,
-		GrowsDomain: (cfg.InsertFrac > 0 || cfg.RMWFrac > 0) && cfg.FreshFrac > 0,
-	}
+	return Setup{NeedsBuild: cfg.JoinFrac > 0}
 }
 
 func (s *coreScenario) Streams(cfg ScenarioConfig) func(worker int) Stream {

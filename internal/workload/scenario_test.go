@@ -149,8 +149,8 @@ func TestRMWEmitsInsertAfterLookup(t *testing.T) {
 
 func TestFreshInsertsGrowDomain(t *testing.T) {
 	s, cfg := runCfg("ycsb-d")
-	if got := s.Setup(cfg); !got.GrowsDomain || got.NeedsBuild {
-		t.Fatalf("ycsb-d setup %+v, want GrowsDomain without NeedsBuild", got)
+	if got := s.Setup(cfg); got.NeedsBuild {
+		t.Fatalf("ycsb-d setup %+v, want no build side", got)
 	}
 	st := s.Streams(cfg)(0)
 	fresh := 0
@@ -172,8 +172,8 @@ func TestFreshInsertsGrowDomain(t *testing.T) {
 
 func TestJoinScenarioSetup(t *testing.T) {
 	s, cfg := runCfg("join-heavy")
-	if got := s.Setup(cfg); !got.NeedsBuild || got.GrowsDomain {
-		t.Fatalf("join-heavy setup %+v, want NeedsBuild without GrowsDomain", got)
+	if got := s.Setup(cfg); !got.NeedsBuild {
+		t.Fatalf("join-heavy setup %+v, want NeedsBuild", got)
 	}
 	if cfg.Mixed() || cfg.Vector == 0 {
 		t.Fatalf("join-heavy should be a vectorizable single-kind stream: %+v", cfg)
