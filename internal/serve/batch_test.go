@@ -176,55 +176,57 @@ func TestSubmitBatchScatter(t *testing.T) {
 // per-shard item counts must show each key was drained by the shard it
 // hashes to (empty and single-key batches included).
 func TestGoBatchMatchesPointOps(t *testing.T) {
-	const domainN, step = 2000, 3
-	vals := testDomain(domainN, step)
-	s, err := New(vals, WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ctx := context.Background()
-	rng := rand.New(rand.NewPCG(8, 0))
-	for _, n := range []int{0, 1, 777} {
-		keys := make([]uint64, n)
-		for i := range keys {
-			keys[i] = rng.Uint64N(domainN*step + 40)
+	t.Run("native", func(t *testing.T) {
+		const domainN, step = 2000, 3
+		vals := testDomain(domainN, step)
+		s, err := New(vals, WithShards(4))
+		if err != nil {
+			t.Fatal(err)
 		}
-		before := s.Stats()
-		bf := s.GoBatch(ctx, keys)
-		res := bf.Wait()
-		if len(res) != n || len(bf.Keys()) != n {
-			t.Fatalf("n=%d: batch returned %d results over %d keys", n, len(res), len(bf.Keys()))
-		}
-		if bf.Dropped() != 0 {
-			t.Fatalf("n=%d: dropped %d without cancellation", n, bf.Dropped())
-		}
-		// Snapshot before the point-op comparisons below, so the
-		// per-shard deltas attribute to the batch alone.
-		after := s.Stats()
-		for i, k := range bf.Keys() {
-			wantFound := k%step == 0 && k/step < domainN
-			r := res[i]
-			if r.Found != wantFound || (wantFound && uint64(r.Code) != k/step) || r.Dropped {
-				t.Fatalf("n=%d key %d: batch result %+v", n, k, r)
+		defer s.Close()
+		ctx := context.Background()
+		rng := rand.New(rand.NewPCG(8, 0))
+		for _, n := range []int{0, 1, 777} {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = rng.Uint64N(domainN*step + 40)
 			}
-			if want := s.Lookup(ctx, k); r != want {
-				t.Fatalf("n=%d key %d: batch %+v != point %+v", n, k, r, want)
+			before := s.Stats()
+			bf := s.GoBatch(ctx, keys)
+			res := bf.Wait()
+			if len(res) != n || len(bf.Keys()) != n {
+				t.Fatalf("n=%d: batch returned %d results over %d keys", n, len(res), len(bf.Keys()))
+			}
+			if bf.Dropped() != 0 {
+				t.Fatalf("n=%d: dropped %d without cancellation", n, bf.Dropped())
+			}
+			// Snapshot before the point-op comparisons below, so the
+			// per-shard deltas attribute to the batch alone.
+			after := s.Stats()
+			for i, k := range bf.Keys() {
+				wantFound := k%step == 0 && k/step < domainN
+				r := res[i]
+				if r.Found != wantFound || (wantFound && uint64(r.Code) != k/step) || r.Dropped {
+					t.Fatalf("n=%d key %d: batch result %+v", n, k, r)
+				}
+				if want := s.Lookup(ctx, k); r != want {
+					t.Fatalf("n=%d key %d: batch %+v != point %+v", n, k, r, want)
+				}
+			}
+			// The batch's keys must have been drained by their hash
+			// shard.
+			want := map[int]uint64{}
+			for _, k := range keys {
+				want[shardOf(k, len(s.shards))]++
+			}
+			for i := range s.shards {
+				got := after.Shards[i].Items - before.Shards[i].Items
+				if got != want[i] {
+					t.Fatalf("n=%d shard %d drained %d batch items, want %d", n, i, got, want[i])
+				}
 			}
 		}
-		// The batch's keys must have been drained by their hash
-		// shard.
-		want := map[int]uint64{}
-		for _, k := range keys {
-			want[shardOf(k, len(s.shards))]++
-		}
-		for i := range s.shards {
-			got := after.Shards[i].Items - before.Shards[i].Items
-			if got != want[i] {
-				t.Fatalf("n=%d shard %d drained %d batch items, want %d", n, i, got, want[i])
-			}
-		}
-	}
+	})
 }
 
 // TestBatchCancelledContext: a batch submitted under an already-

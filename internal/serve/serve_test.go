@@ -23,99 +23,103 @@ func testDomain(n int, step uint64) []uint64 {
 // check: under concurrent submission from many goroutines, every
 // submitted key receives its correct result.
 func TestServiceCorrectUnderConcurrency(t *testing.T) {
-	const (
-		domainN = 4000
-		step    = 3
-		workers = 8
-		perW    = 400
-	)
-	vals := testDomain(domainN, step)
-	cfg := DefaultConfig()
-	cfg.Shards = 4
-	cfg.MaxBatch = 64
-	cfg.MaxWait = 200 * time.Microsecond
-	s, err := New(vals, WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	futs := make([][]*Future, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(uint64(w), 99))
-			for i := 0; i < perW; i++ {
-				// Mix of present keys, absent in-range keys, and
-				// out-of-range keys.
-				key := rng.Uint64N(domainN*step + 100)
-				futs[w] = append(futs[w], s.Go(ctx, key))
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w := range futs {
-		for _, f := range futs[w] {
-			r := f.Wait()
-			key := f.Key()
-			wantFound := key%step == 0 && key/step < domainN
-			if r.Found != wantFound {
-				t.Fatalf("key %d: found=%v, want %v", key, r.Found, wantFound)
-			}
-			if wantFound && uint64(r.Code) != key/step {
-				t.Fatalf("key %d: code=%d, want %d", key, r.Code, key/step)
-			}
-			if !wantFound && r.Code != NotFound {
-				t.Fatalf("key %d: absent key code=%d, want NotFound", key, r.Code)
+	t.Run("native", func(t *testing.T) {
+		const (
+			domainN = 4000
+			step    = 3
+			workers = 8
+			perW    = 400
+		)
+		vals := testDomain(domainN, step)
+		cfg := DefaultConfig()
+		cfg.Shards = 4
+		cfg.MaxBatch = 64
+		cfg.MaxWait = 200 * time.Microsecond
+		s, err := New(vals, WithConfig(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		var wg sync.WaitGroup
+		futs := make([][]*Future, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewPCG(uint64(w), 99))
+				for i := 0; i < perW; i++ {
+					// Mix of present keys, absent in-range keys, and
+					// out-of-range keys.
+					key := rng.Uint64N(domainN*step + 100)
+					futs[w] = append(futs[w], s.Go(ctx, key))
+				}
+			}(w)
+		}
+		wg.Wait()
+		for w := range futs {
+			for _, f := range futs[w] {
+				r := f.Wait()
+				key := f.Key()
+				wantFound := key%step == 0 && key/step < domainN
+				if r.Found != wantFound {
+					t.Fatalf("key %d: found=%v, want %v", key, r.Found, wantFound)
+				}
+				if wantFound && uint64(r.Code) != key/step {
+					t.Fatalf("key %d: code=%d, want %d", key, r.Code, key/step)
+				}
+				if !wantFound && r.Code != NotFound {
+					t.Fatalf("key %d: absent key code=%d, want NotFound", key, r.Code)
+				}
 			}
 		}
-	}
-	s.Close()
-	st := s.Stats()
-	if st.Items != workers*perW {
-		t.Fatalf("stats items=%d, want %d", st.Items, workers*perW)
-	}
-	if st.Dropped != 0 {
-		t.Fatalf("stats dropped=%d with no cancellations", st.Dropped)
-	}
-	perShard := map[int]uint64{}
-	for _, ss := range st.Shards {
-		perShard[ss.Shard] = ss.Items
-	}
-	// Every request must have been drained by the shard its key
-	// hashes to.
-	want := map[int]uint64{}
-	for w := range futs {
-		for _, f := range futs[w] {
-			want[shardOf(f.Key(), cfg.Shards)]++
+		s.Close()
+		st := s.Stats()
+		if st.Items != workers*perW {
+			t.Fatalf("stats items=%d, want %d", st.Items, workers*perW)
 		}
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		if perShard[i] != want[i] {
-			t.Fatalf("shard %d drained %d items, want %d", i, perShard[i], want[i])
+		if st.Dropped != 0 {
+			t.Fatalf("stats dropped=%d with no cancellations", st.Dropped)
 		}
-	}
+		perShard := map[int]uint64{}
+		for _, ss := range st.Shards {
+			perShard[ss.Shard] = ss.Items
+		}
+		// Every request must have been drained by the shard its key
+		// hashes to.
+		want := map[int]uint64{}
+		for w := range futs {
+			for _, f := range futs[w] {
+				want[shardOf(f.Key(), cfg.Shards)]++
+			}
+		}
+		for i := 0; i < cfg.Shards; i++ {
+			if perShard[i] != want[i] {
+				t.Fatalf("shard %d drained %d items, want %d", i, perShard[i], want[i])
+			}
+		}
+	})
 }
 
 // TestServiceTinyDomainEmptyShards: with fewer values than shards some
 // shards own nothing; lookups must still resolve correctly everywhere.
 func TestServiceTinyDomainEmptyShards(t *testing.T) {
-	s, err := New([]uint64{10, 20}, WithShards(8), WithAdmission(0, 50*time.Microsecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for key, want := range map[uint64]Result{
-		10: {Code: 0, Found: true},
-		20: {Code: 1, Found: true},
-		15: {Code: NotFound},
-		0:  {Code: NotFound},
-	} {
-		if got := s.Lookup(context.Background(), key); got != want {
-			t.Fatalf("lookup(%d) = %+v, want %+v", key, got, want)
+	t.Run("native", func(t *testing.T) {
+		s, err := New([]uint64{10, 20}, WithShards(8), WithAdmission(0, 50*time.Microsecond))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		defer s.Close()
+		for key, want := range map[uint64]Result{
+			10: {Code: 0, Found: true},
+			20: {Code: 1, Found: true},
+			15: {Code: NotFound},
+			0:  {Code: NotFound},
+		} {
+			if got := s.Lookup(context.Background(), key); got != want {
+				t.Fatalf("lookup(%d) = %+v, want %+v", key, got, want)
+			}
+		}
+	})
 }
 
 func TestServiceDedupAndUnsortedDomain(t *testing.T) {

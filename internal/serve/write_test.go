@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math/bits"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -36,76 +37,78 @@ func awaitRebuild(t *testing.T, s *Service) Stats {
 // read-your-writes at every step — before, during, and after epoch
 // rebuilds — plus the write and rebuild accounting.
 func TestWritesVisibleAcrossRebuilds(t *testing.T) {
-	const domainN = 300
-	vals := testDomain(domainN, 2) // even values; odd keys start absent
-	// MaxBatch 1 seals every point op immediately, so the sequential
-	// submit-and-wait replay is deterministic and fast.
-	s, err := New(vals, WithShards(3), WithAdmission(1, 50*time.Microsecond), WithRebuildThreshold(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	// Mirror of the expected dictionary state.
-	ref := map[uint64]uint32{}
-	for i := 0; i < domainN; i++ {
-		ref[uint64(i)*2] = uint32(i)
-	}
-	rng := rand.New(rand.NewPCG(7, 0))
-	var inserts, deletes uint64
-	for step := 0; step < 600; step++ {
-		key := rng.Uint64N(domainN * 2)
-		switch rng.Uint64N(4) {
-		case 0: // insert (fresh or upsert)
-			val := rng.Uint32N(1 << 30)
-			if r := s.Insert(ctx, key, val).Wait(); !r.Found || r.Code != val {
-				t.Fatalf("step %d: insert ack = %+v", step, r)
-			}
-			ref[key] = val
-			inserts++
-		case 1: // delete (possibly absent)
-			if r := s.Delete(ctx, key).Wait(); r.Found || r.Code != NotFound || r.Dropped {
-				t.Fatalf("step %d: delete ack = %+v", step, r)
-			}
-			delete(ref, key)
-			deletes++
-		default: // lookup
-			r := s.Lookup(ctx, key)
-			want, ok := ref[key]
-			if r.Found != ok || (ok && r.Code != want) {
-				t.Fatalf("step %d: lookup(%d) = %+v, want %d (present %v)", step, key, r, want, ok)
+	t.Run("native", func(t *testing.T) {
+		const domainN = 300
+		vals := testDomain(domainN, 2) // even values; odd keys start absent
+		// MaxBatch 1 seals every point op immediately, so the sequential
+		// submit-and-wait replay is deterministic and fast.
+		s, err := New(vals, WithShards(3), WithAdmission(1, 50*time.Microsecond), WithRebuildThreshold(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		// Mirror of the expected dictionary state.
+		ref := map[uint64]uint32{}
+		for i := 0; i < domainN; i++ {
+			ref[uint64(i)*2] = uint32(i)
+		}
+		rng := rand.New(rand.NewPCG(7, 0))
+		var inserts, deletes uint64
+		for step := 0; step < 600; step++ {
+			key := rng.Uint64N(domainN * 2)
+			switch rng.Uint64N(4) {
+			case 0: // insert (fresh or upsert)
+				val := rng.Uint32N(1 << 30)
+				if r := s.Insert(ctx, key, val).Wait(); !r.Found || r.Code != val {
+					t.Fatalf("step %d: insert ack = %+v", step, r)
+				}
+				ref[key] = val
+				inserts++
+			case 1: // delete (possibly absent)
+				if r := s.Delete(ctx, key).Wait(); r.Found || r.Code != NotFound || r.Dropped {
+					t.Fatalf("step %d: delete ack = %+v", step, r)
+				}
+				delete(ref, key)
+				deletes++
+			default: // lookup
+				r := s.Lookup(ctx, key)
+				want, ok := ref[key]
+				if r.Found != ok || (ok && r.Code != want) {
+					t.Fatalf("step %d: lookup(%d) = %+v, want %d (present %v)", step, key, r, want, ok)
+				}
 			}
 		}
-	}
-	// Drain any pending installs by touching every shard, then do a
-	// full sweep: every key in range must match the reference.
-	keys := make([]uint64, domainN*2)
-	for i := range keys {
-		keys[i] = uint64(i)
-	}
-	bf := s.GoBatch(ctx, keys)
-	res := bf.Wait()
-	for i, k := range bf.Keys() {
-		want, ok := ref[k]
-		if res[i].Found != ok || (ok && res[i].Code != want) {
-			t.Fatalf("sweep key %d = %+v, want %d (present %v)", k, res[i], want, ok)
+		// Drain any pending installs by touching every shard, then do a
+		// full sweep: every key in range must match the reference.
+		keys := make([]uint64, domainN*2)
+		for i := range keys {
+			keys[i] = uint64(i)
 		}
-	}
-	awaitRebuild(t, s)
-	s.Close()
-	st := s.Stats()
-	if st.Inserts != inserts || st.Deletes != deletes {
-		t.Fatalf("stats writes = %d/%d, want %d/%d", st.Inserts, st.Deletes, inserts, deletes)
-	}
-	var epochs uint64
-	for _, ss := range st.Shards {
-		epochs += ss.Epoch
-		if ss.Epoch != ss.Rebuilds {
-			t.Fatalf("shard %d: epoch %d != rebuilds %d", ss.Shard, ss.Epoch, ss.Rebuilds)
+		bf := s.GoBatch(ctx, keys)
+		res := bf.Wait()
+		for i, k := range bf.Keys() {
+			want, ok := ref[k]
+			if res[i].Found != ok || (ok && res[i].Code != want) {
+				t.Fatalf("sweep key %d = %+v, want %d (present %v)", k, res[i], want, ok)
+			}
 		}
-	}
-	if epochs == 0 {
-		t.Fatal("no shard advanced past epoch 0")
-	}
+		awaitRebuild(t, s)
+		s.Close()
+		st := s.Stats()
+		if st.Inserts != inserts || st.Deletes != deletes {
+			t.Fatalf("stats writes = %d/%d, want %d/%d", st.Inserts, st.Deletes, inserts, deletes)
+		}
+		var epochs uint64
+		for _, ss := range st.Shards {
+			epochs += ss.Epoch
+			if ss.Epoch != ss.Rebuilds {
+				t.Fatalf("shard %d: epoch %d != rebuilds %d", ss.Shard, ss.Epoch, ss.Rebuilds)
+			}
+		}
+		if epochs == 0 {
+			t.Fatal("no shard advanced past epoch 0")
+		}
+	})
 }
 
 // TestWriteOrderingWithinMixedBatch checks submission-order semantics on
@@ -158,25 +161,27 @@ func TestWriteOrderingWithinMixedBatch(t *testing.T) {
 // the post-install snapshot — an epoch pointer captured once per
 // sub-batch returned NotFound for the merged key here.
 func TestReadYourWritesAcrossMidBatchInstall(t *testing.T) {
-	s, err := New(testDomain(8, 1), WithShards(1),
-		WithAdmission(4, 5*time.Millisecond), WithRebuildThreshold(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ctx := context.Background()
-	// One sealed sub-batch: three inserts (forcing stall-installs
-	// mid-batch) then a lookup of the first key.
-	f1 := s.Insert(ctx, 11, 5)
-	f2 := s.Insert(ctx, 12, 6)
-	f3 := s.Insert(ctx, 13, 7)
-	look := s.Go(ctx, 11)
-	f1.Wait()
-	f2.Wait()
-	f3.Wait()
-	if r := look.Wait(); !r.Found || r.Code != 5 {
-		t.Fatalf("lookup(11) after mid-batch installs = %+v, want code 5", r)
-	}
+	t.Run("native", func(t *testing.T) {
+		s, err := New(testDomain(8, 1), WithShards(1),
+			WithAdmission(4, 5*time.Millisecond), WithRebuildThreshold(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ctx := context.Background()
+		// One sealed sub-batch: three inserts (forcing stall-installs
+		// mid-batch) then a lookup of the first key.
+		f1 := s.Insert(ctx, 11, 5)
+		f2 := s.Insert(ctx, 12, 6)
+		f3 := s.Insert(ctx, 13, 7)
+		look := s.Go(ctx, 11)
+		f1.Wait()
+		f2.Wait()
+		f3.Wait()
+		if r := look.Wait(); !r.Found || r.Code != 5 {
+			t.Fatalf("lookup(11) after mid-batch installs = %+v, want code 5", r)
+		}
+	})
 }
 
 // TestJoinTracksDictionaryWrites: on a join service, writes edit the
@@ -419,4 +424,58 @@ func TestWriteAdmissionPanics(t *testing.T) {
 	expectPanic("Insert of NotFound value", func() { s.Insert(ctx, 1, NotFound) })
 	expectPanic("SubmitBatch of a write kind", func() { s.SubmitBatch(ctx, OpInsert, []uint64{1}) })
 	expectPanic("ApplyBatch of a read kind", func() { s.ApplyBatch(ctx, []Op{{Kind: OpLookup, Key: 1}}) })
+}
+
+// TestCompactQueuedBound freezes generations behind a merge that never
+// lands — threshold-sized freezes of overwrites, fresh keys and
+// tombstones — and checks after every freeze that the queue behind the
+// in-flight generation stays size-tiered (O(log backlog) parts), that
+// the in-flight generation is untouched, and that the compacted view
+// reads like the uncompacted one.
+func TestCompactQueuedBound(t *testing.T) {
+	inflight := []writeEntry{{key: 1, val: 1}, {key: 3, val: 3}}
+	sh := &shard{gens: [][]writeEntry{inflight}, merging: 1}
+	all := [][]writeEntry{inflight}
+	rng := rand.New(rand.NewPCG(3, 4))
+	total := len(inflight)
+	for f := 0; f < 2000; f++ {
+		var gen []writeEntry
+		for i := 0; i < 4; i++ {
+			gen = applyWriteEntry(gen, rng.Uint64N(512), uint32(f), rng.Uint64N(5) == 0, 0)
+		}
+		total += len(gen)
+		sh.gens = append(sh.gens, gen)
+		all = append(all, gen)
+		sh.compactQueued()
+		if &sh.gens[0][0] != &inflight[0] || len(sh.gens[0]) != len(inflight) {
+			t.Fatalf("freeze %d: the in-flight generation was rewritten", f)
+		}
+		queued := sh.gens[sh.merging:]
+		for i := 1; i < len(queued); i++ {
+			if len(queued[i-1]) <= 2*len(queued[i]) {
+				t.Fatalf("freeze %d: queued sizes not tiered: part %d has %d entries, part %d has %d", f, i-1, len(queued[i-1]), i, len(queued[i]))
+			}
+		}
+		if limit := bits.Len(uint(total)) + 1; len(queued) > limit {
+			t.Fatalf("freeze %d: %d queued parts over %d entries, want ≤ %d", f, len(queued), total, limit)
+		}
+		if f%97 != 0 {
+			continue
+		}
+		view := func(gens [][]writeEntry) deltaView {
+			dv := deltaView{at: latestSeq}
+			for i := len(gens) - 1; i >= 0; i-- {
+				dv.parts = append(dv.parts, gens[i])
+			}
+			return dv
+		}
+		got, want := view(sh.gens), view(all)
+		for k := uint64(0); k < 514; k++ {
+			gv, gotO := got.lookup(k)
+			wv, wantO := want.lookup(k)
+			if gv != wv || gotO != wantO {
+				t.Fatalf("freeze %d key %d: compacted (%d,%d), uncompacted (%d,%d)", f, k, gv, gotO, wv, wantO)
+			}
+		}
+	}
 }
