@@ -220,35 +220,6 @@ func mergeFlat(newer, older []writeEntry) []writeEntry {
 	return out
 }
 
-// mergeParts compacts two adjacent frozen generations into one part
-// that answers every read — point, range, any horizon — exactly as
-// probing newer and then older does: at a shared key newer's version
-// chain comes first and older's follows it, unless newer's chain ends in
-// a plain write (seq 0), which every reader sees before anything older.
-func mergeParts(newer, older []writeEntry) []writeEntry {
-	out := make([]writeEntry, 0, len(newer)+len(older))
-	i, j := 0, 0
-	for i < len(newer) && j < len(older) {
-		switch {
-		case newer[i].key < older[j].key:
-			out = append(out, newer[i])
-			i++
-		case newer[i].key > older[j].key:
-			out = append(out, older[j])
-			j++
-		default:
-			end, oend := skipKeyRun(newer, i), skipKeyRun(older, j)
-			out = append(out, newer[i:end]...)
-			if newer[end-1].seq != 0 {
-				out = append(out, older[j:oend]...)
-			}
-			i, j = end, oend
-		}
-	}
-	out = append(out, newer[i:]...)
-	return append(out, older[j:]...)
-}
-
 // skipKeyRun advances past the duplicate-key run starting at i.
 func skipKeyRun(part []writeEntry, i int) int {
 	k := part[i].key

@@ -200,11 +200,6 @@ func FuzzDeltaChains(f *testing.F) {
 					}
 				}
 			}
-			// Compacting the generations into one part (mergeParts,
-			// newest folded over older) must answer every read the same.
-			if len(gens) > 0 {
-				checkCompacted(t, parts, gens)
-			}
 			// The live delta must stay sorted with intact runs.
 			for j := 1; j < len(delta); j++ {
 				if delta[j-1].key > delta[j].key {
@@ -253,54 +248,6 @@ func FuzzDeltaChains(f *testing.F) {
 			t.Fatal("merged keys unsorted")
 		}
 	})
-}
-
-// checkCompacted folds the frozen generations (oldest→newest) into one
-// part with mergeParts and checks that a view over the live delta and
-// that part answers like parts (the delta, then every generation
-// newest-first): point lookups at every horizon up to the newest tag and
-// at latest, ordered full-range scans, and the flattened merge input.
-func checkCompacted(t *testing.T, parts, gens [][]writeEntry) {
-	t.Helper()
-	one := gens[len(gens)-1]
-	for g := len(gens) - 2; g >= 0; g-- {
-		one = mergeParts(one, gens[g])
-	}
-	for j := 1; j < len(one); j++ {
-		if one[j-1].key > one[j].key {
-			t.Fatalf("compacted part unsorted at %d: %v", j, one)
-		}
-	}
-	var top uint64
-	for _, p := range parts {
-		for _, e := range p {
-			top = max(top, e.seq)
-		}
-	}
-	compact := [][]writeEntry{parts[0], one}
-	for at := uint64(0); at <= top+1; at++ {
-		for _, h := range []uint64{at, latestSeq} {
-			dv, dc := deltaView{at: h, parts: parts}, deltaView{at: h, parts: compact}
-			for _, e := range one {
-				for _, k := range []uint64{e.key, e.key + 1} {
-					gotV, gotO := dc.lookup(k)
-					wantV, wantO := dv.lookup(k)
-					if gotV != wantV || gotO != wantO {
-						t.Fatalf("key %d at %d: compacted (%d,%d), generations (%d,%d)", k, h, gotV, gotO, wantV, wantO)
-					}
-				}
-			}
-			got, want := mergeRange(dc, nil, 0, latestSeq, 0, nil), mergeRange(dv, nil, 0, latestSeq, 0, nil)
-			if !slices.Equal(got, want) {
-				t.Fatalf("range at %d: compacted %v, generations %v", h, got, want)
-			}
-		}
-	}
-	gotFlat, gotUpTo := flattenGens([][]writeEntry{one})
-	wantFlat, wantUpTo := flattenGens(gens)
-	if !slices.Equal(gotFlat, wantFlat) || gotUpTo != wantUpTo {
-		t.Fatalf("flatten: compacted %v (upTo %d), generations %v (upTo %d)", gotFlat, gotUpTo, wantFlat, wantUpTo)
-	}
 }
 
 // lowerBoundRef is the slices.BinarySearchFunc search lowerBound replaced:

@@ -179,7 +179,6 @@ func (sh *shard) maybeRebuild() {
 	}
 	sh.delta = uncommitted
 	sh.gens = append(sh.gens, committed) //isi:allow-alloc(generation freeze: one header per rebuild threshold crossing, not per write)
-	sh.compactQueued()
 	sh.met.setGenDepth(len(sh.gens))
 	if sh.merging > 0 && len(sh.gens) > maxGenBacklog {
 		sh.met.recordWriteStall()
@@ -189,22 +188,6 @@ func (sh *shard) maybeRebuild() {
 		runtime.Gosched()
 	}
 	sh.startMerge()
-}
-
-// compactQueued keeps the generations queued behind the in-flight merge
-// size-tiered: while the newest is at least half the size of the one
-// before it, the two merge into one part (mergeParts). Each queued
-// generation is then more than twice the size of the next newer one, so
-// however far the merge falls behind, the queue holds O(log backlog)
-// parts — the bound on what every drain's view probes — and each write
-// is copied O(log backlog) times. The in-flight prefix gens[:merging] is
-// never touched. Shard goroutine only.
-func (sh *shard) compactQueued() {
-	for n := len(sh.gens); n-sh.merging >= 2 && len(sh.gens[n-2]) <= 2*len(sh.gens[n-1]); n-- {
-		sh.gens[n-2] = mergeParts(sh.gens[n-1], sh.gens[n-2])
-		sh.gens[n-1] = nil
-		sh.gens = sh.gens[:n-1]
-	}
 }
 
 // startMerge hands every queued generation to the epoch manager as one

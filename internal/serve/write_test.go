@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"math/bits"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -424,58 +423,4 @@ func TestWriteAdmissionPanics(t *testing.T) {
 	expectPanic("Insert of NotFound value", func() { s.Insert(ctx, 1, NotFound) })
 	expectPanic("SubmitBatch of a write kind", func() { s.SubmitBatch(ctx, OpInsert, []uint64{1}) })
 	expectPanic("ApplyBatch of a read kind", func() { s.ApplyBatch(ctx, []Op{{Kind: OpLookup, Key: 1}}) })
-}
-
-// TestCompactQueuedBound freezes generations behind a merge that never
-// lands — threshold-sized freezes of overwrites, fresh keys and
-// tombstones — and checks after every freeze that the queue behind the
-// in-flight generation stays size-tiered (O(log backlog) parts), that
-// the in-flight generation is untouched, and that the compacted view
-// reads like the uncompacted one.
-func TestCompactQueuedBound(t *testing.T) {
-	inflight := []writeEntry{{key: 1, val: 1}, {key: 3, val: 3}}
-	sh := &shard{gens: [][]writeEntry{inflight}, merging: 1}
-	all := [][]writeEntry{inflight}
-	rng := rand.New(rand.NewPCG(3, 4))
-	total := len(inflight)
-	for f := 0; f < 2000; f++ {
-		var gen []writeEntry
-		for i := 0; i < 4; i++ {
-			gen = applyWriteEntry(gen, rng.Uint64N(512), uint32(f), rng.Uint64N(5) == 0, 0)
-		}
-		total += len(gen)
-		sh.gens = append(sh.gens, gen)
-		all = append(all, gen)
-		sh.compactQueued()
-		if &sh.gens[0][0] != &inflight[0] || len(sh.gens[0]) != len(inflight) {
-			t.Fatalf("freeze %d: the in-flight generation was rewritten", f)
-		}
-		queued := sh.gens[sh.merging:]
-		for i := 1; i < len(queued); i++ {
-			if len(queued[i-1]) <= 2*len(queued[i]) {
-				t.Fatalf("freeze %d: queued sizes not tiered: part %d has %d entries, part %d has %d", f, i-1, len(queued[i-1]), i, len(queued[i]))
-			}
-		}
-		if limit := bits.Len(uint(total)) + 1; len(queued) > limit {
-			t.Fatalf("freeze %d: %d queued parts over %d entries, want ≤ %d", f, len(queued), total, limit)
-		}
-		if f%97 != 0 {
-			continue
-		}
-		view := func(gens [][]writeEntry) deltaView {
-			dv := deltaView{at: latestSeq}
-			for i := len(gens) - 1; i >= 0; i-- {
-				dv.parts = append(dv.parts, gens[i])
-			}
-			return dv
-		}
-		got, want := view(sh.gens), view(all)
-		for k := uint64(0); k < 514; k++ {
-			gv, gotO := got.lookup(k)
-			wv, wantO := want.lookup(k)
-			if gv != wv || gotO != wantO {
-				t.Fatalf("freeze %d key %d: compacted (%d,%d), uncompacted (%d,%d)", f, k, gv, gotO, wv, wantO)
-			}
-		}
-	}
 }
