@@ -524,7 +524,10 @@ func (r *Remote) JoinBatch(ctx context.Context, keys []uint64) *BatchFuture {
 }
 
 // ApplyBatch admits one vectorized write column; see
-// serve.Service.ApplyBatch. Results align with the submission order.
+// serve.Service.ApplyBatch. Results align with the submission order,
+// and the server applies the column's writes to each key in that order.
+// Unlike the in-process ApplyBatch it takes writes only: the wire's write
+// frame carries no reads.
 func (r *Remote) ApplyBatch(ctx context.Context, ops []serve.Op) *BatchFuture {
 	return r.applyBatch(ctx, ops, 0)
 }

@@ -50,9 +50,6 @@ const (
 	// the backlog depth. The historical name is kept so span decoders and
 	// dashboards keyed on "stall-park" stay valid.
 	SpanStallPark
-	// SpanStallUnpark: no longer emitted (the write path never parks);
-	// retained so recorded streams from older builds still decode.
-	SpanStallUnpark
 	// SpanAccept: a network front-end accepted a connection. N is the
 	// live connection count after the accept.
 	SpanAccept
@@ -67,7 +64,7 @@ const (
 
 var spanKindNames = [nSpanKinds]string{
 	"admit", "enqueue", "drain-start", "kernel-done", "complete",
-	"merge-start", "merge-done", "install", "stall-park", "stall-unpark",
+	"merge-start", "merge-done", "install", "stall-park",
 	"accept", "decode", "respond",
 }
 

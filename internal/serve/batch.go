@@ -9,16 +9,24 @@ import (
 	"repro/internal/obs"
 )
 
-// This file is the vectorized admission path. The paper's index join is
-// a column operator — Section 6 drains an entire probe column through
-// the interleaved kernels — so a client that already holds the probe
-// vector should not pay a Future allocation per key only for the
-// group-commit batcher to re-assemble the batch it started with.
-// SubmitBatch admits the whole column in O(1) allocations: the caller's
-// key slice is partitioned in place by shard (an in-place counting-sort
-// permutation), each shard receives a contiguous segment descriptor by
-// value, and results are written into slices the caller reads directly
-// off the BatchFuture — zero per-key futures, zero per-key channels.
+// This file is the column admission path. The paper's index join is a
+// column operator — Section 6 drains an entire probe column through the
+// interleaved kernels — so every admission ends in a column:
+//
+//   - a key column (SubmitBatch/GoBatch/JoinBatch): the caller's key
+//     slice is partitioned in place by shard (an in-place counting-sort
+//     permutation), or scattered into a second buffer by
+//     SubmitBatchScatter;
+//   - an op column (ApplyBatch/ApplyBatchAtomic, and every sealed point
+//     batch of Submit): ops of any point kind stay in submission order
+//     and are grouped by shard through an index permutation (perm,
+//     counted then scattered), so each shard walks its ops in the order
+//     they were submitted.
+//
+// Either way each shard receives a contiguous segment descriptor by
+// value and writes results into slices the caller reads directly off
+// the BatchFuture — O(1) allocations per column, zero per-key channels.
+// A point Future is an index into its sealed batch's slab.
 
 // Match is one streamed join match: build tuple Payload matched probe
 // key Key (global dictionary code Code), which sits at index Probe of
@@ -30,32 +38,41 @@ type Match struct {
 	Payload uint32
 }
 
-// BatchFuture is one in-flight vectorized submission. The submitted key
-// (or op) slice is owned by the service until the batch completes and is
+// BatchFuture is one in-flight column: a key column (SubmitBatch) or an
+// op column (ApplyBatch, or a sealed batch of point Submits). A key
+// column is owned by the service until the batch completes and is
 // reordered in place by shard partitioning: after Wait, Results()[i] is
-// the outcome for Keys()[i] (Ops()[i] for a write batch), where Keys()
-// is the caller's slice in its partitioned order.
+// the outcome for Keys()[i], the caller's slice in its partitioned
+// order. An op column is never reordered: Results()[i] is the outcome
+// of Ops()[i], the i-th op as submitted.
 type BatchFuture struct {
 	ctx  context.Context
-	kind OpKind
+	kind OpKind // key columns only
 	enq  time.Time
 	keys []uint64
-	ops  []Op // write batches (ApplyBatch) only
+	// ops is an op column in submission order; perm groups it by shard
+	// without moving it — shard i drains ops[perm[j]] for j in
+	// bounds[i]..bounds[i+1], in submission order. futs is a point
+	// batch's slab, one Future per op carrying the op's own context and
+	// enqueue time; nil for ApplyBatch, whose ops share ctx and enq.
+	ops  []Op
+	perm []uint32
+	futs []Future
 	res  []Result
-	jres []JoinResult // join batches only
+	jres []JoinResult // join key columns, and op columns on a join service
 	// matches collects streamed join matches, one independently appended
 	// slice per shard (each written only by its owning shard goroutine).
 	matches [][]Match
-	// bounds[i]..bounds[i+1] is shard i's segment of keys.
+	// bounds[i]..bounds[i+1] is shard i's segment of keys (or of perm).
 	bounds  []int
 	err     error // ErrClosed when the submission never entered the service
 	pending atomic.Int32
 	dropped atomic.Uint64
 	done    chan struct{}
 	// snapSeq is the read horizon (latestSeq = read at the current commit
-	// horizon, loaded per shard segment); snap is an ephemeral pin taken
-	// at admission for an At-variant called with nil, released when the
-	// batch completes.
+	// horizon, loaded per shard segment or read run); snap is an
+	// ephemeral pin taken at admission (WithSnapshotReads, or an
+	// At-variant called with nil), released when the batch completes.
 	snapSeq uint64
 	snap    *Snap
 	// atomicSeq tags an ApplyBatchAtomic batch (0 = plain): its writes
@@ -78,30 +95,30 @@ func (bf *BatchFuture) Done() <-chan struct{} { return bf.done }
 
 // Keys returns the submitted keys in partitioned order. Valid after the
 // batch completes; the slice aliases the caller's submission. Nil for
-// write batches — use Ops.
+// op columns — use Ops.
 func (bf *BatchFuture) Keys() []uint64 { return bf.keys }
 
-// Ops returns a write batch's operations in partitioned order. Valid
-// after the batch completes; the slice aliases the caller's submission.
-// Nil for read batches.
+// Ops returns an op column's operations in submission order; the slice
+// aliases the caller's submission. Nil for key columns.
 func (bf *BatchFuture) Ops() []Op { return bf.ops }
 
-// Wait blocks until the batch completes and returns the per-key
-// dictionary results, aligned with Keys().
+// Wait blocks until the batch completes and returns the per-op
+// dictionary results, aligned with Keys() (a key column) or Ops() (an op
+// column).
 func (bf *BatchFuture) Wait() []Result {
 	<-bf.done
 	return bf.res
 }
 
-// WaitJoin blocks until the batch completes and returns the per-key
-// join outcomes, aligned with Keys(). Only meaningful for JoinBatch
-// submissions (nil otherwise).
+// WaitJoin blocks until the batch completes and returns the per-op join
+// outcomes, aligned like Wait. Only meaningful for JoinBatch, and for op
+// columns carrying OpJoin (nil otherwise).
 func (bf *BatchFuture) WaitJoin() []JoinResult {
 	<-bf.done
 	return bf.jres
 }
 
-// Dropped reports how many of the batch's keys were dropped before
+// Dropped reports how many of the batch's ops were dropped before
 // their shard drained them (context cancelled or deadline expired).
 // Valid after the batch completes.
 func (bf *BatchFuture) Dropped() int { return int(bf.dropped.Load()) }
@@ -109,9 +126,10 @@ func (bf *BatchFuture) Dropped() int { return int(bf.dropped.Load()) }
 // Matches streams the batch's join matches: one Match per (probe,
 // build tuple) pair, with per-match payloads rather than the
 // aggregates of WaitJoin. The sequence may be ranged repeatedly, each
-// pass from the start; iteration blocks until the batch completes. Matches are grouped by shard and, within a probe, in
-// build-chain order; use Probe to correlate with Keys(). Empty for
-// lookup batches.
+// pass from the start; iteration blocks until the batch completes.
+// Matches are grouped by shard and, within a probe, in build-chain
+// order; use Probe to correlate with Keys(). Empty for lookup batches
+// and op columns.
 func (bf *BatchFuture) Matches() iter.Seq[Match] {
 	return func(yield func(Match) bool) {
 		<-bf.done
@@ -203,14 +221,7 @@ func (s *Service) submitBatch(ctx context.Context, kind OpKind, keys, src []uint
 	n := len(keys)
 	s.admitGate.RLock()
 	defer s.admitGate.RUnlock()
-	if s.closed.Load() {
-		s.closedDrops.Add(uint64(n))
-		bf.err = ErrClosed
-		close(bf.done)
-		return bf
-	}
-	if n == 0 {
-		close(bf.done)
+	if s.refuse(bf, n) {
 		return bf
 	}
 	if pin {
@@ -234,9 +245,43 @@ func (s *Service) submitBatch(ctx context.Context, kind OpKind, keys, src []uint
 	return bf
 }
 
+// refuse completes a vectorized admission that never reaches a shard:
+// a closed service refuses its n ops with ErrClosed, and an empty column
+// completes at once. It reports whether bf was completed. The caller
+// holds the admission gate's read side.
+func (s *Service) refuse(bf *BatchFuture, n int) bool {
+	if s.closed.Load() {
+		s.closedDrops.Add(uint64(n))
+		bf.err = ErrClosed
+	} else if n > 0 {
+		return false
+	}
+	close(bf.done)
+	return true
+}
+
+// admitOps is the one admission body of an op column — a sealed point
+// batch or an ApplyBatch[Atomic] column: pin the read horizon when asked,
+// allocate the result columns, group the ops by shard and hand every
+// shard its segment.
+func (s *Service) admitOps(bf *BatchFuture, pin bool) {
+	n := len(bf.ops)
+	if pin {
+		bf.snap = s.Snapshot()
+		bf.snapSeq = bf.snap.Seq()
+	}
+	bf.res = make([]Result, n)
+	if s.hasBuild {
+		bf.jres = make([]JoinResult, n)
+	}
+	bf.perm = make([]uint32, n)
+	bf.bounds = groupByShard(bf.ops, bf.perm, len(s.shards))
+	s.dispatchSegments(bf, s.nextBatch(n))
+}
+
 // dispatchSegments hands a partitioned batch's non-empty segments to
-// their shards (blocking on shard back-pressure, like point dispatch),
-// stamping each segment's enqueue under the batch correlation id.
+// their shards (blocking on shard back-pressure), stamping each
+// segment's enqueue under the batch correlation id.
 func (s *Service) dispatchSegments(bf *BatchFuture, id uint64) {
 	nseg := int32(0)
 	for i := range s.shards {
@@ -253,58 +298,44 @@ func (s *Service) dispatchSegments(bf *BatchFuture, id uint64) {
 	}
 }
 
-// ApplyBatch admits one vectorized write batch: a column of OpInsert/
-// OpDelete operations partitioned in place by shard and applied by each
-// shard in op order. Ownership, blocking, and context semantics match
-// SubmitBatch; results are the per-op acknowledgements, aligned with
-// Ops(). A shard applies its whole segment between drains, so other
-// batches on that shard observe all of the segment's writes or none —
-// the per-shard atomicity the snapshot-consistency tests lean on (no
-// ordering is promised across shards). Like SubmitBatch, ApplyBatch may
-// race Close freely and refuses with ErrClosed. Read kinds panic: mixed
-// read/write columns go through point admission, which preserves
-// submission order.
+// ApplyBatch admits one op column: any mix of the kinds Submit accepts
+// (lookups, join probes on a service built WithBuild, inserts, deletes),
+// grouped by shard without being reordered and executed by each shard in
+// submission order — drops first, then each write at its position and
+// each maximal run of reads drained interleaved through the kernels, so
+// a read observes every earlier write to its key in the same column.
+// Results are aligned with ops as submitted. The service reads ops until
+// the batch completes; the caller must not modify the slice before then.
+// Context semantics match SubmitBatch: a ctx cancelled before a shard
+// drains its segment drops that segment's ops unprobed and unapplied.
+// A shard executes its whole segment between other batches, so they
+// observe all of the segment's writes or none — the per-shard atomicity
+// the snapshot-consistency tests lean on; no order is promised across
+// shards. Like SubmitBatch, ApplyBatch may race Close freely and refuses
+// with ErrClosed.
+//
+// Ordering contract: within one column, ops on the same shard — in
+// particular every op on one key — execute in submission order, so the
+// last submitted write to a key is the one that stays. Across calls,
+// per-key order is promised only after completion: a column admitted
+// after an earlier one's Wait returned observes all of its writes;
+// columns in flight together may apply in either order.
 func (s *Service) ApplyBatch(ctx context.Context, ops []Op) *BatchFuture {
 	for _, op := range ops {
-		if !op.Kind.IsWrite() {
-			panic("serve: ApplyBatch of read kind " + op.Kind.String())
-		}
 		s.checkOp(op)
 	}
-	bf := &BatchFuture{
-		ctx:     ctx,
-		kind:    OpInsert,
-		enq:     time.Now(),
-		ops:     ops,
-		done:    make(chan struct{}),
-		snapSeq: latestSeq,
-	}
-	s.admitGate.RLock()
-	defer s.admitGate.RUnlock()
-	if s.closed.Load() {
-		s.closedDrops.Add(uint64(len(ops)))
-		bf.err = ErrClosed
-		close(bf.done)
-		return bf
-	}
-	if len(ops) == 0 {
-		close(bf.done)
-		return bf
-	}
-	bf.res = make([]Result, len(ops))
-	bf.bounds = partitionByShard(ops, len(s.shards), func(o Op) uint64 { return o.Key })
-	s.dispatchSegments(bf, s.nextBatch(len(ops)))
-	return bf
+	return s.applyBatch(ctx, ops, false)
 }
 
 // ApplyBatchAtomic admits one cross-shard atomic write batch: the same
-// validation, ownership, and partitioning as ApplyBatch, but the batch's
-// writes are tagged with a fresh atomic seq and stay invisible — on
-// every shard — until the last segment lands and the commit queue
-// advances the commit horizon past the seq. A snapshot reader (the
-// At-suffixed reads, WithSnapshotReads) therefore observes all of the
-// batch or none of it; a latest reader loads the horizon per shard
-// segment and may see the batch appear between segments.
+// ownership, grouping and ordering as ApplyBatch over a column of
+// OpInsert/OpDelete only (read kinds panic), but the batch's writes are
+// tagged with a fresh atomic seq and stay invisible — on every shard —
+// until the last segment lands and the commit queue advances the commit
+// horizon past the seq. A snapshot reader (the At-suffixed reads,
+// WithSnapshotReads) therefore observes all of the batch or none of it;
+// a latest reader loads the horizon per shard segment and may see the
+// batch appear between segments.
 //
 // Cancellation is admission-time only: a ctx already cancelled refuses
 // the whole batch (every op Dropped, nothing applied), but once admitted
@@ -323,40 +354,25 @@ func (s *Service) ApplyBatchAtomic(ctx context.Context, ops []Op) *BatchFuture {
 		}
 		s.checkOp(op)
 	}
-	bf := &BatchFuture{
-		ctx:     ctx,
-		kind:    OpInsert,
-		enq:     time.Now(),
-		ops:     ops,
-		done:    make(chan struct{}),
-		snapSeq: latestSeq,
-	}
+	return s.applyBatch(ctx, ops, true)
+}
+
+// applyBatch admits a validated op column through the admission gate.
+func (s *Service) applyBatch(ctx context.Context, ops []Op, atomic bool) *BatchFuture {
+	bf := &BatchFuture{ctx: ctx, enq: time.Now(), ops: ops, done: make(chan struct{}), snapSeq: latestSeq}
 	s.admitGate.RLock()
 	defer s.admitGate.RUnlock()
-	if s.closed.Load() {
-		s.closedDrops.Add(uint64(len(ops)))
-		bf.err = ErrClosed
-		close(bf.done)
+	if s.refuse(bf, len(ops)) {
 		return bf
 	}
-	if len(ops) == 0 {
-		close(bf.done)
-		return bf
+	// A cancelled atomic column mints no seq, so the commit horizon
+	// cannot wedge behind it; it drains as a plain column, every op
+	// dropped.
+	if atomic && (ctx == nil || ctx.Err() == nil) {
+		bf.svc = s
+		bf.atomicSeq = s.atomSeq.Add(1)
 	}
-	if ctx != nil && ctx.Err() != nil {
-		bf.res = make([]Result, len(ops))
-		for i := range bf.res {
-			bf.res[i] = Result{Code: NotFound, Dropped: true}
-		}
-		bf.dropped.Store(uint64(len(ops)))
-		close(bf.done)
-		return bf
-	}
-	bf.svc = s
-	bf.atomicSeq = s.atomSeq.Add(1)
-	bf.res = make([]Result, len(ops))
-	bf.bounds = partitionByShard(ops, len(s.shards), func(o Op) uint64 { return o.Key })
-	s.dispatchSegments(bf, s.nextBatch(len(ops)))
+	s.admitOps(bf, !atomic && s.snapReads)
 	return bf
 }
 
@@ -387,8 +403,11 @@ func (s *Service) JoinBatchAt(ctx context.Context, keys []uint64, sn *Snap) *Bat
 // counting-sort permutation (American-flag style: one counting pass,
 // then cycle swaps within each shard's region) and returns the segment
 // bounds: shard i owns items[bounds[i]:bounds[i+1]]. keyOf extracts the
-// routing key (the identity for a key column, Op.Key for a write
-// column). Two O(Shards) allocations, none proportional to len(items).
+// routing key. Two O(Shards) allocations, none proportional to
+// len(items). The cycle swaps do not keep arrival order within a shard,
+// so it serves key columns only, where results realign through Keys();
+// op columns, whose writes must apply in submission order, go through
+// groupByShard.
 func partitionByShard[E any](items []E, nsh int, keyOf func(E) uint64) []int {
 	bounds := make([]int, nsh+1)
 	for _, it := range items {
@@ -436,6 +455,29 @@ func scatterByShard(src, dst []uint64, idx []uint32, nsh int) []int {
 		cur[sh] = d + 1
 		dst[d] = k
 		idx[d] = uint32(i)
+	}
+	return bounds
+}
+
+// groupByShard groups an op column by owning shard without moving it: a
+// counting pass, then a stable scatter of the op indices into perm
+// (scatterByShard's loop over indices instead of keys), so shard i
+// drains ops[perm[j]] for j in [bounds[i], bounds[i+1]) in submission
+// order. perm is len(ops); the bounds are partitionByShard's.
+func groupByShard(ops []Op, perm []uint32, nsh int) []int {
+	bounds := make([]int, nsh+1)
+	for _, op := range ops {
+		bounds[shardOf(op.Key, nsh)+1]++
+	}
+	for i := 1; i <= nsh; i++ {
+		bounds[i] += bounds[i-1]
+	}
+	cur := make([]int, nsh)
+	copy(cur, bounds[:nsh])
+	for i, op := range ops {
+		sh := shardOf(op.Key, nsh)
+		perm[cur[sh]] = uint32(i)
+		cur[sh]++
 	}
 	return bounds
 }

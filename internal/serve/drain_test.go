@@ -1,23 +1,25 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/native"
 	"repro/internal/nativejoin"
 )
 
-// This file pins the index's drains (lookupBatch, the join
-// drainBatch/drainSegment, scanRanges) to their sequential
+// This file pins the drains (lookupBatch, the op-column drain and the
+// join's key-column drainSegment, scanRanges) to their sequential
 // references — native.Baseline behind the delta, Table.ProbeEach in chain
 // order, native.RangeSeekScan — over every batch shape the flat scheduler
 // treats differently: group 1…MaxGroup+1, n around the group, inputs that
-// decline their start (dropped futures, delta hits and tombstones, an
-// empty table, inverted ranges) at the first, last and every position,
-// and duplicate keys.
+// decline their start (dropped ops, delta hits and tombstones, an empty
+// table, inverted ranges) at the first, last and every position, and
+// duplicate keys.
 
 // drainWorld is one shard's data as the drains see it.
 type drainWorld struct {
@@ -98,6 +100,21 @@ func pageKeys(table []uint64) []uint64 {
 	return keys
 }
 
+// shard is a one-shard host for the op-column drain over the world: its
+// epoch serves the world's index, its live delta is the world's delta
+// part, its group is fixed at group, and rebuilds are off.
+func (w *drainWorld) shard(group int) *shard {
+	sh := &shard{ctl: newController(Config{}), met: &shardMetrics{}, rebuildAt: -1, hz: new(atomic.Uint64), pins: &pinSet{}}
+	sh.ctl.group.Store(int32(group))
+	if len(w.dv.parts) > 0 {
+		sh.delta = w.dv.parts[0]
+	}
+	ep := &epochState{idx: w.x}
+	sh.epoch.Store(ep)
+	sh.retained = []*epochState{ep}
+	return sh
+}
+
 // index completes a world over its table: the build side (chains of
 // multiplicity 0..3 hang off table codes and delta codes alike, so they
 // diverge), part as the delta, and the index.
@@ -145,8 +162,8 @@ func (w *drainWorld) join(key uint64) (JoinResult, []uint32) {
 }
 
 // checkDrains runs every drain over keys at the given group and
-// compares each against its reference. A masked input has its future
-// dropped in drainBatch and its range inverted in scanRanges (the key-driven
+// compares each against its reference. A masked input has its op's
+// context cancelled in drainOps and its range inverted in scanRanges (the key-driven
 // declines — delta hits, tombstones, the empty table — follow from the
 // keys themselves).
 func checkDrains(t *testing.T, w *drainWorld, keys []uint64, group int, masked func(i int) bool) {
@@ -161,35 +178,62 @@ func checkDrains(t *testing.T, w *drainWorld, keys []uint64, group int, masked f
 		}
 	}
 
-	// drainBatch: point futures, lookups and joins alternating.
-	sub := make([]*Future, n)
-	for i, k := range keys {
-		kind := OpLookup
-		if i%2 == 1 {
-			kind = OpJoin
-		}
-		sub[i] = &Future{op: Op{Kind: kind, Key: k}, dropped: masked(i)}
+	// drainOps: a point batch's op column, lookups and joins
+	// alternating, behind two ops of another shard's segment, so results
+	// must land by index; a masked op's context is cancelled.
+	const lo = 2
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	bf := &BatchFuture{
+		ops:     make([]Op, lo+n),
+		perm:    make([]uint32, lo+n),
+		futs:    make([]Future, lo+n),
+		res:     make([]Result, lo+n),
+		jres:    make([]JoinResult, lo+n),
+		done:    make(chan struct{}),
+		snapSeq: latestSeq,
 	}
-	var ps pointScratch
-	gk, gout, live := ps.gather(sub)
-	w.x.drainBatch(w.dv, live, gk, group, gout)
-	for i, f := range sub {
-		wantRes, wantJoin := w.lookup(f.op.Key), JoinResult{}
-		if f.op.Kind == OpJoin {
-			wantJoin, _ = w.join(f.op.Key)
+	for i := range bf.ops {
+		bf.perm[i] = uint32(i)
+		bf.ops[i] = Op{Kind: OpLookup, Key: ^uint64(0)}
+		if j := i - lo; j >= 0 {
+			bf.ops[i].Key = keys[j]
+			if j%2 == 1 {
+				bf.ops[i].Kind = OpJoin
+			}
+			if masked(j) {
+				bf.futs[i].ctx = cancelled
+			}
 		}
-		if f.dropped {
-			wantRes, wantJoin = Result{}, JoinResult{} // never probed
+	}
+	bf.pending.Store(1)
+	w.shard(group).drainOps(bf, lo, lo+n, 0)
+	for i, op := range bf.ops {
+		var wantRes Result
+		var wantJoin JoinResult
+		switch {
+		case i < lo: // another shard's op: untouched
+		case masked(i - lo): // never probed
+			wantRes, wantJoin = Result{Code: NotFound, Dropped: true}, JoinResult{Code: NotFound, Dropped: true}
+		case op.Kind == OpJoin:
+			wantRes = w.lookup(op.Key)
+			wantJoin, _ = w.join(op.Key)
+		default:
+			wantRes = w.lookup(op.Key)
 		}
-		if f.res != wantRes || f.jres != wantJoin {
-			t.Fatalf("drainBatch g=%d n=%d: future[%d] key %d dropped=%v → %+v %+v, want %+v %+v",
-				group, n, i, f.op.Key, f.dropped, f.res, f.jres, wantRes, wantJoin)
+		if bf.res[i] != wantRes || bf.jres[i] != wantJoin {
+			t.Fatalf("drainOps g=%d n=%d: op[%d] %v %d → %+v %+v, want %+v %+v",
+				group, n, i, op.Kind, op.Key, bf.res[i], bf.jres[i], wantRes, wantJoin)
 		}
+	}
+	select {
+	case <-bf.done:
+	default:
+		t.Fatalf("drainOps g=%d n=%d: the batch's only segment did not complete it", group, n)
 	}
 
 	// drainSegment: the segment sits at an offset inside its batch, so
 	// result and match indices must be batch-relative.
-	const lo = 2
 	for _, kind := range []OpKind{OpLookup, OpJoin} {
 		bf := &BatchFuture{
 			kind:    kind,
@@ -335,7 +379,7 @@ func FuzzDrainEquivalence(f *testing.F) {
 }
 
 // TestDrainKernelsAllocFree: once the slots have grown to the group, a
-// drain of any of the three kernels allocates nothing — no handle, no
+// drain of any of the kernels allocates nothing — no handle, no
 // per-slot frame, and the start/sink closures stay on the stack.
 func TestDrainKernelsAllocFree(t *testing.T) {
 	w := newDrainWorld(drainTableLen, true)
@@ -352,8 +396,18 @@ func TestDrainKernelsAllocFree(t *testing.T) {
 	}
 	limits := make([]int, n)
 	pairs := make([][]native.Pair, n)
+	col := &BatchFuture{ops: make([]Op, n), res: make([]Result, n), jres: make([]JoinResult, n)}
+	pos := make([]uint32, n)
+	for i, k := range keys {
+		col.ops[i] = Op{Kind: OpLookup, Key: k}
+		if i%2 == 1 {
+			col.ops[i].Kind = OpJoin
+		}
+		pos[i] = uint32(i)
+	}
 	for name, drain := range map[string]func(){
 		"lookupBatch":  func() { w.x.lookupBatch(w.dv, keys, group, out) },
+		"drainOps":     func() { w.x.drainOps(w.dv, col, pos, keys, group, out) },
 		"drainSegment": func() { bf.matches[0] = bf.matches[0][:0]; w.x.drainSegment(w.dv, bf, 0, 0, n, group) },
 		"scanRanges": func() {
 			for i := range pairs {

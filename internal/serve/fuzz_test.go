@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -38,46 +39,60 @@ func FuzzBatchPartition(f *testing.F) {
 	})
 }
 
-// FuzzOpBatchPartition is the same fuzz over the Op-column instantiation
-// ApplyBatch uses: routing must agree with the key column's for equal
-// keys, and the (key, val, kind) triples must travel together.
+// FuzzOpBatchPartition fuzzes the op-column grouping behind ApplyBatch
+// and the sealed point batches, groupByShard: for arbitrary op columns
+// and shard counts the column itself is left untouched, perm is a
+// permutation of its indices, the bounds tile [0, n] monotonically and
+// agree with the key column's partition of the same keys, every op lands
+// in the segment of the shard its key hashes to, and within each segment
+// the ops keep submission order — the property that makes the last
+// submitted write to a key the one that stays, and that the in-place
+// cycle swap of partitionByShard does not have.
 func FuzzOpBatchPartition(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 0, 3, 0, 1, 1}, uint8(3))
 	f.Add([]byte{9, 9, 9, 9}, uint8(1))
 	f.Add([]byte{}, uint8(5))
+	f.Add([]byte{1, 1, 2, 2, 3, 3, 4, 4, 1, 5, 2, 6, 3, 7, 4, 8, 5, 9, 6, 10}, uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, nshRaw uint8) {
 		nsh := int(nshRaw%8) + 1
 		n := len(data) / 2
 		ops := make([]Op, n)
-		type sig struct {
-			key  uint64
-			val  uint32
-			kind OpKind
-		}
-		freq := map[sig]int{}
-		for i := 0; i < n; i++ {
+		keys := make([]uint64, n)
+		for i := range ops {
 			ops[i] = Op{Kind: OpInsert, Key: uint64(data[2*i]), Val: uint32(data[2*i+1])}
 			if data[2*i+1]%3 == 0 {
 				ops[i].Kind = OpDelete
 			}
-			freq[sig{ops[i].Key, ops[i].Val, ops[i].Kind}]++
+			keys[i] = ops[i].Key
 		}
-		bounds := partitionByShard(ops, nsh, func(o Op) uint64 { return o.Key })
-		if len(bounds) != nsh+1 || bounds[0] != 0 || bounds[nsh] != n {
-			t.Fatalf("nsh=%d n=%d: bounds %v do not tile", nsh, n, bounds)
+		orig := slices.Clone(ops)
+		perm := make([]uint32, n)
+		bounds := groupByShard(ops, perm, nsh)
+		if !slices.Equal(ops, orig) {
+			t.Fatalf("nsh=%d n=%d: the op column was reordered", nsh, n)
+		}
+		if want := partitionByShard(keys, nsh, func(k uint64) uint64 { return k }); !slices.Equal(bounds, want) {
+			t.Fatalf("nsh=%d n=%d: bounds %v, key partition %v", nsh, n, bounds, want)
+		}
+		seen := make([]bool, n)
+		for _, i := range perm {
+			if int(i) >= n || seen[i] {
+				t.Fatalf("nsh=%d n=%d: perm %v is not a permutation of 0..%d", nsh, n, perm, n-1)
+			}
+			seen[i] = true
 		}
 		for sh := 0; sh < nsh; sh++ {
-			for i := bounds[sh]; i < bounds[sh+1]; i++ {
-				if got := shardOf(ops[i].Key, nsh); got != sh {
-					t.Fatalf("nsh=%d: ops[%d] key %d in segment %d, hashes to %d",
-						nsh, i, ops[i].Key, sh, got)
-				}
-				freq[sig{ops[i].Key, ops[i].Val, ops[i].Kind}]--
+			if bounds[sh+1] < bounds[sh] {
+				t.Fatalf("nsh=%d n=%d: bounds %v not monotone", nsh, n, bounds)
 			}
-		}
-		for s, c := range freq {
-			if c != 0 {
-				t.Fatalf("nsh=%d: op %+v count off by %d after permutation", nsh, s, c)
+			seg := perm[bounds[sh]:bounds[sh+1]]
+			for _, i := range seg {
+				if got := shardOf(ops[i].Key, nsh); got != sh {
+					t.Fatalf("nsh=%d: op %d key %d in segment %d, hashes to %d", nsh, i, ops[i].Key, sh, got)
+				}
+			}
+			if !slices.IsSorted(seg) {
+				t.Fatalf("nsh=%d n=%d: segment %d not in submission order: %v", nsh, n, sh, seg)
 			}
 		}
 	})

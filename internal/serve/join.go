@@ -17,13 +17,13 @@ import (
 // dictionary lookup pipes its code into the hash probe without leaving
 // the shard.
 //
-// Stage 1 resolves the whole segment (or point run) to codes through the
-// very lookupBatch a lookup service runs — delta first, then the
-// two-level search over the dictionary partition (the page sample in
-// lockstep, then an interleaved binary search inside one page) — so
-// joins stay consistent with lookups on a service whose dictionary
-// mutates, and a plain lookup on a join service costs what it costs on a
-// lookup service.
+// Stage 1 resolves the whole segment (or an op column's read run) to
+// codes through the very lookupBatch a lookup service runs — delta
+// first, then the two-level search over the dictionary partition (the
+// page sample in lockstep, then an interleaved binary search inside one
+// page) — so joins stay consistent with lookups on a service whose
+// dictionary mutates, and a plain lookup on a join service costs what it
+// costs on a lookup service.
 // Stage 2 walks the hash chains of the keys stage 1 found, one small
 // probeFrame each; a delta hit carries its delta code into the walk, a
 // tombstone or a miss never gets that far. The stages suspend where their
@@ -88,39 +88,39 @@ func (f *probeFrame) Step() (nativejoin.Result, bool) {
 	return r, done
 }
 
-// drainBatch resolves one point run's live futures — keys and out are
-// their gathered key and result columns — against the given delta view
-// and completes their result fields (not their done channels — the shard
-// closes those after recording latency). Stage 1 answers every key; on a
-// join service stage 2 then walks the chains of the join probes it
-// found.
+// drainOps resolves one gathered read run of an op column against the
+// given delta view: keys[j] is the key of op pos[j], and out is stage
+// 1's scratch result column. Results land by index in the column's res
+// (and jres); stage 1 answers every key, and on a join service stage 2
+// then walks the chains of the join probes it found.
 //
 //isi:hotpath
-func (x *index) drainBatch(dv deltaView, live []*Future, keys []uint64, group int, out []Result) {
+func (x *index) drainOps(dv deltaView, bf *BatchFuture, pos []uint32, keys []uint64, group int, out []Result) {
 	x.lookupBatch(dv, keys, group, out)
-	for i, f := range live {
-		f.res = out[i] // stage 1's answer, for lookups and joins alike
+	for j, i := range pos {
+		bf.res[i] = out[j] // stage 1's answer, for lookups and joins alike
 	}
 	if x.jt == nil {
 		return
 	}
-	coro.DrainFlat(&x.slots.probes, len(live), group,
-		//isi:allow-alloc(two closures per batch over the batch's columns, called and not retained by DrainFlat; O(1) per batch, not per key)
-		func(fr *probeFrame, i int) bool {
-			f := live[i]
-			if f.op.Kind != OpJoin {
+	coro.DrainFlat(&x.slots.probes, len(pos), group,
+		//isi:allow-alloc(two closures per run over the run's columns, called and not retained by DrainFlat; O(1) per run, not per key)
+		func(fr *probeFrame, j int) bool {
+			i := pos[j]
+			if bf.ops[i].Kind != OpJoin {
 				return false
 			}
-			f.jres = JoinResult{Code: out[i].Code}
-			if !out[i].Found {
+			bf.jres[i] = JoinResult{Code: out[j].Code}
+			if !out[j].Found {
 				return false
 			}
-			*fr = probeFrame{jt: x.jt, cur: x.jt.Start(uint64(out[i].Code))}
+			*fr = probeFrame{jt: x.jt, cur: x.jt.Start(uint64(out[j].Code))}
 			return true
 		},
 		//isi:allow-alloc(see the start closure above)
-		func(i int, r nativejoin.Result) {
-			live[i].jres.Hits, live[i].jres.Agg = r.Hits, r.Agg
+		func(j int, r nativejoin.Result) {
+			i := pos[j]
+			bf.jres[i].Hits, bf.jres[i].Agg = r.Hits, r.Agg
 		})
 }
 

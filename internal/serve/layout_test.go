@@ -24,9 +24,12 @@ func TestHotStructLayout(t *testing.T) {
 		// One delta entry: 8+4+1+8 packs to 24 with key/val/del/seq —
 		// no order does better (21 payload bytes, 8-byte alignment).
 		{"writeEntry", unsafe.Sizeof(writeEntry{}), 24},
-		// One shard queue message: exactly one cache line, no padding
-		// (a 3-word slice header plus five 8-byte words).
-		{"shardMsg", unsafe.Sizeof(shardMsg{}), 64},
+		// One shard queue message: two pointers and three 8-byte words,
+		// no padding.
+		{"shardMsg", unsafe.Sizeof(shardMsg{}), 40},
+		// One point request's slot in its batch's slab: batch pointer and
+		// index, the 32-byte op, its context and enqueue time.
+		{"Future", unsafe.Sizeof(Future{}), 88},
 		// One point outcome; also the element of vectorized result
 		// columns.
 		{"Result", unsafe.Sizeof(Result{}), 8},

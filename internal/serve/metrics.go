@@ -97,7 +97,6 @@ type shardMetrics struct {
 	deletes      obs.Counter
 	wBusyNS      obs.Counter
 	stalls       obs.Counter
-	stallNS      obs.Counter
 	deltaLen     obs.Gauge
 	genDepth     obs.Gauge
 	retainedEp   obs.Gauge
@@ -131,7 +130,6 @@ func (m *shardMetrics) register(reg *obs.Registry, shard int) {
 	reg.RegisterCounter(obs.Name("serve_deletes", "shard", s), &m.deletes)
 	reg.RegisterCounter(obs.Name("serve_write_busy_ns", "shard", s), &m.wBusyNS)
 	reg.RegisterCounter(obs.Name("serve_write_stalls", "shard", s), &m.stalls)
-	reg.RegisterCounter(obs.Name("serve_write_stall_ns", "shard", s), &m.stallNS)
 	reg.RegisterGauge(obs.Name("serve_delta_len", "shard", s), &m.deltaLen)
 	reg.RegisterGauge(obs.Name("serve_frozen_gens", "shard", s), &m.genDepth)
 	reg.RegisterGauge(obs.Name("serve_retained_epochs", "shard", s), &m.retainedEp)
@@ -179,8 +177,7 @@ func (m *shardMetrics) recordWriteBusy(busy time.Duration) {
 // recordWriteStall counts one degraded-mode tick: a generation froze
 // while the backlog behind the in-flight merge already exceeded the
 // fence. Nothing waited — the write proceeded — so no duration is
-// recorded; stallNS stays registered (and zero) for exposition
-// continuity with the old parking write path.
+// recorded.
 func (m *shardMetrics) recordWriteStall() {
 	m.stalls.Add(1)
 }
@@ -304,15 +301,13 @@ type ShardStats struct {
 	// refilling delta now freezes another generation instead of parking
 	// the shard, and the counter only ticks when a freeze finds the
 	// generation backlog behind the in-flight merge beyond the fence.
-	// WriteStall (total parked time) is always zero since the never-stall
-	// rework; it is retained for report compatibility. FrozenGens is the
-	// current frozen-generation queue depth, RetainedEpochs the
-	// multi-version retained-epoch ring depth after the last reclaim.
+	// FrozenGens is the current frozen-generation queue depth,
+	// RetainedEpochs the multi-version retained-epoch ring depth after the
+	// last reclaim.
 	Inserts        uint64
 	Deletes        uint64
 	WriteBusy      time.Duration
 	WriteStalls    uint64
-	WriteStall     time.Duration
 	DeltaLen       int
 	FrozenGens     int
 	RetainedEpochs int
@@ -345,7 +340,6 @@ func (m *shardMetrics) snapshot(id int) ShardStats {
 		Deletes:         m.deletes.Load(),
 		WriteBusy:       time.Duration(m.wBusyNS.Load()),
 		WriteStalls:     m.stalls.Load(),
-		WriteStall:      time.Duration(m.stallNS.Load()),
 		DeltaLen:        int(m.deltaLen.Load()),
 		FrozenGens:      int(m.genDepth.Load()),
 		RetainedEpochs:  int(m.retainedEp.Load()),
@@ -440,15 +434,13 @@ type Stats struct {
 	PerOp    OpLatencies
 	// Inserts/Deletes count applied writes service-wide, WriteBusy their
 	// total apply time; WriteStalls the degraded-mode generation-backlog
-	// ticks (writes never park; WriteStall is always zero and retained
-	// for report compatibility); Rebuilds the installed epoch rebuilds,
+	// ticks (writes never park); Rebuilds the installed epoch rebuilds,
 	// RebuildPause their total install pause and MaxRebuildPause the
 	// worst single pause on any shard.
 	Inserts         uint64
 	Deletes         uint64
 	WriteBusy       time.Duration
 	WriteStalls     uint64
-	WriteStall      time.Duration
 	Rebuilds        uint64
 	RebuildPause    time.Duration
 	MaxRebuildPause time.Duration

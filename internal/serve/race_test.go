@@ -265,7 +265,7 @@ func TestShedAccounting(t *testing.T) {
 // and asserts the multi-version pipeline absorbs all of it without a
 // single stall: generations queue behind the in-flight merge, writes
 // keep landing, and WriteStalls (now the degraded-backlog counter)
-// stays zero. The stall duration gauge must be gone for good.
+// stays zero.
 func TestWriteStormNeverStalls(t *testing.T) {
 	s, err := New(testDomain(64, 1), WithShards(1), WithRebuildThreshold(2))
 	if err != nil {
@@ -293,9 +293,6 @@ func TestWriteStormNeverStalls(t *testing.T) {
 	}
 	if st.WriteStalls != 0 {
 		t.Fatalf("write storm hit the degraded backlog %d times (rebuilds %d) — writes must never stall", st.WriteStalls, st.Rebuilds)
-	}
-	if st.WriteStall != 0 {
-		t.Fatalf("stall duration recorded (%v) but no write ever parks", st.WriteStall)
 	}
 	if st.WriteBusy <= 0 {
 		t.Fatal("write storm recorded no write-apply time")

@@ -6,14 +6,18 @@
 // IN-predicate's values against a dictionary, an ordered range scan, or
 // a dictionary write — insert or delete) and arrive three ways:
 //
-//   - Point admission (Submit/Go/GoJoin/Insert/Delete): one key per
+//   - Point admission (Submit/Go/GoJoin/Insert/Delete): one op per
 //     call, accumulated by a group-commit style batcher bounded in both
-//     size and time.
+//     size and time into an op column; a Future is an index into the
+//     sealed column, completed with it.
 //   - Vectorized admission (SubmitBatch/GoBatch/JoinBatch/ApplyBatch): a
-//     whole probe (or write) column per call — the paper's index join is
-//     a column operator, so a client that already holds the probe vector
-//     submits it in one O(1)-allocation call instead of paying a Future
-//     per key and making the batcher re-assemble a batch it already had.
+//     whole key column, or a whole op column of any point kinds, per
+//     call — the paper's index join is a column operator, so a client
+//     that already holds the column submits it in one O(1)-allocation
+//     call instead of making the batcher re-assemble a batch it already
+//     had. An op column (ApplyBatch, and every sealed point batch)
+//     executes per shard in submission order: a read observes the
+//     writes submitted before it.
 //   - Range admission (Range/RangeBatch): ordered scans of [lo, hi]
 //     fanned out to every shard (a range cannot be hash-routed), seeked
 //     through the interleaved kernels, merged with the write deltas, and
@@ -37,17 +41,17 @@
 // seq commits — a snapshot reader observes all of a cross-shard atomic
 // batch or none of it.
 //
-// Either way, requests are hash-partitioned across per-core shards
-// (vectorized batches are partitioned in place) and drained through the
-// coroutine-interleaved kernels of one native index per shard
-// (coro.DrainFlat over internal/native frames on real memory). The
-// paper's experiments run on the simulated machine of internal/exp
-// instead; serving has one execution path per operation. Each shard's
-// interleaving group size is tuned online by a hill-climbing controller
-// on the measured per-batch drain time, instead of hard-coding the
-// paper's group of 6: the optimal group shifts with index size, index
-// type, and batch shape, which is exactly the paper's point about
-// robustness.
+// Either way, requests are hash-partitioned across per-core shards (key
+// columns in place, op columns through an order-keeping index
+// permutation) and drained through the coroutine-interleaved kernels of
+// one native index per shard (coro.DrainFlat over internal/native frames
+// on real memory). The paper's experiments run on the simulated machine
+// of internal/exp instead; serving has one execution path per operation.
+// Each shard's interleaving group size is tuned online by a
+// hill-climbing controller on the measured per-batch drain time, instead
+// of hard-coding the paper's group of 6: the optimal group shifts with
+// index size, index type, and batch shape, which is exactly the paper's
+// point about robustness.
 //
 // Admission is context-aware: every submission carries a context.Context,
 // and a request whose context is cancelled or past its deadline by the
@@ -170,23 +174,18 @@ type Result struct {
 	Dropped bool
 }
 
-// Future is one in-flight point request — completed by a shard;
-// Wait/WaitJoin block until the result is available.
+// Future is one in-flight point request: an index into the slab of the
+// admission batch the batcher sealed it into, next to the op, its
+// context and its enqueue time. A Submit allocates nothing of its own and
+// owns no channel; the request completes, by index into the batch's
+// result columns, when the whole sealed batch does. Wait/WaitJoin block
+// until then.
 type Future struct {
-	op      Op
-	ctx     context.Context
-	enq     time.Time
-	res     Result
-	jres    JoinResult
-	err     error // ErrClosed when the submission never entered the service
-	done    chan struct{}
-	dropped bool // set by the owning shard before done closes
-	// snapSeq is the read horizon: latestSeq (read at the current commit
-	// horizon, the default) or the pinned seq a WithSnapshotReads
-	// admission batch captured. snapRef releases that batch's shared pin
-	// once every future of the batch completes.
-	snapSeq uint64
-	snapRef *snapRef
+	bf  *BatchFuture
+	i   int
+	op  Op
+	ctx context.Context
+	enq time.Time
 }
 
 // Op returns the submitted operation.
@@ -198,15 +197,18 @@ func (f *Future) Key() uint64 { return f.op.Key }
 // Wait blocks until the request completes and returns its dictionary
 // result (for a join probe, the code-resolution part of the outcome).
 func (f *Future) Wait() Result {
-	<-f.done
-	return f.res
+	<-f.bf.done
+	return f.bf.res[f.i]
 }
 
 // WaitJoin blocks until the request completes and returns the full join
 // outcome. Only meaningful for futures created by GoJoin.
 func (f *Future) WaitJoin() JoinResult {
-	<-f.done
-	return f.jres
+	<-f.bf.done
+	if f.bf.jres == nil {
+		return JoinResult{}
+	}
+	return f.bf.jres[f.i]
 }
 
 // Err blocks until the request completes and reports whether the
@@ -215,19 +217,24 @@ func (f *Future) WaitJoin() JoinResult {
 // dropped by its own context completes with a Dropped result, not an
 // error.
 func (f *Future) Err() error {
-	<-f.done
-	return f.err
+	<-f.bf.done
+	return f.bf.err
 }
 
-// fail completes the future admission-side with err and a Dropped
-// result; the request never reached a shard.
-func (f *Future) fail(err error) {
-	f.err = err
-	f.res = Result{Code: NotFound, Dropped: true}
-	if f.op.Kind == OpJoin {
-		f.jres = JoinResult{Code: NotFound, Dropped: true}
+// refused is a point request refused at admission: a completed batch of
+// one carrying err and a Dropped result; the request never reached a
+// shard.
+func refused(op Op, err error) *Future {
+	bf := &BatchFuture{
+		ops:  []Op{op},
+		res:  []Result{{Code: NotFound, Dropped: true}},
+		jres: []JoinResult{{Code: NotFound, Dropped: true}},
+		err:  err,
+		done: make(chan struct{}),
 	}
-	close(f.done)
+	close(bf.done)
+	bf.futs = []Future{{bf: bf, op: op}}
+	return &bf.futs[0]
 }
 
 // Config tunes the service. Zero numeric fields take the DefaultConfig
@@ -239,8 +246,9 @@ type Config struct {
 	Shards int
 	// MaxBatch seals an admission batch when it reaches this many
 	// requests; MaxWait seals a non-empty batch after this long even if
-	// it is smaller (group-commit semantics). Vectorized submissions
-	// bypass the batcher entirely.
+	// it is smaller (group-commit semantics). A sealed batch is an op
+	// column, admitted like an ApplyBatch; vectorized submissions bypass
+	// the batcher entirely.
 	MaxBatch int
 	MaxWait  time.Duration
 	// Group is the initial interleaving group size per shard; the
@@ -609,18 +617,22 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 // Range/RangeBatch (a range fans out to every shard and cannot be
 // routed by key).
 //
-// Ordering: a shard executes its requests in admission-batch order, and
-// in submission order within a batch, so a single client that waits for
-// a write before issuing a read observes the write (read-your-writes per
-// key); concurrent clients race at admission as usual.
+// The group-commit batcher appends the op to the open admission batch,
+// and the sealed batch is one op column, admitted and drained exactly
+// like an ApplyBatch column (see its ordering contract): within a batch
+// a shard executes its ops in submission order, and batches in the
+// order they were sealed, so a single client that waits for a write
+// before issuing a read observes the write (read-your-writes per key);
+// concurrent clients race at admission as usual.
 func (s *Service) Submit(ctx context.Context, op Op) *Future {
 	s.checkOp(op)
-	f := &Future{op: op, ctx: ctx, enq: time.Now(), done: make(chan struct{}), snapSeq: latestSeq}
-	if s.closed.Load() || !s.b.add(f) {
-		s.closedDrops.Inc()
-		f.fail(ErrClosed)
+	if !s.closed.Load() {
+		if f := s.b.add(Future{op: op, ctx: ctx, enq: time.Now()}); f != nil {
+			return f
+		}
 	}
-	return f
+	s.closedDrops.Inc()
+	return refused(op, ErrClosed)
 }
 
 // Shed records n requests dropped by an admission front-end before they
@@ -698,33 +710,19 @@ func (s *Service) Delete(ctx context.Context, key uint64) *Future {
 	return s.Submit(ctx, Op{Kind: OpDelete, Key: key})
 }
 
-// dispatch hash-partitions one sealed admission batch into per-shard
-// sub-batches. Sends block when a shard queue is full — admission
-// back-pressure. Under WithSnapshotReads the sealed batch pins the
-// commit horizon once, shared by every future in it and released when
-// the last one completes; the pin happens here (after admission
-// succeeded) so refused futures never pin.
-func (s *Service) dispatch(batch []*Future) {
-	id := s.nextBatch(len(batch))
-	if s.snapReads && len(batch) > 0 {
-		ref := &snapRef{sn: s.Snapshot()}
-		ref.n.Store(int32(len(batch)))
-		for _, f := range batch {
-			f.snapSeq = ref.sn.Seq()
-			f.snapRef = ref
-		}
+// dispatch admits one sealed point batch: the ops of its slab become
+// the batch's op column, admitted by the same body as an ApplyBatch
+// column. It takes no admission gate — the batcher's own close ordering
+// flushes the last batch before Close shuts the shard queues. Under
+// WithSnapshotReads the batch pins the commit horizon once, released
+// when its last segment completes; the pin happens here (after
+// admission succeeded) so refused futures never pin.
+func (s *Service) dispatch(bf *BatchFuture) {
+	bf.ops = make([]Op, len(bf.futs))
+	for i := range bf.futs {
+		bf.ops[i] = bf.futs[i].op
 	}
-	subs := make([][]*Future, len(s.shards))
-	for _, f := range batch {
-		i := shardOf(f.op.Key, len(s.shards))
-		subs[i] = append(subs[i], f)
-	}
-	for i, sub := range subs {
-		if len(sub) > 0 {
-			s.shards[i].ring.Record(obs.SpanEnqueue, i, id, len(sub), 0)
-			s.shards[i].in <- shardMsg{sub: sub, id: id}
-		}
-	}
+	s.admitOps(bf, s.snapReads)
 }
 
 // Close seals the pending admission batch, drains every shard, and stops
@@ -773,7 +771,6 @@ func (s *Service) Stats() Stats {
 		st.Deletes += ss.Deletes
 		st.WriteBusy += ss.WriteBusy
 		st.WriteStalls += ss.WriteStalls
-		st.WriteStall += ss.WriteStall
 		st.Rebuilds += ss.Rebuilds
 		st.RebuildPause += ss.RebuildPause
 		if ss.MaxRebuildPause > st.MaxRebuildPause {

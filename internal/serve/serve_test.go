@@ -519,14 +519,16 @@ func TestSubmitUnknownOpKindPanics(t *testing.T) {
 
 func TestBatcherSizeBound(t *testing.T) {
 	var mu sync.Mutex
-	var batches [][]*Future
-	b := newBatcher(4, time.Hour, func(fs []*Future) {
+	var batches []*BatchFuture
+	b := newBatcher(4, time.Hour, func(bf *BatchFuture) {
 		mu.Lock()
-		batches = append(batches, fs)
+		batches = append(batches, bf)
 		mu.Unlock()
 	})
 	for i := 0; i < 10; i++ {
-		b.add(&Future{op: Op{Key: uint64(i)}})
+		if f := b.add(Future{op: Op{Key: uint64(i)}}); f.bf.futs[f.i].op.Key != uint64(i) || f.Key() != uint64(i) {
+			t.Fatalf("add %d: future is not its slab slot", i)
+		}
 	}
 	mu.Lock()
 	got := len(batches)
@@ -537,19 +539,22 @@ func TestBatcherSizeBound(t *testing.T) {
 	b.close()
 	mu.Lock()
 	defer mu.Unlock()
-	if len(batches) != 3 || len(batches[2]) != 2 {
-		t.Fatalf("close flushed %d batches (last size %d), want 3 with trailing 2", len(batches), len(batches[len(batches)-1]))
+	if len(batches) != 3 || len(batches[2].futs) != 2 {
+		t.Fatalf("close flushed %d batches (last size %d), want 3 with trailing 2", len(batches), len(batches[len(batches)-1].futs))
+	}
+	if b.add(Future{op: Op{Key: 99}}) != nil {
+		t.Fatal("add after close was not refused")
 	}
 }
 
 func TestBatcherTimeBound(t *testing.T) {
-	done := make(chan []*Future, 1)
-	b := newBatcher(1000, 5*time.Millisecond, func(fs []*Future) { done <- fs })
-	b.add(&Future{op: Op{Key: 1}})
+	done := make(chan *BatchFuture, 1)
+	b := newBatcher(1000, 5*time.Millisecond, func(bf *BatchFuture) { done <- bf })
+	b.add(Future{op: Op{Key: 1}})
 	select {
-	case fs := <-done:
-		if len(fs) != 1 {
-			t.Fatalf("timer flushed %d requests, want 1", len(fs))
+	case bf := <-done:
+		if len(bf.futs) != 1 {
+			t.Fatalf("timer flushed %d requests, want 1", len(bf.futs))
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("maxWait timer never sealed the batch")

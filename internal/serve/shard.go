@@ -50,8 +50,8 @@ type shard struct {
 	// viewParts is the scratch part list viewAt rebuilds per drain run.
 	viewParts [][]writeEntry
 
-	// Point-path scratch, reused across sub-batches (shard-local).
-	pt pointScratch
+	// Op-drain scratch, reused across read runs (shard-local).
+	runs runScratch
 
 	// Range-path scratch: per-range snapshot pairs and kernel limits,
 	// reused across range batches.
@@ -68,25 +68,21 @@ type shard struct {
 	opCtx   [nOpClasses]context.Context
 }
 
-// shardMsg is one unit of shard work: a point sub-batch (sub), a
-// contiguous segment [lo, hi) of a vectorized batch's partitioned key
-// (or op) column (bf), or a whole range batch (rf — every shard scans
-// every range, so range messages carry no segment bounds). Sent by
-// value, so vectorized dispatch allocates nothing per shard. id is the
-// service-wide batch correlation id stamped into the span rings (0 when
-// observation is off).
-
+// shardMsg is one unit of shard work: a contiguous segment [lo, hi) of
+// a column (bf) — of its partitioned keys, or of its op column's shard
+// grouping — or a whole range batch (rf — every shard scans every range,
+// so range messages carry no segment bounds). Sent by value, so dispatch
+// allocates nothing per shard. id is the service-wide batch correlation
+// id stamped into the span rings (0 when observation is off).
 type shardMsg struct {
-	sub    []*Future
 	bf     *BatchFuture
 	rf     *RangeFuture
 	lo, hi int
 	id     uint64
 }
 
-// run drains point sub-batches, vectorized segments, and range batches
-// until the queue closes, installing any completed rebuild between
-// messages.
+// run drains column segments and range batches until the queue closes,
+// installing any completed rebuild between messages.
 //
 //isi:hotpath
 func (sh *shard) run(wg *sync.WaitGroup) {
@@ -103,18 +99,14 @@ func (sh *shard) run(wg *sync.WaitGroup) {
 		case msg.rf != nil:
 			sh.setLabels(sh.opCtx[classRange])
 			sh.drainRange(msg.rf, msg.id)
-		case msg.bf != nil:
-			cls := classOf(msg.bf.kind)
-			if msg.bf.ops != nil {
-				cls = classWrite
-			}
-			sh.setLabels(sh.opCtx[cls])
-			sh.drainSegment(msg.bf, msg.lo, msg.hi, msg.id)
-		default:
-			// Point sub-batches mix op kinds; attribute them to the base
+		case msg.bf.ops != nil:
+			// Op columns mix op kinds; attribute them to the base
 			// (subsystem, shard) label set.
 			sh.setLabels(sh.baseCtx)
-			sh.drainPoint(msg.sub, msg.id)
+			sh.drainOps(msg.bf, msg.lo, msg.hi, msg.id)
+		default:
+			sh.setLabels(sh.opCtx[classOf(msg.bf.kind)])
+			sh.drainSegment(msg.bf, msg.lo, msg.hi, msg.id)
 		}
 	}
 }
@@ -140,74 +132,84 @@ func (sh *shard) applyOp(op Op, seq uint64) Result {
 	}
 }
 
-// drainPoint resolves one point sub-batch. Requests whose context is
-// already cancelled are dropped before the kernel runs (reads) or the
-// delta is touched (writes) — marked, never applied, counted — and
-// complete with a Dropped result. Live ops execute in submission order:
-// maximal runs of reads drain interleaved through the kernels, and each
-// write applies to the delta at its position between runs, so a lookup
-// submitted after an insert in the same sub-batch observes it.
+// drainOps executes one shard segment of an op column — a sealed point
+// batch or an ApplyBatch[Atomic] column — in submission order. Drops
+// come first: an op whose context is already cancelled is never probed
+// and never applied, completes Dropped and is counted (an atomic column
+// skips this — its context was checked at admission, and dropping one
+// shard's segment would tear the batch and wedge the commit queue behind
+// its seq). Then the live ops run in order: each maximal run of writes
+// applies to the delta, and each maximal run of reads is gathered into
+// one key column and drained interleaved through the kernels, so a read
+// observes every write submitted before it. The segment runs between
+// messages, so other batches on this shard observe all of its writes or
+// none.
 //
 //isi:hotpath
-func (sh *shard) drainPoint(sub []*Future, id uint64) {
-	sh.ring.Record(obs.SpanDrainStart, sh.id, id, len(sub), 0)
+func (sh *shard) drainOps(bf *BatchFuture, lo, hi int, id uint64) {
+	seg := bf.perm[lo:hi]
+	sh.ring.Record(obs.SpanDrainStart, sh.id, id, len(seg), 0)
 	var dropped uint64
-	for _, f := range sub {
-		if f.ctx != nil && f.ctx.Err() != nil {
-			f.dropped = true
+	// A point op carries its own context; a column shares bf.ctx, checked
+	// once per segment.
+	colDone := bf.futs == nil && bf.atomicSeq == 0 && bf.ctx != nil && bf.ctx.Err() != nil
+	for _, i := range seg {
+		if colDone || bf.futs != nil && bf.futs[i].ctx != nil && bf.futs[i].ctx.Err() != nil {
+			bf.res[i] = Result{Code: NotFound, Dropped: true}
+			if bf.jres != nil {
+				bf.jres[i] = JoinResult{Code: NotFound, Dropped: true}
+			}
 			dropped++
 		}
 	}
 	g := sh.ctl.Group()
 	var kernelBusy, writeBusy time.Duration
 	var reads, writes int
-	for i := 0; i < len(sub); {
-		f := sub[i]
-		if f.dropped {
-			i++
-			continue
-		}
-		if f.op.Kind.IsWrite() {
-			t0 := time.Now()
-			f.res = sh.applyOp(f.op, 0)
-			writeBusy += time.Since(t0)
-			writes++
-			i++
-			continue
-		}
-		// Maximal run of live reads: delta state is frozen for the run's
-		// drain (writes only apply between runs).
-		j := i + 1
-		for j < len(sub) && (sub[j].dropped || !sub[j].op.Kind.IsWrite()) {
+	for j := 0; j < len(seg); {
+		if bf.res[seg[j]].Dropped {
 			j++
+			continue
+		}
+		// A maximal run of live ops on one side, write or read; dropped
+		// ops inside it are skipped.
+		w := bf.ops[seg[j]].Kind.IsWrite()
+		k := j + 1
+		for k < len(seg) && (bf.res[seg[k]].Dropped || bf.ops[seg[k]].Kind.IsWrite() == w) {
+			k++
 		}
 		t0 := time.Now()
-		reads += sh.drainReadRun(sub[i:j], g)
-		kernelBusy += time.Since(t0)
-		i = j
+		if w {
+			for _, i := range seg[j:k] {
+				if !bf.res[i].Dropped {
+					bf.res[i] = sh.applyOp(bf.ops[i], bf.atomicSeq)
+					writes++
+				}
+			}
+			writeBusy += time.Since(t0)
+		} else {
+			reads += sh.drainRun(bf, seg[j:k], g)
+			kernelBusy += time.Since(t0)
+		}
+		j = k
 	}
 	sh.ring.Record(obs.SpanKernelDone, sh.id, id, reads, int64(kernelBusy))
 	now := time.Now()
 	var joins, hits uint64
-	for _, f := range sub {
-		if f.dropped {
-			f.res = Result{Code: NotFound, Dropped: true}
-			if f.op.Kind == OpJoin {
-				f.jres = JoinResult{Code: NotFound, Dropped: true}
-			}
-		} else {
-			if f.op.Kind == OpJoin {
-				joins++
-				hits += uint64(f.jres.Hits)
-			}
-			sh.met.recordLatency(classOf(f.op.Kind), now.Sub(f.enq))
+	for _, i := range seg {
+		if bf.res[i].Dropped {
+			continue
 		}
-		close(f.done)
-		if f.snapRef != nil {
-			f.snapRef.done()
+		kind, enq := bf.ops[i].Kind, bf.enq
+		if bf.futs != nil {
+			enq = bf.futs[i].enq
 		}
+		if kind == OpJoin {
+			joins++
+			hits += uint64(bf.jres[i].Hits)
+		}
+		sh.met.recordLatency(classOf(kind), now.Sub(enq))
 	}
-	sh.ring.Record(obs.SpanComplete, sh.id, id, len(sub), int64(dropped))
+	sh.ring.Record(obs.SpanComplete, sh.id, id, len(seg), int64(dropped))
 	// Kernel metrics (batch size, group, busy, drain rate) count only
 	// kernel drains: a write run never entered the lookup kernel, so it
 	// is recorded on the write side and must not dilute Group/AvgBatch/
@@ -221,81 +223,68 @@ func (sh *shard) drainPoint(sub []*Future, id uint64) {
 		sh.met.recordWriteBusy(writeBusy)
 	}
 	sh.met.recordDropped(dropped)
+	bf.segDone(dropped)
 }
 
-// drainReadRun drains one run of point reads (dropped futures in the
-// run are left out of the gathered key column) against the epoch
-// snapshot and delta view of the run's read horizon, completing their
-// result fields. The view is built per run, not per
-// sub-batch: a write between runs can install a pending epoch, and a
-// read after it must probe the post-install pair or it would miss the
-// writes the merge just retired from the delta. It returns the number of
-// live reads drained.
+// drainRun drains one run of an op segment's reads (its dropped ops are
+// left out of the gathered key column) against the epoch snapshot and
+// delta view of the batch's read horizon, completing their results by
+// index. The view is built per run, not per segment: a write between
+// runs can install a pending epoch, and a read after it must probe the
+// post-install pair or it would miss the writes the merge just retired
+// from the delta. It returns the number of reads drained.
 //
 //isi:hotpath
-func (sh *shard) drainReadRun(run []*Future, g int) int {
-	at := run[0].snapSeq // uniform per sealed admission batch
+func (sh *shard) drainRun(bf *BatchFuture, run []uint32, g int) int {
+	at := bf.snapSeq
 	if at == latestSeq {
 		at = sh.hz.Load()
 	}
 	ep, dv := sh.viewAt(at)
-	keys, out, live := sh.pt.gather(run)
-	ep.idx.drainBatch(dv, live, keys, g, out)
-	clear(live) // drop future references between batches
-	return len(live)
+	keys, pos, out := sh.runs.gather(bf, run)
+	ep.idx.drainOps(dv, bf, pos, keys, g, out)
+	return len(pos)
 }
 
-// pointScratch is the point path's gather scratch: a run's live futures
-// compacted into the key column the batch kernels take, and the result
-// column they fill. Shard-local, reused across runs.
-type pointScratch struct {
+// runScratch is the op drain's gather scratch: a read run's live ops as
+// the key column the batch kernels take, their indices in the op column,
+// and the result column stage 1 fills. Shard-local, reused across runs.
+type runScratch struct {
 	keys []uint64
+	pos  []uint32
 	out  []Result
-	live []*Future
 }
 
-// gather compacts run's live (not dropped) futures and their keys; out
-// has one slot per live future. The caller clears live when done.
+// gather compacts run's live (not dropped) ops into keys and pos; out
+// has one slot per live op.
 //
 //isi:hotpath
-func (ps *pointScratch) gather(run []*Future) (keys []uint64, out []Result, live []*Future) {
-	n := 0
-	for _, f := range run {
-		if !f.dropped {
-			n++
+func (rs *runScratch) gather(bf *BatchFuture, run []uint32) (keys []uint64, pos []uint32, out []Result) {
+	if cap(rs.keys) < len(run) {
+		rs.keys = make([]uint64, len(run)) //isi:allow-alloc(cap-guarded growth of the shard's drain scratch to a new max run size)
+		rs.pos = make([]uint32, len(run))  //isi:allow-alloc(grows with keys above)
+		rs.out = make([]Result, len(run))  //isi:allow-alloc(grows with keys above)
+	}
+	keys, pos = rs.keys[:0], rs.pos[:0]
+	for _, i := range run {
+		if !bf.res[i].Dropped {
+			keys = append(keys, bf.ops[i].Key) //isi:allow-alloc(appends stay within the cap-guarded scratch sized above)
+			pos = append(pos, i)               //isi:allow-alloc(within scratch cap, as above)
 		}
 	}
-	if cap(ps.keys) < n {
-		ps.keys = make([]uint64, n)  //isi:allow-alloc(cap-guarded growth of the shard's drain scratch to a new max run size)
-		ps.out = make([]Result, n)   //isi:allow-alloc(grows with keys above)
-		ps.live = make([]*Future, n) //isi:allow-alloc(grows with keys above)
-	}
-	keys, live = ps.keys[:0], ps.live[:0]
-	for _, f := range run {
-		if !f.dropped {
-			keys = append(keys, f.op.Key) //isi:allow-alloc(appends stay within the cap-guarded scratch sized above)
-			live = append(live, f)        //isi:allow-alloc(within scratch cap, as above)
-		}
-	}
-	return keys, ps.out[:n], live
+	return keys, pos, rs.out[:len(pos)]
 }
 
-// drainSegment resolves one shard segment of a vectorized batch, writing
+// drainSegment resolves one shard segment of a key column, writing
 // results (and join outcomes and streamed matches) straight into the
 // batch's caller-visible slices. A segment whose context is already
-// cancelled is dropped whole: it never reaches the kernel or the delta.
-// Write segments (ApplyBatch) apply in op order as one unit — other
-// batches on this shard observe all of the segment's writes or none.
-// Atomic write segments (ApplyBatchAtomic) skip the cancellation fast
-// path: their context was checked at admission, and dropping one shard's
-// segment after admission would tear the batch and wedge the commit
-// queue behind its never-arriving seq.
+// cancelled is dropped whole: it never reaches the kernel.
 //
 //isi:hotpath
 func (sh *shard) drainSegment(bf *BatchFuture, lo, hi int, id uint64) {
 	n := hi - lo
 	sh.ring.Record(obs.SpanDrainStart, sh.id, id, n, 0)
-	if bf.ctx != nil && bf.ctx.Err() != nil && bf.atomicSeq == 0 {
+	if bf.ctx != nil && bf.ctx.Err() != nil {
 		for i := lo; i < hi; i++ {
 			bf.res[i] = Result{Code: NotFound, Dropped: true}
 		}
@@ -311,39 +300,25 @@ func (sh *shard) drainSegment(bf *BatchFuture, lo, hi int, id uint64) {
 	}
 	g := sh.ctl.Group()
 	t0 := time.Now()
+	at := bf.snapSeq
+	if at == latestSeq {
+		at = sh.hz.Load()
+	}
+	ep, dv := sh.viewAt(at)
+	ep.idx.drainSegment(dv, bf, sh.id, lo, hi, g)
 	var joins, hits uint64
-	if bf.ops != nil {
+	if bf.kind == OpJoin {
+		joins = uint64(n)
 		for i := lo; i < hi; i++ {
-			bf.res[i] = sh.applyOp(bf.ops[i], bf.atomicSeq)
-		}
-	} else {
-		at := bf.snapSeq
-		if at == latestSeq {
-			at = sh.hz.Load()
-		}
-		ep, dv := sh.viewAt(at)
-		ep.idx.drainSegment(dv, bf, sh.id, lo, hi, g)
-		if bf.kind == OpJoin {
-			joins = uint64(n)
-			for i := lo; i < hi; i++ {
-				hits += uint64(bf.jres[i].Hits)
-			}
+			hits += uint64(bf.jres[i].Hits)
 		}
 	}
 	busy := time.Since(t0)
 	sh.ring.Record(obs.SpanKernelDone, sh.id, id, n, int64(busy))
-	if bf.ops != nil {
-		// A pure write segment never touched the lookup kernel: its time
-		// is write-apply time, not kernel drain time, and it must not be
-		// attributed to a group size it never used.
-		sh.met.recordLatencyN(classWrite, time.Since(bf.enq), uint64(n))
-		sh.met.recordWriteBusy(busy)
-	} else {
-		sh.met.recordLatencyN(classOf(bf.kind), time.Since(bf.enq), uint64(n))
-		sh.met.recordBatch(n, g, busy)
-		sh.met.recordJoins(joins, hits)
-		sh.ctl.observe(n, busy)
-	}
+	sh.met.recordLatencyN(classOf(bf.kind), time.Since(bf.enq), uint64(n))
+	sh.met.recordBatch(n, g, busy)
+	sh.met.recordJoins(joins, hits)
+	sh.ctl.observe(n, busy)
 	sh.ring.Record(obs.SpanComplete, sh.id, id, n, 0)
 	bf.segDone(0)
 }

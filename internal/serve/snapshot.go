@@ -56,20 +56,6 @@ func (sn *Snap) Release() {
 	}
 }
 
-// snapRef is a shared ephemeral pin: one Snap auto-taken at admission
-// (WithSnapshotReads point batches, or an At-variant called with a nil
-// Snap), released when the last of n sharers completes.
-type snapRef struct {
-	sn *Snap
-	n  atomic.Int32
-}
-
-func (r *snapRef) done() {
-	if r.n.Add(-1) == 0 {
-		r.sn.Release()
-	}
-}
-
 // noPin is the sentinel pinSet.minPin returns when no snapshot is live:
 // reclaim is then bounded only by the retention depth.
 const noPin = ^uint64(0)

@@ -422,5 +422,7 @@ func TestWriteAdmissionPanics(t *testing.T) {
 	ctx := context.Background()
 	expectPanic("Insert of NotFound value", func() { s.Insert(ctx, 1, NotFound) })
 	expectPanic("SubmitBatch of a write kind", func() { s.SubmitBatch(ctx, OpInsert, []uint64{1}) })
-	expectPanic("ApplyBatch of a read kind", func() { s.ApplyBatch(ctx, []Op{{Kind: OpLookup, Key: 1}}) })
+	expectPanic("ApplyBatchAtomic of a read kind", func() { s.ApplyBatchAtomic(ctx, []Op{{Kind: OpLookup, Key: 1}}) })
+	expectPanic("ApplyBatch of a range", func() { s.ApplyBatch(ctx, []Op{RangeOp(1, 2, 0)}) })
+	expectPanic("ApplyBatch of a join without a build side", func() { s.ApplyBatch(ctx, []Op{{Kind: OpJoin, Key: 1}}) })
 }

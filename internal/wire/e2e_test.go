@@ -457,6 +457,70 @@ func TestLoopbackPositional(t *testing.T) {
 	}
 }
 
+// TestLoopbackWriteFrameOrder: write frames at and above the server's
+// point/vector threshold (default CoalesceBelow 64, the ApplyBatch arm)
+// and atomic frames, every key written many times per frame: after each
+// frame completes every key reads the frame's last write to it, and ack
+// i is op i's own.
+func TestLoopbackWriteFrameOrder(t *testing.T) {
+	svc := testService(t, nil)
+	defer svc.Close()
+	addr := startServer(t, svc, wire.Config{})
+	rm, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rm.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewPCG(41, 42))
+	want := map[uint64]serve.Result{}
+	for round := 0; round < 40; round++ {
+		n := []int{64, 200}[round%2]
+		ops := make([]serve.Op, n)
+		for i := range ops {
+			k := 600 + rng.Uint64N(6) // outside the domain, across all shards
+			if rng.Uint32N(4) == 0 {
+				ops[i] = serve.Op{Kind: serve.OpDelete, Key: k}
+				want[k] = serve.Result{Code: serve.NotFound}
+			} else {
+				v := uint32(round*1000 + i)
+				ops[i] = serve.Op{Kind: serve.OpInsert, Key: k, Val: v}
+				want[k] = serve.Result{Code: v, Found: true}
+			}
+		}
+		atomic := round%4 >= 2
+		var bf *client.BatchFuture
+		if atomic {
+			bf = rm.ApplyBatchAtomic(ctx, ops)
+		} else {
+			bf = rm.ApplyBatch(ctx, ops)
+		}
+		res := bf.Wait()
+		if err := bf.Err(); err != nil || len(res) != n {
+			t.Fatalf("round %d: err %v, %d acks for %d ops", round, err, len(res), n)
+		}
+		probe := make([]uint64, 0, len(want))
+		for k := range want {
+			probe = append(probe, k)
+		}
+		got := rm.GoBatch(ctx, probe).Wait()
+		for i, k := range probe {
+			if got[i] != want[k] {
+				t.Fatalf("round %d (n=%d atomic=%v): key %d reads %+v, want the last write %+v", round, n, atomic, k, got[i], want[k])
+			}
+		}
+		for i, op := range ops {
+			ack := serve.Result{Code: serve.NotFound}
+			if op.Kind == serve.OpInsert {
+				ack = serve.Result{Code: op.Val, Found: true}
+			}
+			if res[i] != ack {
+				t.Fatalf("round %d: ack %d of %+v = %+v, want %+v", round, i, op, res[i], ack)
+			}
+		}
+	}
+}
+
 // TestLoopbackJoinDuplicateProbes: every occurrence of a duplicated
 // probe key keeps its own matches. Per wire position i the number of
 // streamed matches with Probe == i equals WaitJoin()[i].Hits, each such

@@ -740,14 +740,13 @@ func (c *conn) respondJoin(sl *slot) {
 
 // respondWrite serves one write frame. Below the coalesce threshold
 // each op rides point admission in order, acked exactly. At or above
-// it the frame goes through ApplyBatch; write acks are deterministic
-// functions of the op (insert → {Val, found}, delete → {NotFound}), so
-// they are synthesized in wire order rather than realigned — with one
-// coarsening: ApplyBatch reports drops per batch, not per op, so a
-// partially dropped vectorized write frame acks every op as dropped
-// (the protocol's contract: remote writes must be idempotent to retry).
-// A ReqFlagAtomic frame always goes through ApplyBatchAtomic as one
+// it the frame goes through ApplyBatch as one op column, whose results
+// come back aligned with the ops as submitted — one ack per op, its own
+// Dropped flag included — and are encoded in wire order. A
+// ReqFlagAtomic frame always goes through ApplyBatchAtomic as one
 // batch, whatever its size: snapshot readers see it all-or-nothing.
+// Either way a shard applies a frame's writes in wire order, so the last
+// write to a key in a frame is the one that stays.
 func (c *conn) respondWrite(sl *slot, b WriteBatch) {
 	n := len(b.Ops)
 	defer c.done(n)
@@ -780,22 +779,14 @@ func (c *conn) respondWrite(sl *slot, b WriteBatch) {
 	} else {
 		bf = c.srv.svc.ApplyBatch(ctx, ops)
 	}
-	bf.Wait()
+	res := bf.Wait()
 	if bf.Err() != nil {
 		c.shed(sl, ShedClosed, 0)
 		return
 	}
-	dropped := bf.Dropped() > 0
 	recs := sl.begin(n, ResultSize)
-	for i, o := range b.Ops {
-		switch {
-		case dropped:
-			putResult(recs, i, serve.NotFound, FlagDropped)
-		case o.Kind == WriteInsert:
-			putResult(recs, i, o.Val, FlagFound)
-		default:
-			putResult(recs, i, serve.NotFound, 0)
-		}
+	for i, r := range res {
+		putResult(recs, i, r.Code, resultFlags(r))
 	}
 	c.reply(sl, MsgResults, n)
 }
