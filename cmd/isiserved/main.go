@@ -1,29 +1,24 @@
 // Command isiserved runs the internal/serve index-join service behind
 // the internal/wire network front-end: a TCP server speaking the
-// length-prefixed binary protocol that cmd/isiserve -remote and the
-// client package bind to. It accepts many concurrent connections,
-// coalesces small point frames from all of them into the service's
-// group-commit admission batches, streams range entries and join
-// matches back as they materialize, and sheds load at admission —
-// per-tenant token-bucket quotas (-tenantrate) and a server-wide
-// in-flight cap (-maxinflight) refuse whole frames before the shards
-// see them.
+// length-prefixed binary protocol that the client package binds to
+// (client.Dial; examples/remoteclient is the quickstart). It accepts
+// many concurrent connections, coalesces small point frames from all of
+// them into the service's group-commit admission batches, streams range
+// entries and join matches back as they materialize, and sheds load at
+// admission — per-tenant token-bucket quotas (-tenantrate) and a
+// server-wide in-flight cap (-maxinflight) refuse whole frames before
+// the shards see them.
 //
-// The service shape flags (shards, domain, build side, batching,
-// group-size controller) mirror cmd/isiserve exactly, and the
-// domain is constructed identically (even values only, value of code i
-// is 2i; build-side tuples from the same seeded skew), so a remote
-// client driving isiserved with the same seed observes bit-identical
-// results to an in-process run.
+// The domain holds even values only (value of code i is 2i, so odd keys
+// miss), and the build side is drawn from a seeded skew, so a client
+// that knows the seed can check every answer.
 //
 //	isiserved -listen :7070 -shards 4 -dict 64 -build 32
-//	isiserve  -remote localhost:7070 -scenario net-smoke -conns 64
+//	go run ./examples/remoteclient -addr localhost:7070
 //
-// -smoke pins the same canonical CI sizing as isiserve -smoke, so a
-// networked benchmark leg serves the exact service an in-process smoke
-// run measures. -obs serves the shared observability HTTP endpoint
-// (/obs, /metrics, /debug/pprof/*) including the wire front-end's
-// conn/frame/byte/shed metrics and its accept→decode→respond span ring.
+// -obs serves the shared observability HTTP endpoint (/obs, /metrics,
+// /debug/pprof/*) including the wire front-end's conn/frame/byte/shed
+// metrics and its accept→decode→respond span ring.
 package main
 
 import (
@@ -58,7 +53,6 @@ func main() {
 		epoch    = flag.Int("epoch", 8, "batches per controller epoch")
 		rebuild  = flag.Int("rebuild", 0, "per-shard delta size triggering a background epoch rebuild (0 = default, <0 disables)")
 		seed     = flag.Uint64("seed", 7, "domain/build seed (must match the client's for differential runs)")
-		smoke    = flag.Bool("smoke", false, "pin the canonical CI sizing (shards/dict/build/group/seed), matching isiserve -smoke")
 
 		coalesce  = flag.Int("coalesce", 64, "frames with fewer ops ride point admission (group-commit coalescing across connections); larger frames go vectorized")
 		inflight  = flag.Int("maxinflight", 1<<20, "server-wide cap on admitted-but-unanswered ops; beyond it frames are shed")
@@ -71,17 +65,10 @@ func main() {
 	)
 	flag.Parse()
 
-	if *smoke {
-		*shards, *dictMB, *buildMB = 4, 8, 32
-		*adaptive, *group = false, 6
-		*rebuild = 0
-		*seed = 7
-	}
-
 	n := int(int64(*dictMB) << 20 / 8)
 	values := make([]uint64, n)
 	for i := range values {
-		values[i] = uint64(i) * 2 // even values only: odd keys miss — same domain as isiserve
+		values[i] = uint64(i) * 2 // even values only: odd keys miss
 	}
 
 	scfg := serve.Config{
@@ -138,8 +125,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "isiserved:", err)
 		os.Exit(1)
 	}
-	// The "listening on" banner is the readiness signal scripts (and the
-	// CI net-smoke leg) wait for; it carries the resolved port for :0.
+	// The "listening on" banner is the readiness signal scripts wait for;
+	// it carries the resolved port for :0.
 	fmt.Printf("isiserved: listening on %s (shards=%d domain=%d keys, join=%v, coalesce<%d, quota=%.0f ops/s/tenant)\n",
 		ln.Addr(), *shards, n, *buildMB > 0, *coalesce, *trate)
 

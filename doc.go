@@ -28,8 +28,8 @@
 //     join matches via iter.Seq[Match], an adaptive per-shard
 //     interleaving group size, and end-to-end join execution: per-shard
 //     build-side hash-table partitions probed in two interleaved stages,
-//     dictionary search then chain walk (cmd/isiserve drives all modes under
-//     open-loop load; -mode join for joins, -vector for columns).
+//     dictionary search then chain walk (the bench/ module drives it under
+//     closed and paced load; cmd/isiserved serves it over the wire).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record. The benchmarks in bench_test.go regenerate

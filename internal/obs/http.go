@@ -8,12 +8,12 @@ import (
 	"time"
 )
 
-// This file is the HTTP exposition shared by every binary that carries
-// an Observer (cmd/isiserve's -obs, cmd/isiserved's -obs): GET /obs
-// streams the observer's full JSON snapshot (metrics + spans +
-// decisions), GET /metrics the registry alone (expvar-style flat
-// object), and /debug/pprof/* the standard profiles — whose samples
-// carry whatever goroutine labels the observed subsystem sets.
+// This file is the HTTP exposition of a binary that carries an Observer
+// (cmd/isiserved's -obs): GET /obs streams the observer's full JSON
+// snapshot (metrics + spans + decisions), GET /metrics the registry
+// alone (expvar-style flat object), and /debug/pprof/* the standard
+// profiles — whose samples carry whatever goroutine labels the observed
+// subsystem sets.
 
 // Handler returns the observer's exposition mux: /obs, /metrics, and
 // /debug/pprof/*.

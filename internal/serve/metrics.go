@@ -71,8 +71,8 @@ func (c opClass) String() string {
 // snapshots read concurrently. The items/batches/busy triple counts
 // kernel drains only (lookups, joins, range scans — work that went
 // through an interleaved kernel at a group size); applied writes are
-// counted by the write-path counters below, so Group/AvgBatch/
-// Throughput are never diluted by write runs that used no kernel.
+// counted by the write-path counters below, so Batches, Group and
+// Busy are never diluted by write runs that used no kernel.
 type shardMetrics struct {
 	items    obs.Counter
 	batches  obs.Counter
@@ -169,7 +169,7 @@ func (m *shardMetrics) recordRanges(ranges, entries uint64) {
 }
 
 // recordWriteBusy accounts time spent applying writes to the delta —
-// outside the kernel drain-rate metrics.
+// outside the kernel busy time.
 func (m *shardMetrics) recordWriteBusy(busy time.Duration) {
 	m.wBusyNS.Add(uint64(busy))
 }
@@ -266,19 +266,14 @@ type ShardStats struct {
 	// only.
 	Items   uint64
 	Batches uint64
-	// AvgBatch is the mean kernel sub-batch size the shard drained
-	// (write runs excluded — they use no kernel).
-	AvgBatch float64
 	// Group is the group size of the most recent kernel batch;
 	// GroupHistory the controller's per-epoch choices (tail).
 	Group        int
 	GroupHistory []int
-	// Busy is time spent inside the interleaved kernels; Throughput is
-	// kernel items/Busy — the shard's kernel-level drain rate. Write
-	// apply time is WriteBusy, counted separately so drain-rate metrics
-	// reflect only kernel drains.
-	Busy       time.Duration
-	Throughput float64
+	// Busy is time spent inside the interleaved kernels. Write apply
+	// time is WriteBusy, counted separately so Busy reflects only kernel
+	// drains.
+	Busy time.Duration
 	// Joins counts join probes drained by this shard; JoinHits the build
 	// tuples they matched in total.
 	Joins    uint64
@@ -322,15 +317,12 @@ type ShardStats struct {
 }
 
 func (m *shardMetrics) snapshot(id int) ShardStats {
-	kernelItems := m.items.Load()
-	batches := m.batches.Load()
-	busy := time.Duration(m.busyNS.Load())
 	s := ShardStats{
 		Shard:           id,
-		Items:           kernelItems + m.inserts.Load() + m.deletes.Load(),
-		Batches:         batches,
+		Items:           m.items.Load() + m.inserts.Load() + m.deletes.Load(),
+		Batches:         m.batches.Load(),
 		Group:           int(m.group.Load()),
-		Busy:            busy,
+		Busy:            time.Duration(m.busyNS.Load()),
 		Joins:           m.joins.Load(),
 		JoinHits:        m.joinHits.Load(),
 		Ranges:          m.ranges.Load(),
@@ -362,12 +354,6 @@ func (m *shardMetrics) snapshot(id int) ShardStats {
 	}
 	s.P50 = quantileOf(&blended, 0.50)
 	s.P99 = quantileOf(&blended, 0.99)
-	if batches > 0 {
-		s.AvgBatch = float64(kernelItems) / float64(batches)
-	}
-	if busy > 0 {
-		s.Throughput = float64(kernelItems) / busy.Seconds()
-	}
 	return s
 }
 

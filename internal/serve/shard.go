@@ -210,10 +210,10 @@ func (sh *shard) drainOps(bf *BatchFuture, lo, hi int, id uint64) {
 		sh.met.recordLatency(classOf(kind), now.Sub(enq))
 	}
 	sh.ring.Record(obs.SpanComplete, sh.id, id, len(seg), int64(dropped))
-	// Kernel metrics (batch size, group, busy, drain rate) count only
+	// Kernel metrics (batches, group, busy) count only
 	// kernel drains: a write run never entered the lookup kernel, so it
-	// is recorded on the write side and must not dilute Group/AvgBatch/
-	// Throughput with a group size it never used.
+	// is recorded on the write side and must not dilute Batches, Group
+	// or Busy with a group size it never used.
 	if reads > 0 {
 		sh.met.recordBatch(reads, g, kernelBusy)
 		sh.met.recordJoins(joins, hits)
@@ -370,7 +370,7 @@ func (sh *shard) drainRange(rf *RangeFuture, id uint64) {
 	t0 := time.Now()
 	ep.idx.scanRanges(rf.ops, limits, g, pairs)
 	// Busy is kernel time only: the host-side delta merge below is
-	// O(emitted entries) and would dilute the drain-rate metrics on wide
+	// O(emitted entries) and would dilute the kernel busy time on wide
 	// scans, exactly like the write-apply time recordBatch now excludes.
 	busy := time.Since(t0)
 	sh.ring.Record(obs.SpanKernelDone, sh.id, id, nops, int64(busy))
