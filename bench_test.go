@@ -101,8 +101,7 @@ func benchServeBatchVsPoint(b *testing.B, extra ...serve.Option) {
 		}
 		pointNS += time.Since(t0)
 
-		// The batch path reuses the same (by now partitioned) key slice:
-		// the multiset of keys is identical to the point path's.
+		// The batch path submits the same key slice as the point path.
 		t0 = time.Now()
 		s.GoBatch(ctx, keys).Wait()
 		batchNS += time.Since(t0)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -106,9 +107,9 @@ func (f *Future) Err() error {
 }
 
 // BatchFuture is one in-flight vectorized remote submission (the client
-// twin of serve.BatchFuture). Unlike in-process batches the submitted
-// slice is never reordered: Keys()[i] is the i-th submitted key and
-// results align with it.
+// twin of serve.BatchFuture). As in process, the submitted slice is
+// never reordered: Keys()[i] is the i-th submitted key and results
+// align with it.
 type BatchFuture struct{ c *call }
 
 // Wait blocks until the batch completes and returns per-key results,
@@ -585,10 +586,9 @@ func (r *Remote) RangeBatch(ctx context.Context, ops []serve.Op) *RangeFuture {
 		if op.Kind != serve.OpRange {
 			panic("client: RangeBatch of kind " + op.Kind.String())
 		}
-		limit := op.Limit
-		if limit < 0 {
-			limit = 0
-		}
+		// The wire limit is 32 bits, 0 unbounded: a wider limit clamps to
+		// the widest one rather than wrapping to a small or zero cap.
+		limit := min(uint64(max(op.Limit, 0)), math.MaxUint32)
 		reqs[i] = wire.RangeReq{Lo: op.Key, Hi: op.Hi, Limit: uint32(limit)}
 	}
 	c := &call{

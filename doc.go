@@ -23,8 +23,8 @@
 //     interleaved kernels, with a typed-operation request surface (Op:
 //     lookup/join), two admission paths — point futures under a
 //     group-commit batcher, and vectorized whole-column submission
-//     (GoBatch/JoinBatch, O(1) allocations, in-place shard
-//     partitioning) — context-aware drops counted in Stats, streaming
+//     (GoBatch/JoinBatch, O(1) allocations, answered in submission
+//     order) — context-aware drops counted in Stats, streaming
 //     join matches via iter.Seq[Match], an adaptive per-shard
 //     interleaving group size, and end-to-end join execution: per-shard
 //     build-side hash-table partitions probed in two interleaved stages,

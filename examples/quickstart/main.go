@@ -51,8 +51,9 @@ func main() {
 	// Part 2: the same interleaving, operationalized as a service on real
 	// memory. The domain holds the even numbers below 2000; the build
 	// side gives key 2k multiplicity k%4. A whole probe column goes in
-	// through one JoinBatch call (O(1) allocations, partitioned in place
-	// across shards) and the matches stream back per build tuple.
+	// through one JoinBatch call (O(1) allocations, grouped by shard
+	// without being reordered), the aggregates come back in probe order
+	// and the matches stream back per build tuple.
 	domain := make([]uint64, 1000)
 	var build []serve.BuildTuple
 	for i := range domain {
@@ -72,7 +73,7 @@ func main() {
 		len(domain), len(build), probe)
 	for i, r := range bf.WaitJoin() {
 		fmt.Printf("  probe %4d → code %10d, %d hits, payload sum %d\n",
-			bf.Keys()[i], int32(r.Code), r.Hits, r.Agg)
+			probe[i], int32(r.Code), r.Hits, r.Agg)
 	}
 	matches := 0
 	for m := range bf.Matches() {

@@ -11,26 +11,23 @@ import (
 
 // This file is the column admission path. The paper's index join is a
 // column operator — Section 6 drains an entire probe column through the
-// interleaved kernels — so every admission ends in a column:
+// interleaved kernels — so every admission ends in a column: a key column
+// (SubmitBatch/GoBatch/JoinBatch, one read kind over the caller's keys)
+// or an op column (ApplyBatch/ApplyBatchAtomic, and every sealed point
+// batch of Submit: ops of any point kind). Both are grouped by shard the
+// same way, through an order-keeping index permutation (perm, counted
+// then scattered by groupByShard): the column itself is only read, each
+// shard walks its share in submission order, and result i belongs to the
+// i-th key or op as submitted.
 //
-//   - a key column (SubmitBatch/GoBatch/JoinBatch): the caller's key
-//     slice is partitioned in place by shard (an in-place counting-sort
-//     permutation), or scattered into a second buffer by
-//     SubmitBatchScatter;
-//   - an op column (ApplyBatch/ApplyBatchAtomic, and every sealed point
-//     batch of Submit): ops of any point kind stay in submission order
-//     and are grouped by shard through an index permutation (perm,
-//     counted then scattered), so each shard walks its ops in the order
-//     they were submitted.
-//
-// Either way each shard receives a contiguous segment descriptor by
-// value and writes results into slices the caller reads directly off
-// the BatchFuture — O(1) allocations per column, zero per-key channels.
-// A point Future is an index into its sealed batch's slab.
+// Each shard receives a contiguous segment descriptor by value and
+// writes results into slices the caller reads directly off the
+// BatchFuture — O(1) allocations per column, zero per-key channels. A
+// point Future is an index into its sealed batch's slab.
 
 // Match is one streamed join match: build tuple Payload matched probe
-// key Key (global dictionary code Code), which sits at index Probe of
-// the batch's partitioned Keys()/Results() vectors.
+// key Key (global dictionary code Code), the key submitted at index Probe
+// of the batch's Keys()/Results() columns.
 type Match struct {
 	Probe   int
 	Key     uint64
@@ -39,31 +36,31 @@ type Match struct {
 }
 
 // BatchFuture is one in-flight column: a key column (SubmitBatch) or an
-// op column (ApplyBatch, or a sealed batch of point Submits). A key
-// column is owned by the service until the batch completes and is
-// reordered in place by shard partitioning: after Wait, Results()[i] is
-// the outcome for Keys()[i], the caller's slice in its partitioned
-// order. An op column is never reordered: Results()[i] is the outcome
-// of Ops()[i], the i-th op as submitted.
+// op column (ApplyBatch, or a sealed batch of point Submits). The
+// service reads the column until the batch completes and never reorders
+// it: after Wait, Results()[i] is the outcome of Keys()[i] (a key
+// column) or Ops()[i] (an op column), the i-th element as submitted.
 type BatchFuture struct {
 	ctx  context.Context
 	kind OpKind // key columns only
 	enq  time.Time
+	// keys is a key column, ops an op column, either in submission
+	// order; perm groups the column by shard without moving it — shard i
+	// drains element perm[j] for j in bounds[i]..bounds[i+1], in
+	// submission order. futs is a point batch's slab, one Future per op
+	// carrying the op's own context and enqueue time; nil for the other
+	// columns, whose elements share ctx and enq.
 	keys []uint64
-	// ops is an op column in submission order; perm groups it by shard
-	// without moving it — shard i drains ops[perm[j]] for j in
-	// bounds[i]..bounds[i+1], in submission order. futs is a point
-	// batch's slab, one Future per op carrying the op's own context and
-	// enqueue time; nil for ApplyBatch, whose ops share ctx and enq.
 	ops  []Op
 	perm []uint32
 	futs []Future
 	res  []Result
 	jres []JoinResult // join key columns, and op columns on a join service
-	// matches collects streamed join matches, one independently appended
-	// slice per shard (each written only by its owning shard goroutine).
+	// matches collects a join key column's streamed matches, one
+	// independently appended slice per shard (each written only by its
+	// owning shard goroutine).
 	matches [][]Match
-	// bounds[i]..bounds[i+1] is shard i's segment of keys (or of perm).
+	// bounds[i]..bounds[i+1] is shard i's segment of perm.
 	bounds  []int
 	err     error // ErrClosed when the submission never entered the service
 	pending atomic.Int32
@@ -84,7 +81,7 @@ type BatchFuture struct {
 
 // Err blocks until the batch completes and reports whether it entered
 // the service: ErrClosed if the submission observed a closed service
-// (nothing was partitioned or probed, Results is nil), nil otherwise.
+// (nothing was grouped or probed, Results is nil), nil otherwise.
 func (bf *BatchFuture) Err() error {
 	<-bf.done
 	return bf.err
@@ -93,9 +90,8 @@ func (bf *BatchFuture) Err() error {
 // Done returns a channel closed when every shard segment has completed.
 func (bf *BatchFuture) Done() <-chan struct{} { return bf.done }
 
-// Keys returns the submitted keys in partitioned order. Valid after the
-// batch completes; the slice aliases the caller's submission. Nil for
-// op columns — use Ops.
+// Keys returns a key column's keys in submission order; the slice
+// aliases the caller's submission. Nil for op columns — use Ops.
 func (bf *BatchFuture) Keys() []uint64 { return bf.keys }
 
 // Ops returns an op column's operations in submission order; the slice
@@ -128,8 +124,8 @@ func (bf *BatchFuture) Dropped() int { return int(bf.dropped.Load()) }
 // aggregates of WaitJoin. The sequence may be ranged repeatedly, each
 // pass from the start; iteration blocks until the batch completes.
 // Matches are grouped by shard and, within a probe, in build-chain
-// order; use Probe to correlate with Keys(). Empty for lookup batches
-// and op columns.
+// order; Probe indexes Keys() and WaitJoin() as submitted. Empty for
+// lookup batches and op columns.
 func (bf *BatchFuture) Matches() iter.Seq[Match] {
 	return func(yield func(Match) bool) {
 		<-bf.done
@@ -162,10 +158,10 @@ func (bf *BatchFuture) segDone(dropped uint64) {
 }
 
 // SubmitBatch admits one vectorized operation over a whole key column.
-// It takes ownership of keys until the batch completes and reorders it
-// in place (shard partitioning); the caller must not touch the slice
-// until Wait/WaitJoin/Done report completion, and reads results aligned
-// with the reordered Keys(). Admission itself performs O(1) allocations
+// The service reads keys until the batch completes and never reorders
+// them: the caller must not modify the slice until Wait/WaitJoin/Done
+// report completion, and Wait()[i] (WaitJoin()[i]) is the outcome of
+// keys[i] as submitted. Admission itself performs O(1) allocations
 // regardless of len(keys) and bypasses the group-commit batcher — the
 // column already is a batch. A nil ctx never cancels; a ctx cancelled
 // before a shard drains its segment drops that segment unprobed. A
@@ -173,7 +169,7 @@ func (bf *BatchFuture) segDone(dropped uint64) {
 // Err() == ErrClosed and nil Results — the admission gate makes the
 // race safe, exactly like the point path. OpJoin requires WithBuild.
 func (s *Service) SubmitBatch(ctx context.Context, kind OpKind, keys []uint64) *BatchFuture {
-	return s.submitBatch(ctx, kind, keys, nil, nil, nil, s.snapReads)
+	return s.submitBatch(ctx, kind, keys, nil, s.snapReads)
 }
 
 // SubmitBatchAt is SubmitBatch reading at a pinned commit horizon: the
@@ -184,28 +180,12 @@ func (s *Service) SubmitBatch(ctx context.Context, kind OpKind, keys []uint64) *
 // horizon ephemerally at admission and releases it when the batch
 // completes; a non-nil sn is the caller's to Release.
 func (s *Service) SubmitBatchAt(ctx context.Context, kind OpKind, keys []uint64, sn *Snap) *BatchFuture {
-	return s.submitBatch(ctx, kind, keys, nil, nil, sn, true)
+	return s.submitBatch(ctx, kind, keys, sn, true)
 }
 
-// SubmitBatchScatter is SubmitBatch for a caller that answers in
-// submission order (the wire server): src is only read, and its keys are
-// copied into keys grouped by shard with idx recording the permutation —
-// after admission Keys()[j] == src[idx[j]], so result j belongs at
-// position idx[j] of the submission and Match.Probe j re-points to
-// idx[j]. keys and idx are the caller's, len(src) each, owned by the
-// service until the batch completes; a refused submission (Err() ==
-// ErrClosed) leaves them unwritten. snapshot pins the read as
-// SubmitBatchAt with a nil Snap does.
-func (s *Service) SubmitBatchScatter(ctx context.Context, kind OpKind, src, keys []uint64, idx []uint32, snapshot bool) *BatchFuture {
-	if len(keys) != len(src) || len(idx) != len(src) {
-		panic("serve: SubmitBatchScatter columns differ in length")
-	}
-	return s.submitBatch(ctx, kind, keys, src, idx, nil, snapshot || s.snapReads)
-}
-
-// submitBatch admits keys partitioned in place, or — when idx is non-nil
-// — filled from src by scatterByShard.
-func (s *Service) submitBatch(ctx context.Context, kind OpKind, keys, src []uint64, idx []uint32, sn *Snap, pin bool) *BatchFuture {
+// submitBatch admits a key column read at sn, or — sn nil and pin set —
+// at the current horizon pinned ephemerally.
+func (s *Service) submitBatch(ctx context.Context, kind OpKind, keys []uint64, sn *Snap, pin bool) *BatchFuture {
 	if kind.IsWrite() {
 		panic("serve: SubmitBatch of write kind " + kind.String() + " (use ApplyBatch)")
 	}
@@ -218,30 +198,19 @@ func (s *Service) submitBatch(ctx context.Context, kind OpKind, keys, src []uint
 		done:    make(chan struct{}),
 		snapSeq: latestSeq,
 	}
-	n := len(keys)
 	s.admitGate.RLock()
 	defer s.admitGate.RUnlock()
-	if s.refuse(bf, n) {
+	if s.refuse(bf, len(keys)) {
 		return bf
 	}
-	if pin {
-		if sn == nil {
-			bf.snap = s.Snapshot()
-			sn = bf.snap
-		}
+	if sn != nil {
 		bf.snapSeq = sn.Seq()
 	}
-	bf.res = make([]Result, n)
 	if kind == OpJoin {
-		bf.jres = make([]JoinResult, n)
+		bf.jres = make([]JoinResult, len(keys))
 		bf.matches = make([][]Match, len(s.shards))
 	}
-	if idx == nil {
-		bf.bounds = partitionByShard(keys, len(s.shards), func(k uint64) uint64 { return k })
-	} else {
-		bf.bounds = scatterByShard(src, keys, idx, len(s.shards))
-	}
-	s.dispatchSegments(bf, s.nextBatch(n))
+	admitColumn(s, bf, keys, keyRoute, pin && sn == nil)
 	return bf
 }
 
@@ -260,29 +229,31 @@ func (s *Service) refuse(bf *BatchFuture, n int) bool {
 	return true
 }
 
-// admitOps is the one admission body of an op column — a sealed point
-// batch or an ApplyBatch[Atomic] column: pin the read horizon when asked,
-// allocate the result columns, group the ops by shard and hand every
-// shard its segment.
+// admitOps admits an op column — a sealed point batch or an
+// ApplyBatch[Atomic] column — through admitColumn, routed by op key; on a
+// join service every op column carries a join result column.
 func (s *Service) admitOps(bf *BatchFuture, pin bool) {
-	n := len(bf.ops)
+	if s.hasBuild {
+		bf.jres = make([]JoinResult, len(bf.ops))
+	}
+	admitColumn(s, bf, bf.ops, opRoute, pin)
+}
+
+// admitColumn is the one admission body of every column: pin the read
+// horizon when asked, allocate the result column, group the column by
+// shard (keyOf is its routing key) and hand every shard its segment,
+// blocking on shard back-pressure and stamping each segment's enqueue
+// under the batch correlation id.
+func admitColumn[E any](s *Service, bf *BatchFuture, col []E, keyOf func(E) uint64, pin bool) {
+	n := len(col)
 	if pin {
 		bf.snap = s.Snapshot()
 		bf.snapSeq = bf.snap.Seq()
 	}
 	bf.res = make([]Result, n)
-	if s.hasBuild {
-		bf.jres = make([]JoinResult, n)
-	}
 	bf.perm = make([]uint32, n)
-	bf.bounds = groupByShard(bf.ops, bf.perm, len(s.shards))
-	s.dispatchSegments(bf, s.nextBatch(n))
-}
-
-// dispatchSegments hands a partitioned batch's non-empty segments to
-// their shards (blocking on shard back-pressure), stamping each
-// segment's enqueue under the batch correlation id.
-func (s *Service) dispatchSegments(bf *BatchFuture, id uint64) {
+	bf.bounds = groupByShard(col, keyOf, bf.perm, len(s.shards))
+	id := s.nextBatch(n)
 	nseg := int32(0)
 	for i := range s.shards {
 		if bf.bounds[i+1] > bf.bounds[i] {
@@ -399,85 +370,33 @@ func (s *Service) JoinBatchAt(ctx context.Context, keys []uint64, sn *Snap) *Bat
 	return s.SubmitBatchAt(ctx, OpJoin, keys, sn)
 }
 
-// partitionByShard groups items by owning shard with an in-place
-// counting-sort permutation (American-flag style: one counting pass,
-// then cycle swaps within each shard's region) and returns the segment
-// bounds: shard i owns items[bounds[i]:bounds[i+1]]. keyOf extracts the
-// routing key. Two O(Shards) allocations, none proportional to
-// len(items). The cycle swaps do not keep arrival order within a shard,
-// so it serves key columns only, where results realign through Keys();
-// op columns, whose writes must apply in submission order, go through
-// groupByShard.
-func partitionByShard[E any](items []E, nsh int, keyOf func(E) uint64) []int {
-	bounds := make([]int, nsh+1)
-	for _, it := range items {
-		bounds[shardOf(keyOf(it), nsh)+1]++
-	}
-	for i := 1; i <= nsh; i++ {
-		bounds[i] += bounds[i-1]
-	}
-	cur := make([]int, nsh)
-	copy(cur, bounds[:nsh])
-	for b := 0; b < nsh; b++ {
-		for i := cur[b]; i < bounds[b+1]; i = cur[b] {
-			sh := shardOf(keyOf(items[i]), nsh)
-			if sh == b {
-				cur[b] = i + 1
-				continue
-			}
-			items[i], items[cur[sh]] = items[cur[sh]], items[i]
-			cur[sh]++
-		}
-	}
-	return bounds
-}
+// keyRoute and opRoute are the routing keys of a key column's and an op
+// column's elements.
+func keyRoute(k uint64) uint64 { return k }
+func opRoute(op Op) uint64     { return op.Key }
 
-// scatterByShard is the out-of-place partition: one counting pass over
-// src, then a stable scatter into dst that records each key's origin in
-// idx (dst[j] == src[idx[j]]). With a second buffer there is no cycle to
-// chase, so the loop carries no branch on the key — about a third of the
-// in-place permutation's time on random keys. Same bounds as
-// partitionByShard.
-func scatterByShard(src, dst []uint64, idx []uint32, nsh int) []int {
+// groupByShard groups a column by owning shard without moving it: a
+// counting pass, then a stable scatter of the element indices into perm,
+// so shard i drains col[perm[j]] for j in [bounds[i], bounds[i+1]) in
+// submission order. keyOf extracts the routing key; perm is len(col).
+// The counts double as the scatter cursors, so the bounds are the only
+// allocation.
+func groupByShard[E any](col []E, keyOf func(E) uint64, perm []uint32, nsh int) []int {
 	bounds := make([]int, nsh+1)
-	for _, k := range src {
-		bounds[shardOf(k, nsh)+1]++
+	for _, e := range col {
+		bounds[shardOf(keyOf(e), nsh)+1]++
 	}
 	for i := 1; i <= nsh; i++ {
 		bounds[i] += bounds[i-1]
 	}
-	cur := make([]int, nsh)
-	copy(cur, bounds[:nsh])
-	dst, idx = dst[:len(src)], idx[:len(src)]
-	for i, k := range src {
-		sh := shardOf(k, nsh)
-		d := cur[sh]
-		cur[sh] = d + 1
-		dst[d] = k
-		idx[d] = uint32(i)
+	// bounds[sh] is shard sh's cursor; the scatter leaves it at shard
+	// sh+1's start, so the bounds shift back by one afterwards.
+	for i, e := range col {
+		sh := shardOf(keyOf(e), nsh)
+		perm[bounds[sh]] = uint32(i)
+		bounds[sh]++
 	}
-	return bounds
-}
-
-// groupByShard groups an op column by owning shard without moving it: a
-// counting pass, then a stable scatter of the op indices into perm
-// (scatterByShard's loop over indices instead of keys), so shard i
-// drains ops[perm[j]] for j in [bounds[i], bounds[i+1]) in submission
-// order. perm is len(ops); the bounds are partitionByShard's.
-func groupByShard(ops []Op, perm []uint32, nsh int) []int {
-	bounds := make([]int, nsh+1)
-	for _, op := range ops {
-		bounds[shardOf(op.Key, nsh)+1]++
-	}
-	for i := 1; i <= nsh; i++ {
-		bounds[i] += bounds[i-1]
-	}
-	cur := make([]int, nsh)
-	copy(cur, bounds[:nsh])
-	for i, op := range ops {
-		sh := shardOf(op.Key, nsh)
-		perm[cur[sh]] = uint32(i)
-		cur[sh]++
-	}
+	copy(bounds[1:], bounds[:nsh])
+	bounds[0] = 0
 	return bounds
 }

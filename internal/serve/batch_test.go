@@ -8,167 +8,163 @@ import (
 	"time"
 )
 
-// checkPartitions runs both partitioners over orig and checks each:
-// bounds tile [0, n] monotonically, every key sits inside the segment of
-// the shard it hashes to — the same shard the equivalent point op would
-// land on — and the key multiset is preserved. The in-place form (a nil
-// index column: GoBatch's path) permutes a copy; the scatter form must
-// leave its source alone, return the same bounds, keep arrival order
-// within a segment, and record the permutation: idx is a rearrangement
-// of 0..n-1 with dst[j] == orig[idx[j]].
-func checkPartitions(t *testing.T, orig []uint64, nsh int) {
+// checkGrouping runs groupByShard over col and checks what every column
+// relies on: the column is left as it was, perm is a permutation of its
+// indices, the bounds are the running sums of a direct per-shard count
+// (so they tile [0, n] monotonically), every element sits in the segment
+// of the shard its key hashes to — the shard the equivalent point op
+// would land on — and each segment keeps submission order, the property
+// that makes the last submitted write to a key the one that stays.
+func checkGrouping[E comparable](t *testing.T, col []E, keyOf func(E) uint64, nsh int) {
 	t.Helper()
-	n := len(orig)
-	check := func(form string, keys []uint64, bounds []int) {
-		t.Helper()
-		if len(bounds) != nsh+1 || bounds[0] != 0 || bounds[nsh] != n {
-			t.Fatalf("%s nsh=%d n=%d: bounds %v do not tile [0,%d]", form, nsh, n, bounds, n)
-		}
-		for sh := 0; sh < nsh; sh++ {
-			if bounds[sh+1] < bounds[sh] {
-				t.Fatalf("%s nsh=%d n=%d: bounds %v not monotone", form, nsh, n, bounds)
-			}
-			for i := bounds[sh]; i < bounds[sh+1]; i++ {
-				if got := shardOf(keys[i], nsh); got != sh {
-					t.Fatalf("%s nsh=%d n=%d: keys[%d]=%d in segment %d but hashes to shard %d",
-						form, nsh, n, i, keys[i], sh, got)
-				}
-			}
-		}
-		freq := map[uint64]int{}
-		for i := range orig {
-			freq[orig[i]]++
-			freq[keys[i]]--
-		}
-		for k, c := range freq {
-			if c != 0 {
-				t.Fatalf("%s nsh=%d n=%d: key %d count off by %d after partition", form, nsh, n, k, c)
-			}
-		}
+	n := len(col)
+	orig := slices.Clone(col)
+	perm := make([]uint32, n)
+	bounds := groupByShard(col, keyOf, perm, nsh)
+	if !slices.Equal(col, orig) {
+		t.Fatalf("nsh=%d n=%d: the column was modified", nsh, n)
 	}
-
-	inPlace := slices.Clone(orig)
-	inBounds := partitionByShard(inPlace, nsh, func(k uint64) uint64 { return k })
-	check("in-place", inPlace, inBounds)
-
-	src, dst, idx := slices.Clone(orig), make([]uint64, n), make([]uint32, n)
-	bounds := scatterByShard(src, dst, idx, nsh)
-	check("scatter", dst, bounds)
-	if !slices.Equal(src, orig) {
-		t.Fatalf("scatter nsh=%d n=%d: source column modified", nsh, n)
+	want := make([]int, nsh+1)
+	for _, e := range col {
+		want[shardOf(keyOf(e), nsh)+1]++
 	}
-	if !slices.Equal(bounds, inBounds) {
-		t.Fatalf("scatter nsh=%d n=%d: bounds %v, in-place %v", nsh, n, bounds, inBounds)
+	for i := 1; i <= nsh; i++ {
+		want[i] += want[i-1]
+	}
+	if !slices.Equal(bounds, want) {
+		t.Fatalf("nsh=%d n=%d: bounds %v, per-shard count %v", nsh, n, bounds, want)
 	}
 	seen := make([]bool, n)
-	for j, i := range idx {
+	for _, i := range perm {
 		if int(i) >= n || seen[i] {
-			t.Fatalf("scatter nsh=%d n=%d: idx %v is not a permutation of 0..%d", nsh, n, idx, n-1)
+			t.Fatalf("nsh=%d n=%d: perm %v is not a permutation of 0..%d", nsh, n, perm, n-1)
 		}
 		seen[i] = true
-		if dst[j] != orig[i] {
-			t.Fatalf("scatter nsh=%d n=%d: dst[%d]=%d but orig[idx[%d]=%d]=%d", nsh, n, j, dst[j], j, i, orig[i])
-		}
 	}
 	for sh := 0; sh < nsh; sh++ {
-		if seg := idx[bounds[sh]:bounds[sh+1]]; !slices.IsSorted(seg) {
-			t.Fatalf("scatter nsh=%d n=%d: segment %d not in arrival order: %v", nsh, n, sh, seg)
+		seg := perm[bounds[sh]:bounds[sh+1]]
+		for _, i := range seg {
+			if got := shardOf(keyOf(col[i]), nsh); got != sh {
+				t.Fatalf("nsh=%d n=%d: element %d (key %d) in segment %d but hashes to shard %d", nsh, n, i, keyOf(col[i]), sh, got)
+			}
+		}
+		if !slices.IsSorted(seg) {
+			t.Fatalf("nsh=%d n=%d: segment %d not in submission order: %v", nsh, n, sh, seg)
 		}
 	}
 }
 
-// TestBatchPartitionInPlace checks both shard partitioners — the
-// in-place permutation and the scatter with its index column — over
-// duplicate-heavy columns at several shard counts and sizes.
-func TestBatchPartitionInPlace(t *testing.T) {
+// TestBatchPartitionStable checks the one column grouping over
+// duplicate-heavy key and op columns at several shard counts and sizes.
+func TestBatchPartitionStable(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 7} {
 		rng := rand.New(rand.NewPCG(uint64(shards), 3))
 		for _, n := range []int{0, 1, 2, 5, 64, 1000} {
 			keys := make([]uint64, n)
+			ops := make([]Op, n)
 			for i := range keys {
 				keys[i] = rng.Uint64N(200)
+				ops[i] = Op{Kind: [...]OpKind{OpLookup, OpInsert, OpDelete}[i%3], Key: keys[i], Val: uint32(i)}
 			}
-			checkPartitions(t, keys, shards)
+			checkGrouping(t, keys, keyRoute, shards)
+			checkGrouping(t, ops, opRoute, shards)
 		}
 	}
 }
 
-// TestSubmitBatchScatter drives the scatter admission end to end: the
-// caller's source column comes back untouched, result j belongs to
-// src[idx[j]] (so un-permuting through idx gives submission order, every
-// duplicate its own position), every Match.Probe re-points through idx
-// at an occurrence of the matched key, and each position's match count
-// equals its Hits. A refused submission leaves the columns unwritten.
-func TestSubmitBatchScatter(t *testing.T) {
+// TestKeyColumnContract pins the key column's contract on every key
+// column surface (GoBatch, JoinBatch, SubmitBatchAt, JoinBatchAt) at
+// shard counts 1, 2, 4 and 7 over duplicate-heavy columns: the caller's
+// keys come back byte-identical, Keys() is the caller's slice, result i
+// is the reference outcome of keys[i], every Match.Probe points at a
+// position holding the match's Key, and each position's streamed
+// matches add up to its Hits and Agg. A submission refused after Close
+// leaves the keys alone too.
+func TestKeyColumnContract(t *testing.T) {
 	const domainN = 300
 	rng := rand.New(rand.NewPCG(5, 6))
 	var build []BuildTuple
+	wantHits := map[uint64]uint32{}
+	wantAgg := map[uint64]uint64{}
 	for range 500 {
-		build = append(build, BuildTuple{Key: rng.Uint64N(domainN), Payload: rng.Uint32N(100)})
-	}
-	s, err := New(testDomain(domainN, 1), WithShards(3), WithBuild(build))
-	if err != nil {
-		t.Fatal(err)
+		bt := BuildTuple{Key: rng.Uint64N(domainN), Payload: rng.Uint32N(100)}
+		build = append(build, bt)
+		wantHits[bt.Key]++
+		wantAgg[bt.Key] += uint64(bt.Payload)
 	}
 	ctx := context.Background()
-	for _, n := range []int{1, 7, 2000} {
-		for _, snapshot := range []bool{false, true} {
-			src := make([]uint64, n)
-			for i := range src {
-				src[i] = rng.Uint64N(domainN + 50) // duplicates and misses
-			}
-			orig := slices.Clone(src)
-			keys, idx := make([]uint64, n), make([]uint32, n)
-			bf := s.SubmitBatchScatter(ctx, OpJoin, src, keys, idx, snapshot)
-			jres := bf.WaitJoin()
-			if err := bf.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(src, orig) {
-				t.Fatalf("n=%d: source column modified", n)
-			}
-			res := bf.Wait()
-			hits := make([]uint32, n)
-			for j := range keys {
-				i := idx[j]
-				if keys[j] != orig[i] {
-					t.Fatalf("n=%d: keys[%d]=%d, src[idx]=%d", n, j, keys[j], orig[i])
+	for _, shards := range []int{1, 2, 4, 7} {
+		s, err := New(testDomain(domainN, 1), WithShards(shards), WithBuild(build))
+		if err != nil {
+			t.Fatal(err)
+		}
+		surfaces := map[string]func(keys []uint64) *BatchFuture{
+			"GoBatch":       func(keys []uint64) *BatchFuture { return s.GoBatch(ctx, keys) },
+			"JoinBatch":     func(keys []uint64) *BatchFuture { return s.JoinBatch(ctx, keys) },
+			"SubmitBatchAt": func(keys []uint64) *BatchFuture { return s.SubmitBatchAt(ctx, OpLookup, keys, nil) },
+			"JoinBatchAt":   func(keys []uint64) *BatchFuture { return s.JoinBatchAt(ctx, keys, nil) },
+		}
+		for name, submit := range surfaces {
+			for _, n := range []int{1, 7, 2000} {
+				keys := make([]uint64, n)
+				for i := range keys {
+					keys[i] = rng.Uint64N(domainN/10 + 5) // duplicates and misses
+					if i%4 == 3 {
+						keys[i] += domainN // a miss
+					}
 				}
-				want := Result{Code: NotFound}
-				if k := orig[i]; k < domainN {
-					want = Result{Code: uint32(k), Found: true}
+				orig := slices.Clone(keys)
+				bf := submit(keys)
+				res, jres := bf.Wait(), bf.WaitJoin()
+				if err := bf.Err(); err != nil {
+					t.Fatal(err)
 				}
-				if res[j] != want {
-					t.Fatalf("n=%d position %d key %d: %+v, want %+v", n, i, orig[i], res[j], want)
+				if !slices.Equal(keys, orig) {
+					t.Fatalf("%s shards=%d n=%d: the caller's keys were modified", name, shards, n)
 				}
-				hits[i] = jres[j].Hits
-			}
-			for m := range bf.Matches() {
-				i := idx[m.Probe]
-				if orig[i] != m.Key {
-					t.Fatalf("n=%d: match for key %d re-points to position %d holding %d", n, m.Key, i, orig[i])
+				if len(bf.Keys()) != n || &bf.Keys()[0] != &keys[0] || len(res) != n {
+					t.Fatalf("%s shards=%d n=%d: Keys() is not the caller's slice, or %d results", name, shards, n, len(res))
 				}
-				hits[i]--
-			}
-			for i, h := range hits {
-				if h != 0 {
-					t.Fatalf("n=%d position %d (key %d): Hits and streamed matches differ by %d", n, i, orig[i], int32(h))
+				join := jres != nil
+				perProbe := make([]JoinResult, n)
+				for m := range bf.Matches() {
+					if m.Probe < 0 || m.Probe >= n || keys[m.Probe] != m.Key || m.Code != uint32(m.Key) {
+						t.Fatalf("%s shards=%d n=%d: match %+v does not point at a position holding its key", name, shards, n, m)
+					}
+					perProbe[m.Probe].Hits++
+					perProbe[m.Probe].Agg += uint64(m.Payload)
+				}
+				for i, k := range keys {
+					want := Result{Code: NotFound}
+					if k < domainN {
+						want = Result{Code: uint32(k), Found: true}
+					}
+					if res[i] != want {
+						t.Fatalf("%s shards=%d n=%d position %d key %d: %+v, want %+v", name, shards, n, i, k, res[i], want)
+					}
+					if !join {
+						continue
+					}
+					wantJ := JoinResult{Code: want.Code}
+					if want.Found {
+						wantJ.Hits, wantJ.Agg = wantHits[k], wantAgg[k]
+					}
+					if jres[i] != wantJ {
+						t.Fatalf("%s shards=%d n=%d position %d key %d: %+v, want %+v", name, shards, n, i, k, jres[i], wantJ)
+					}
+					if perProbe[i].Hits != wantJ.Hits || perProbe[i].Agg != wantJ.Agg {
+						t.Fatalf("%s shards=%d n=%d position %d key %d: streamed %d matches (sum %d), want %d (%d)",
+							name, shards, n, i, k, perProbe[i].Hits, perProbe[i].Agg, wantJ.Hits, wantJ.Agg)
+					}
 				}
 			}
 		}
-	}
-
-	s.Close()
-	keys, idx := []uint64{99}, []uint32{99}
-	if bf := s.SubmitBatchScatter(ctx, OpLookup, []uint64{1}, keys, idx, false); bf.Err() != ErrClosed || keys[0] != 99 || idx[0] != 99 {
-		t.Fatalf("after Close: err %v, columns %v %v", bf.Err(), keys, idx)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("columns of different lengths must panic")
+		s.Close()
+		keys := []uint64{1, 2}
+		if bf := s.GoBatch(ctx, keys); bf.Err() != ErrClosed || !slices.Equal(keys, []uint64{1, 2}) {
+			t.Fatalf("shards=%d after Close: err %v, keys %v", shards, bf.Err(), keys)
 		}
-	}()
-	s.SubmitBatchScatter(ctx, OpLookup, []uint64{1, 2}, keys, idx, false)
+	}
 }
 
 // TestGoBatchMatchesPointOps drives the vectorized lookup path against

@@ -11,7 +11,8 @@ import (
 
 // BenchmarkDrainKernels is the serve layer's kernel number: what one shard
 // pays per key to drain a 1024-key segment through lookupBatch and through
-// the join drainSegment, next to the standalone kernels on the same table
+// the join key column's drainOps (gather, both stages, match stream and
+// result scatter), next to the standalone kernels on the same table
 // (native.RunSequential / RunFrameDirect, and Table.RunSequential over the
 // codes the dictionary stage resolves to). Whatever lookupBatch costs over
 // RunFrameDirect at the same group is the two-level split (the page
@@ -78,11 +79,17 @@ func BenchmarkDrainKernels(b *testing.B) {
 			}
 			jt.RunSequential(keys, jres)
 		})
-		bf := &BatchFuture{kind: OpJoin, keys: keys, res: out, jres: make([]JoinResult, vec), matches: make([][]Match, 1)}
+		bf := &BatchFuture{kind: OpJoin, keys: keys, res: make([]Result, vec), jres: make([]JoinResult, vec), matches: make([][]Match, 1)}
+		perm := make([]uint32, vec)
+		for i := range perm {
+			perm[i] = uint32(i)
+		}
+		var rs runScratch
 		for _, g := range groups {
-			run(fmt.Sprintf("join.drainSegment/g=%d", g), func() {
+			run(fmt.Sprintf("join.drainOps/g=%d", g), func() {
 				bf.matches[0] = bf.matches[0][:0]
-				x.drainSegment(deltaView{}, bf, 0, 0, vec, g)
+				ks, pos, o := rs.gather(bf, perm)
+				x.drainOps(deltaView{}, bf, pos, ks, g, o, &bf.matches[0])
 			})
 		}
 	}

@@ -12,8 +12,8 @@ import (
 	"repro/internal/nativejoin"
 )
 
-// This file pins the drains (lookupBatch, the op-column drain and the
-// join's key-column drainSegment, scanRanges) to their sequential
+// This file pins the drains (lookupBatch, the column drain over op and
+// key columns with the join's match stream, scanRanges) to their sequential
 // references — native.Baseline behind the delta, Table.ProbeEach in chain
 // order, native.RangeSeekScan — over every batch shape the flat scheduler
 // treats differently: group 1…MaxGroup+1, n around the group, inputs that
@@ -100,7 +100,7 @@ func pageKeys(table []uint64) []uint64 {
 	return keys
 }
 
-// shard is a one-shard host for the op-column drain over the world: its
+// shard is a one-shard host for the column drain over the world: its
 // epoch serves the world's index, its live delta is the world's delta
 // part, its group is fixed at group, and rebuilds are off.
 func (w *drainWorld) shard(group int) *shard {
@@ -163,9 +163,10 @@ func (w *drainWorld) join(key uint64) (JoinResult, []uint32) {
 
 // checkDrains runs every drain over keys at the given group and
 // compares each against its reference. A masked input has its op's
-// context cancelled in drainOps and its range inverted in scanRanges (the key-driven
-// declines — delta hits, tombstones, the empty table — follow from the
-// keys themselves).
+// context cancelled in an op column and its range inverted in
+// scanRanges, and a key column whose every input is masked has its
+// context cancelled (the key-driven declines — delta hits, tombstones,
+// the empty table — follow from the keys themselves).
 func checkDrains(t *testing.T, w *drainWorld, keys []uint64, group int, masked func(i int) bool) {
 	t.Helper()
 	n := len(keys)
@@ -232,38 +233,73 @@ func checkDrains(t *testing.T, w *drainWorld, keys []uint64, group int, masked f
 		t.Fatalf("drainOps g=%d n=%d: the batch's only segment did not complete it", group, n)
 	}
 
-	// drainSegment: the segment sits at an offset inside its batch, so
-	// result and match indices must be batch-relative.
+	// A key column through the same drain: the shard's segment sits at
+	// an offset of the grouping and its keys at every other position of
+	// the column, so results and match probes must land at the keys'
+	// submission indices and leave the other positions alone.
 	for _, kind := range []OpKind{OpLookup, OpJoin} {
+		col := make([]uint64, lo+2*n)
 		bf := &BatchFuture{
 			kind:    kind,
-			keys:    append([]uint64{^uint64(0), ^uint64(0)}, keys...),
-			res:     make([]Result, lo+n),
-			jres:    make([]JoinResult, lo+n),
+			keys:    col,
+			perm:    make([]uint32, lo+n),
+			res:     make([]Result, len(col)),
 			matches: make([][]Match, 1),
+			done:    make(chan struct{}),
+			snapSeq: latestSeq,
 		}
-		w.x.drainSegment(w.dv, bf, 0, lo, lo+n, group)
-		got := make([][]uint32, n)
+		if kind == OpJoin {
+			bf.jres = make([]JoinResult, len(col))
+		}
+		for i := range col {
+			col[i] = ^uint64(0)
+		}
+		for j, k := range keys {
+			col[lo+2*j] = k
+			bf.perm[lo+j] = uint32(lo + 2*j)
+		}
+		dropAll := n > 0
+		for j := range n {
+			dropAll = dropAll && masked(j)
+		}
+		if dropAll {
+			bf.ctx = cancelled
+		}
+		bf.pending.Store(1)
+		w.shard(group).drainOps(bf, lo, lo+n, 0)
+		got := make([][]uint32, len(col))
 		for _, m := range bf.matches[0] {
-			i := m.Probe - lo
-			if i < 0 || i >= n || m.Key != keys[i] || m.Code != bf.jres[m.Probe].Code {
-				t.Fatalf("drainSegment g=%d n=%d: stray match %+v", group, n, m)
+			if kind != OpJoin || m.Probe < 0 || m.Probe >= len(col) || m.Key != col[m.Probe] || m.Code != bf.jres[m.Probe].Code {
+				t.Fatalf("key column g=%d n=%d: stray match %+v", group, n, m)
 			}
-			got[i] = append(got[i], m.Payload)
+			got[m.Probe] = append(got[m.Probe], m.Payload)
 		}
-		for i, k := range keys {
-			if want := w.lookup(k); bf.res[lo+i] != want {
-				t.Fatalf("drainSegment %v g=%d n=%d: key[%d]=%d → %+v, want %+v", kind, group, n, i, k, bf.res[lo+i], want)
-			}
+		for i, k := range col {
+			var want Result
 			var wantJoin JoinResult
 			var wantPayloads []uint32
-			if kind == OpJoin {
-				wantJoin, wantPayloads = w.join(k)
+			switch {
+			case i < lo || (i-lo)%2 == 1: // another shard's key: untouched
+			case dropAll:
+				want, wantJoin = Result{Code: NotFound, Dropped: true}, JoinResult{Code: NotFound, Dropped: true}
+			default:
+				want = w.lookup(k)
+				if kind == OpJoin {
+					wantJoin, wantPayloads = w.join(k)
+				}
 			}
-			if bf.jres[lo+i] != wantJoin || !slices.Equal(got[i], wantPayloads) {
-				t.Fatalf("drainSegment %v g=%d n=%d: key[%d]=%d → %+v matches %v, want %+v matches %v",
-					kind, group, n, i, k, bf.jres[lo+i], got[i], wantJoin, wantPayloads)
+			if bf.res[i] != want {
+				t.Fatalf("key column %v g=%d n=%d: col[%d]=%d → %+v, want %+v", kind, group, n, i, k, bf.res[i], want)
 			}
+			if kind == OpJoin && (bf.jres[i] != wantJoin || !slices.Equal(got[i], wantPayloads)) {
+				t.Fatalf("key column %v g=%d n=%d: col[%d]=%d → %+v matches %v, want %+v matches %v",
+					kind, group, n, i, k, bf.jres[i], got[i], wantJoin, wantPayloads)
+			}
+		}
+		select {
+		case <-bf.done:
+		default:
+			t.Fatalf("key column g=%d n=%d: the batch's only segment did not complete it", group, n)
 		}
 	}
 
@@ -380,7 +416,8 @@ func FuzzDrainEquivalence(f *testing.F) {
 
 // TestDrainKernelsAllocFree: once the slots have grown to the group, a
 // drain of any of the kernels allocates nothing — no handle, no
-// per-slot frame, and the start/sink closures stay on the stack.
+// per-slot frame, and the start/sink closures stay on the stack — over
+// an op column and over a join key column streaming its matches.
 func TestDrainKernelsAllocFree(t *testing.T) {
 	w := newDrainWorld(drainTableLen, true)
 	const n, group = 96, 6
@@ -389,7 +426,7 @@ func TestDrainKernelsAllocFree(t *testing.T) {
 		keys[i] = uint64(i*5) % (4 * drainTableLen)
 	}
 	out := make([]Result, n)
-	bf := &BatchFuture{kind: OpJoin, keys: keys, res: out, jres: make([]JoinResult, n), matches: make([][]Match, 1)}
+	bf := &BatchFuture{kind: OpJoin, keys: keys, res: make([]Result, n), jres: make([]JoinResult, n), matches: make([][]Match, 1)}
 	ops := make([]Op, n)
 	for i, k := range keys {
 		ops[i] = RangeOp(k, k+8, 0)
@@ -406,9 +443,12 @@ func TestDrainKernelsAllocFree(t *testing.T) {
 		pos[i] = uint32(i)
 	}
 	for name, drain := range map[string]func(){
-		"lookupBatch":  func() { w.x.lookupBatch(w.dv, keys, group, out) },
-		"drainOps":     func() { w.x.drainOps(w.dv, col, pos, keys, group, out) },
-		"drainSegment": func() { bf.matches[0] = bf.matches[0][:0]; w.x.drainSegment(w.dv, bf, 0, 0, n, group) },
+		"lookupBatch": func() { w.x.lookupBatch(w.dv, keys, group, out) },
+		"drainOps":    func() { w.x.drainOps(w.dv, col, pos, keys, group, out, nil) },
+		"drainOps/keys": func() {
+			bf.matches[0] = bf.matches[0][:0]
+			w.x.drainOps(w.dv, bf, pos, keys, group, out, &bf.matches[0])
+		},
 		"scanRanges": func() {
 			for i := range pairs {
 				pairs[i] = pairs[i][:0]

@@ -17,13 +17,13 @@ import (
 // dictionary lookup pipes its code into the hash probe without leaving
 // the shard.
 //
-// Stage 1 resolves the whole segment (or an op column's read run) to
-// codes through the very lookupBatch a lookup service runs — delta
-// first, then the two-level search over the dictionary partition (the
-// page sample in lockstep, then an interleaved binary search inside one
-// page) — so joins stay consistent with lookups on a service whose
-// dictionary mutates, and a plain lookup on a join service costs what it
-// costs on a lookup service.
+// Stage 1 resolves a read run (a key column's whole segment, or a run of
+// an op column's reads) to codes through the very lookupBatch a lookup
+// service runs — delta first, then the two-level search over the
+// dictionary partition (the page sample in lockstep, then an interleaved
+// binary search inside one page) — so joins stay consistent with lookups
+// on a service whose dictionary mutates, and a plain lookup on a join
+// service costs what it costs on a lookup service.
 // Stage 2 walks the hash chains of the keys stage 1 found, one small
 // probeFrame each; a delta hit carries its delta code into the walk, a
 // tombstone or a miss never gets that far. The stages suspend where their
@@ -68,8 +68,8 @@ type probeFrame struct {
 	jt  *nativejoin.Table
 	cur nativejoin.Cursor
 	// msink, when non-nil, is the owning batch's per-shard match buffer;
-	// m is the match to stream into it (the probe's index in the
-	// partitioned column, its key and code), less the payload.
+	// m is the match to stream into it (the probe's index in the column
+	// as submitted, its key and code), less the payload.
 	msink *[]Match
 	m     Match
 }
@@ -88,72 +88,47 @@ func (f *probeFrame) Step() (nativejoin.Result, bool) {
 	return r, done
 }
 
-// drainOps resolves one gathered read run of an op column against the
-// given delta view: keys[j] is the key of op pos[j], and out is stage
-// 1's scratch result column. Results land by index in the column's res
-// (and jres); stage 1 answers every key, and on a join service stage 2
-// then walks the chains of the join probes it found.
+// drainOps resolves one gathered read run of a column against the
+// given delta view: keys[j] is the key of element pos[j], and out is
+// stage 1's scratch result column. Results land by index in the column's
+// res (and jres); stage 1 answers every key, and on a join service stage
+// 2 then walks the chains of the join probes it found, streaming each
+// match into msink when it is non-nil (a join key column's per-shard
+// match buffer). It returns the number of join probes and their hits.
 //
 //isi:hotpath
-func (x *index) drainOps(dv deltaView, bf *BatchFuture, pos []uint32, keys []uint64, group int, out []Result) {
+func (x *index) drainOps(dv deltaView, bf *BatchFuture, pos []uint32, keys []uint64, group int, out []Result, msink *[]Match) (joins, hits uint64) {
 	x.lookupBatch(dv, keys, group, out)
 	for j, i := range pos {
 		bf.res[i] = out[j] // stage 1's answer, for lookups and joins alike
 	}
-	if x.jt == nil {
-		return
+	if x.jt == nil || bf.jres == nil {
+		return 0, 0
 	}
 	coro.DrainFlat(&x.slots.probes, len(pos), group,
 		//isi:allow-alloc(two closures per run over the run's columns, called and not retained by DrainFlat; O(1) per run, not per key)
 		func(fr *probeFrame, j int) bool {
 			i := pos[j]
-			if bf.ops[i].Kind != OpJoin {
+			if bf.ops != nil && bf.ops[i].Kind != OpJoin {
 				return false
 			}
-			bf.jres[i] = JoinResult{Code: out[j].Code}
+			joins++
+			code := out[j].Code
+			bf.jres[i] = JoinResult{Code: code}
 			if !out[j].Found {
 				return false
 			}
-			*fr = probeFrame{jt: x.jt, cur: x.jt.Start(uint64(out[j].Code))}
+			*fr = probeFrame{
+				jt: x.jt, cur: x.jt.Start(uint64(code)),
+				msink: msink, m: Match{Probe: int(i), Key: keys[j], Code: code},
+			}
 			return true
 		},
 		//isi:allow-alloc(see the start closure above)
 		func(j int, r nativejoin.Result) {
 			i := pos[j]
 			bf.jres[i].Hits, bf.jres[i].Agg = r.Hits, r.Agg
+			hits += uint64(r.Hits)
 		})
-}
-
-// drainSegment resolves one shard segment [lo, hi) of a vectorized
-// batch against the given delta view, writing into the batch's
-// caller-visible slices; join segments (admitted on a join service only)
-// additionally stream every build-tuple match into the batch's per-shard
-// match buffer.
-//
-//isi:hotpath
-func (x *index) drainSegment(dv deltaView, bf *BatchFuture, shardID, lo, hi, group int) {
-	keys, res := bf.keys[lo:hi], bf.res[lo:hi]
-	x.lookupBatch(dv, keys, group, res)
-	if bf.kind != OpJoin {
-		return
-	}
-	jres, msink := bf.jres[lo:hi], &bf.matches[shardID]
-	coro.DrainFlat(&x.slots.probes, len(keys), group,
-		//isi:allow-alloc(two closures per batch over the batch's columns, called and not retained by DrainFlat; O(1) per batch, not per key)
-		func(fr *probeFrame, i int) bool {
-			code := res[i].Code
-			jres[i] = JoinResult{Code: code}
-			if !res[i].Found {
-				return false
-			}
-			*fr = probeFrame{
-				jt: x.jt, cur: x.jt.Start(uint64(code)),
-				msink: msink, m: Match{Probe: lo + i, Key: keys[i], Code: code},
-			}
-			return true
-		},
-		//isi:allow-alloc(see the start closure above)
-		func(i int, r nativejoin.Result) {
-			jres[i].Hits, jres[i].Agg = r.Hits, r.Agg
-		})
+	return joins, hits
 }

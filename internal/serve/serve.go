@@ -41,11 +41,11 @@
 // seq commits — a snapshot reader observes all of a cross-shard atomic
 // batch or none of it.
 //
-// Either way, requests are hash-partitioned across per-core shards (key
-// columns in place, op columns through an order-keeping index
-// permutation) and drained through the coroutine-interleaved kernels of
-// one native index per shard (coro.DrainFlat over internal/native frames
-// on real memory). The paper's experiments run on the simulated machine
+// Either way, requests are hash-partitioned across per-core shards
+// (every column through one order-keeping index permutation, so results
+// align with the column as submitted) and drained through the
+// coroutine-interleaved kernels of one native index per shard
+// (coro.DrainFlat over internal/native frames on real memory). The paper's experiments run on the simulated machine
 // of internal/exp instead; serving has one execution path per operation.
 // Each shard's interleaving group size is tuned online by a
 // hill-climbing controller on the measured per-batch drain time, instead

@@ -69,11 +69,11 @@ type shard struct {
 }
 
 // shardMsg is one unit of shard work: a contiguous segment [lo, hi) of
-// a column (bf) — of its partitioned keys, or of its op column's shard
-// grouping — or a whole range batch (rf — every shard scans every range,
-// so range messages carry no segment bounds). Sent by value, so dispatch
-// allocates nothing per shard. id is the service-wide batch correlation
-// id stamped into the span rings (0 when observation is off).
+// a column's shard grouping (bf.perm), or a whole range batch (rf —
+// every shard scans every range, so range messages carry no segment
+// bounds). Sent by value, so dispatch allocates nothing per shard. id is
+// the service-wide batch correlation id stamped into the span rings (0
+// when observation is off).
 type shardMsg struct {
 	bf     *BatchFuture
 	rf     *RangeFuture
@@ -99,14 +99,15 @@ func (sh *shard) run(wg *sync.WaitGroup) {
 		case msg.rf != nil:
 			sh.setLabels(sh.opCtx[classRange])
 			sh.drainRange(msg.rf, msg.id)
-		case msg.bf.ops != nil:
-			// Op columns mix op kinds; attribute them to the base
-			// (subsystem, shard) label set.
-			sh.setLabels(sh.baseCtx)
-			sh.drainOps(msg.bf, msg.lo, msg.hi, msg.id)
 		default:
-			sh.setLabels(sh.opCtx[classOf(msg.bf.kind)])
-			sh.drainSegment(msg.bf, msg.lo, msg.hi, msg.id)
+			// A key column is one op class; an op column mixes kinds and
+			// takes the base (subsystem, shard) label set.
+			labels := sh.baseCtx
+			if msg.bf.ops == nil {
+				labels = sh.opCtx[classOf(msg.bf.kind)]
+			}
+			sh.setLabels(labels)
+			sh.drainOps(msg.bf, msg.lo, msg.hi, msg.id)
 		}
 	}
 }
@@ -132,18 +133,18 @@ func (sh *shard) applyOp(op Op, seq uint64) Result {
 	}
 }
 
-// drainOps executes one shard segment of an op column — a sealed point
-// batch or an ApplyBatch[Atomic] column — in submission order. Drops
-// come first: an op whose context is already cancelled is never probed
-// and never applied, completes Dropped and is counted (an atomic column
-// skips this — its context was checked at admission, and dropping one
-// shard's segment would tear the batch and wedge the commit queue behind
-// its seq). Then the live ops run in order: each maximal run of writes
+// drainOps executes one shard segment of a column in submission order.
+// Drops come first: an op whose context is already cancelled is never
+// probed and never applied, completes Dropped and is counted (a column
+// shares one context, so it drops whole segments; an atomic column skips
+// this — its context was checked at admission, and dropping one shard's
+// segment would tear the batch and wedge the commit queue behind its
+// seq). Then the live ops run in order: each maximal run of writes
 // applies to the delta, and each maximal run of reads is gathered into
 // one key column and drained interleaved through the kernels, so a read
-// observes every write submitted before it. The segment runs between
-// messages, so other batches on this shard observe all of its writes or
-// none.
+// observes every write submitted before it. A key column's segment is
+// one read run. The segment runs between messages, so other batches on
+// this shard observe all of its writes or none.
 //
 //isi:hotpath
 func (sh *shard) drainOps(bf *BatchFuture, lo, hi int, id uint64) {
@@ -153,29 +154,34 @@ func (sh *shard) drainOps(bf *BatchFuture, lo, hi int, id uint64) {
 	// A point op carries its own context; a column shares bf.ctx, checked
 	// once per segment.
 	colDone := bf.futs == nil && bf.atomicSeq == 0 && bf.ctx != nil && bf.ctx.Err() != nil
-	for _, i := range seg {
-		if colDone || bf.futs != nil && bf.futs[i].ctx != nil && bf.futs[i].ctx.Err() != nil {
-			bf.res[i] = Result{Code: NotFound, Dropped: true}
-			if bf.jres != nil {
-				bf.jres[i] = JoinResult{Code: NotFound, Dropped: true}
+	if colDone || bf.futs != nil {
+		for _, i := range seg {
+			if colDone || bf.futs[i].ctx != nil && bf.futs[i].ctx.Err() != nil {
+				bf.res[i] = Result{Code: NotFound, Dropped: true}
+				if bf.jres != nil {
+					bf.jres[i] = JoinResult{Code: NotFound, Dropped: true}
+				}
+				dropped++
 			}
-			dropped++
 		}
 	}
 	g := sh.ctl.Group()
 	var kernelBusy, writeBusy time.Duration
 	var reads, writes int
+	var joins, hits uint64
 	for j := 0; j < len(seg); {
 		if bf.res[seg[j]].Dropped {
 			j++
 			continue
 		}
 		// A maximal run of live ops on one side, write or read; dropped
-		// ops inside it are skipped.
-		w := bf.ops[seg[j]].Kind.IsWrite()
-		k := j + 1
-		for k < len(seg) && (bf.res[seg[k]].Dropped || bf.ops[seg[k]].Kind.IsWrite() == w) {
-			k++
+		// ops inside it are skipped. A key column is one read run.
+		w, k := false, len(seg)
+		if bf.ops != nil {
+			w, k = bf.ops[seg[j]].Kind.IsWrite(), j+1
+			for k < len(seg) && (bf.res[seg[k]].Dropped || bf.ops[seg[k]].Kind.IsWrite() == w) {
+				k++
+			}
 		}
 		t0 := time.Now()
 		if w {
@@ -187,27 +193,28 @@ func (sh *shard) drainOps(bf *BatchFuture, lo, hi int, id uint64) {
 			}
 			writeBusy += time.Since(t0)
 		} else {
-			reads += sh.drainRun(bf, seg[j:k], g)
+			r, jn, h := sh.drainRun(bf, seg[j:k], g)
+			reads, joins, hits = reads+r, joins+jn, hits+h
 			kernelBusy += time.Since(t0)
 		}
 		j = k
 	}
 	sh.ring.Record(obs.SpanKernelDone, sh.id, id, reads, int64(kernelBusy))
 	now := time.Now()
-	var joins, hits uint64
-	for _, i := range seg {
-		if bf.res[i].Dropped {
-			continue
+	if bf.ops == nil {
+		// A key column is one op class with one enqueue time.
+		sh.met.recordLatencyN(classOf(bf.kind), now.Sub(bf.enq), uint64(len(seg))-dropped)
+	} else {
+		for _, i := range seg {
+			if bf.res[i].Dropped {
+				continue
+			}
+			enq := bf.enq
+			if bf.futs != nil {
+				enq = bf.futs[i].enq
+			}
+			sh.met.recordLatency(classOf(bf.ops[i].Kind), now.Sub(enq))
 		}
-		kind, enq := bf.ops[i].Kind, bf.enq
-		if bf.futs != nil {
-			enq = bf.futs[i].enq
-		}
-		if kind == OpJoin {
-			joins++
-			hits += uint64(bf.jres[i].Hits)
-		}
-		sh.met.recordLatency(classOf(kind), now.Sub(enq))
 	}
 	sh.ring.Record(obs.SpanComplete, sh.id, id, len(seg), int64(dropped))
 	// Kernel metrics (batches, group, busy) count only
@@ -226,28 +233,33 @@ func (sh *shard) drainOps(bf *BatchFuture, lo, hi int, id uint64) {
 	bf.segDone(dropped)
 }
 
-// drainRun drains one run of an op segment's reads (its dropped ops are
-// left out of the gathered key column) against the epoch snapshot and
-// delta view of the batch's read horizon, completing their results by
-// index. The view is built per run, not per segment: a write between
-// runs can install a pending epoch, and a read after it must probe the
+// drainRun drains one read run of a segment (its dropped ops are left
+// out of the gathered key column) against the epoch snapshot and delta
+// view of the batch's read horizon, completing their results by index.
+// The view is built per run, not per segment: a write between runs can
+// install a pending epoch, and a read after it must probe the
 // post-install pair or it would miss the writes the merge just retired
-// from the delta. It returns the number of reads drained.
+// from the delta. It returns the number of reads drained, and of join
+// probes among them and their build-side hits.
 //
 //isi:hotpath
-func (sh *shard) drainRun(bf *BatchFuture, run []uint32, g int) int {
+func (sh *shard) drainRun(bf *BatchFuture, run []uint32, g int) (reads int, joins, hits uint64) {
 	at := bf.snapSeq
 	if at == latestSeq {
 		at = sh.hz.Load()
 	}
 	ep, dv := sh.viewAt(at)
 	keys, pos, out := sh.runs.gather(bf, run)
-	ep.idx.drainOps(dv, bf, pos, keys, g, out)
-	return len(pos)
+	var msink *[]Match
+	if bf.matches != nil {
+		msink = &bf.matches[sh.id]
+	}
+	joins, hits = ep.idx.drainOps(dv, bf, pos, keys, g, out, msink)
+	return len(pos), joins, hits
 }
 
-// runScratch is the op drain's gather scratch: a read run's live ops as
-// the key column the batch kernels take, their indices in the op column,
+// runScratch is the op drain's gather scratch: a read run's live keys as
+// the key column the batch kernels take, their indices in the column,
 // and the result column stage 1 fills. Shard-local, reused across runs.
 type runScratch struct {
 	keys []uint64
@@ -255,8 +267,9 @@ type runScratch struct {
 	out  []Result
 }
 
-// gather compacts run's live (not dropped) ops into keys and pos; out
-// has one slot per live op.
+// gather compacts run's live (not dropped) keys into keys and pos; out
+// has one slot per live key. A key column's run has no dropped keys (it
+// drops whole segments), so its indices are the run itself.
 //
 //isi:hotpath
 func (rs *runScratch) gather(bf *BatchFuture, run []uint32) (keys []uint64, pos []uint32, out []Result) {
@@ -264,6 +277,13 @@ func (rs *runScratch) gather(bf *BatchFuture, run []uint32) (keys []uint64, pos 
 		rs.keys = make([]uint64, len(run)) //isi:allow-alloc(cap-guarded growth of the shard's drain scratch to a new max run size)
 		rs.pos = make([]uint32, len(run))  //isi:allow-alloc(grows with keys above)
 		rs.out = make([]Result, len(run))  //isi:allow-alloc(grows with keys above)
+	}
+	if bf.ops == nil {
+		keys = rs.keys[:len(run)]
+		for j, i := range run {
+			keys[j] = bf.keys[i]
+		}
+		return keys, run, rs.out[:len(run)]
 	}
 	keys, pos = rs.keys[:0], rs.pos[:0]
 	for _, i := range run {
@@ -273,54 +293,6 @@ func (rs *runScratch) gather(bf *BatchFuture, run []uint32) (keys []uint64, pos 
 		}
 	}
 	return keys, pos, rs.out[:len(pos)]
-}
-
-// drainSegment resolves one shard segment of a key column, writing
-// results (and join outcomes and streamed matches) straight into the
-// batch's caller-visible slices. A segment whose context is already
-// cancelled is dropped whole: it never reaches the kernel.
-//
-//isi:hotpath
-func (sh *shard) drainSegment(bf *BatchFuture, lo, hi int, id uint64) {
-	n := hi - lo
-	sh.ring.Record(obs.SpanDrainStart, sh.id, id, n, 0)
-	if bf.ctx != nil && bf.ctx.Err() != nil {
-		for i := lo; i < hi; i++ {
-			bf.res[i] = Result{Code: NotFound, Dropped: true}
-		}
-		if bf.jres != nil {
-			for i := lo; i < hi; i++ {
-				bf.jres[i] = JoinResult{Code: NotFound, Dropped: true}
-			}
-		}
-		sh.met.recordDropped(uint64(n))
-		sh.ring.Record(obs.SpanComplete, sh.id, id, n, int64(n))
-		bf.segDone(uint64(n))
-		return
-	}
-	g := sh.ctl.Group()
-	t0 := time.Now()
-	at := bf.snapSeq
-	if at == latestSeq {
-		at = sh.hz.Load()
-	}
-	ep, dv := sh.viewAt(at)
-	ep.idx.drainSegment(dv, bf, sh.id, lo, hi, g)
-	var joins, hits uint64
-	if bf.kind == OpJoin {
-		joins = uint64(n)
-		for i := lo; i < hi; i++ {
-			hits += uint64(bf.jres[i].Hits)
-		}
-	}
-	busy := time.Since(t0)
-	sh.ring.Record(obs.SpanKernelDone, sh.id, id, n, int64(busy))
-	sh.met.recordLatencyN(classOf(bf.kind), time.Since(bf.enq), uint64(n))
-	sh.met.recordBatch(n, g, busy)
-	sh.met.recordJoins(joins, hits)
-	sh.ctl.observe(n, busy)
-	sh.ring.Record(obs.SpanComplete, sh.id, id, n, 0)
-	bf.segDone(0)
 }
 
 // drainRange scans every range of one fanned-out range batch against

@@ -328,70 +328,60 @@ func TestLoopbackVectorDifferential(t *testing.T) {
 		uniq[keys[i]] = true
 	}
 	if len(uniq) == len(keys) {
-		t.Fatal("stream has no duplicate keys; the realignment duplicate path is untested")
+		t.Fatal("stream has no duplicate keys; the duplicate positions are untested")
 	}
 
-	// GoBatch: both sides may reorder (the service partitions in place,
-	// the client preserves submission order), so compare key → result.
-	toMap := func(ks []uint64, rs []serve.Result) map[uint64]serve.Result {
-		m := map[uint64]serve.Result{}
-		for i, k := range ks {
-			m[k] = rs[i]
-		}
-		return m
-	}
+	// Both bindings answer in submission order, so every result, join
+	// aggregate and match stream compares by position: a duplicate key
+	// whose result or matches land at another occurrence fails here.
 	lbf := local.GoBatch(ctx, slices.Clone(keys))
-	want := toMap(lbf.Keys(), lbf.Wait())
 	rbf := rm.GoBatch(ctx, slices.Clone(keys))
-	got := toMap(rbf.Keys(), rbf.Wait())
-	for k, w := range want {
-		if got[k] != w {
-			t.Fatalf("GoBatch key %d: remote %+v, local %+v", k, got[k], w)
+	want, got := lbf.Wait(), rbf.Wait()
+	if !slices.Equal(lbf.Keys(), keys) || !slices.Equal(rbf.Keys(), keys) || len(want) != len(keys) || len(got) != len(keys) {
+		t.Fatalf("GoBatch: keys or result columns differ from the submission")
+	}
+	for i, k := range keys {
+		if got[i] != want[i] {
+			t.Fatalf("GoBatch position %d key %d: remote %+v, local %+v", i, k, got[i], want[i])
 		}
 	}
 
-	// JoinBatch: per-key join results and the full match stream. Matches
-	// arrive tagged with probe positions that differ between the bindings
-	// (partitioned vs submission order), so normalize to key → sorted
-	// match set.
+	// JoinBatch: per-position aggregates, and per-position match sets.
+	// The stream interleaves probes differently on the two bindings (shard
+	// completion and chunking order), so each position's matches are
+	// sorted before comparing.
 	type match struct {
 		Key           uint64
 		Code, Payload uint32
 	}
-	// Duplicate probes of a key repeat its matches in the stream; every
-	// probe of a key yields the same match set, so sort + compact
-	// normalizes both sides to one set per key.
-	collect := func(ms func(yield func(serve.Match) bool)) map[uint64][]match {
-		out := map[uint64][]match{}
+	collect := func(ms func(yield func(serve.Match) bool)) [][]match {
+		out := make([][]match, len(keys))
 		ms(func(m serve.Match) bool {
-			out[m.Key] = append(out[m.Key], match{m.Key, m.Code, m.Payload})
+			if m.Probe < 0 || m.Probe >= len(keys) || keys[m.Probe] != m.Key {
+				t.Fatalf("JoinBatch match %+v does not point at a position holding its key", m)
+			}
+			out[m.Probe] = append(out[m.Probe], match{m.Key, m.Code, m.Payload})
 			return true
 		})
-		for k := range out {
-			slices.SortFunc(out[k], func(a, b match) int {
-				if a.Payload != b.Payload {
-					return int(a.Payload) - int(b.Payload)
-				}
-				return int(a.Code) - int(b.Code)
-			})
-			out[k] = slices.Compact(out[k])
+		for _, ms := range out {
+			slices.SortFunc(ms, func(a, b match) int { return int(a.Payload) - int(b.Payload) })
 		}
 		return out
 	}
 	ljf := local.JoinBatch(ctx, slices.Clone(keys))
-	wantJ := toMapJoin(ljf.Keys(), ljf.WaitJoin())
-	wantM := collect(func(y func(serve.Match) bool) { ljf.Matches()(y) })
 	rjf := rm.JoinBatch(ctx, slices.Clone(keys))
-	gotJ := toMapJoin(rjf.Keys(), rjf.WaitJoin())
+	wantJ, gotJ := ljf.WaitJoin(), rjf.WaitJoin()
+	wantM := collect(func(y func(serve.Match) bool) { ljf.Matches()(y) })
 	gotM := collect(func(y func(serve.Match) bool) { rjf.Matches()(y) })
-	for k, w := range wantJ {
-		if gotJ[k] != w {
-			t.Fatalf("JoinBatch key %d: remote %+v, local %+v", k, gotJ[k], w)
-		}
+	if len(wantJ) != len(keys) || len(gotJ) != len(keys) {
+		t.Fatalf("JoinBatch: %d local and %d remote results for %d keys", len(wantJ), len(gotJ), len(keys))
 	}
-	for k, w := range wantM {
-		if !slices.Equal(gotM[k], w) {
-			t.Fatalf("JoinBatch matches for key %d: remote %v, local %v", k, gotM[k], w)
+	for i, k := range keys {
+		if gotJ[i] != wantJ[i] {
+			t.Fatalf("JoinBatch position %d key %d: remote %+v, local %+v", i, k, gotJ[i], wantJ[i])
+		}
+		if !slices.Equal(gotM[i], wantM[i]) || uint32(len(wantM[i])) != wantJ[i].Hits {
+			t.Fatalf("JoinBatch matches at position %d key %d: remote %v, local %v, hits %d", i, k, gotM[i], wantM[i], wantJ[i].Hits)
 		}
 	}
 
@@ -607,12 +597,32 @@ func TestLookupFrameAllocs(t *testing.T) {
 	}
 }
 
-func toMapJoin(ks []uint64, rs []serve.JoinResult) map[uint64]serve.JoinResult {
-	m := map[uint64]serve.JoinResult{}
-	for i, k := range ks {
-		m[k] = rs[i]
+// TestLoopbackRangeLimitWide: a range limit wider than the wire's 32
+// bits is as good as unbounded on both bindings; it must not wrap to a
+// small cap on the remote one.
+func TestLoopbackRangeLimitWide(t *testing.T) {
+	if math.MaxInt < 1<<32 {
+		t.Skip("int cannot hold a limit wider than 32 bits")
 	}
-	return m
+	svc := testService(t, nil)
+	defer svc.Close()
+	rm, err := client.Dial(startServer(t, svc, wire.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rm.Close()
+	ctx := context.Background()
+	wide := uint64(1)<<32 + 1
+	ops := []serve.Op{serve.RangeOp(0, 100, int(wide)), serve.RangeOp(0, 100, int(wide-1)), serve.RangeOp(0, 100, 3)}
+	lrf, rrf := svc.RangeBatch(ctx, ops), rm.RangeBatch(ctx, ops)
+	lrf.Wait()
+	rrf.Wait()
+	for i, op := range ops {
+		want, got := lrf.Collect(i), rrf.Collect(i)
+		if wantN := min(op.Limit, 51); len(want) != wantN || !slices.Equal(got, want) {
+			t.Fatalf("range %d limit %d: remote %d entries, local %d, want %d", i, op.Limit, len(got), len(want), wantN)
+		}
+	}
 }
 
 // TestZeroOpBatches: empty vector and range submissions complete

@@ -29,7 +29,7 @@ import (
 // small requests from many connections coalesce into the service's
 // group-commit batches — the cross-connection batching that makes the
 // interleaved probe kernels worth driving over a network. Larger frames
-// go through the vectorized paths (SubmitBatchScatter/ApplyBatch), joins
+// go through the vectorized paths (SubmitBatch/ApplyBatch), joins
 // always (their matches stream back in MsgMatchChunk frames as shard
 // segments complete), ranges always through RangeBatch (entries stream
 // in MsgRangeChunk frames off the lazy k-way merge).
@@ -295,8 +295,6 @@ const slotRetain = 1 << 19
 type slot struct {
 	hdr  ReqHeader
 	keys []uint64 // decoded key column, wire order
-	part []uint64 // the same keys grouped by shard (SubmitBatchScatter's target)
-	idx  []uint32 // part[j] arrived at wire position idx[j]
 	out  []byte   // terminal response payload, encoded in place
 }
 
@@ -631,11 +629,9 @@ func noCancel() {}
 // results come back in submission order for free. At or above it, and
 // for every snapshot read (which must drain as ONE pinned batch; point
 // coalescing would scatter the keys across admission batches with
-// different pins), the vectorized path is cheaper: the service scatters
-// the decoded column into the slot's shard-grouped copy and hands back
-// the permutation, and result j is encoded straight at wire position
-// idx[j] of the response payload — duplicates included, each occurrence
-// has its own position.
+// different pins), the vectorized path is cheaper: the decoded column is
+// admitted as one key column, which the service only reads and answers
+// in submission order, so result i is encoded at wire position i.
 //
 //isi:hotpath
 func (c *conn) respondLookup(sl *slot) {
@@ -651,32 +647,28 @@ func (c *conn) respondLookup(sl *slot) {
 		c.replyPoints(sl, futs)
 		return
 	}
-	bf := c.scatter(ctx, serve.OpLookup, sl)
+	bf := c.submitKeys(ctx, serve.OpLookup, sl)
 	res := bf.Wait()
 	if bf.Err() != nil {
 		c.shed(sl, ShedClosed, 0)
 		return
 	}
 	recs := sl.begin(n, ResultSize)
-	for j, r := range res {
-		putResult(recs, int(sl.idx[j]), r.Code, resultFlags(r))
+	for i, r := range res {
+		putResult(recs, i, r.Code, resultFlags(r))
 	}
 	c.reply(sl, MsgResults, n)
 }
 
-// scatter admits sl's key column through the service's scatter
-// admission, into the slot's shard-grouped copy and index column.
+// submitKeys admits sl's decoded key column as one key column, pinned at
+// admission when the frame asks for a snapshot read.
 //
 //isi:hotpath
-func (c *conn) scatter(ctx context.Context, kind serve.OpKind, sl *slot) *serve.BatchFuture {
-	n := len(sl.keys)
-	if cap(sl.part) < n {
-		sl.part = make([]uint64, n) //isi:allow-alloc(cold growth to the largest frame this connection sent)
-		sl.idx = make([]uint32, n)  //isi:allow-alloc(cold growth, with part)
+func (c *conn) submitKeys(ctx context.Context, kind serve.OpKind, sl *slot) *serve.BatchFuture {
+	if sl.hdr.Flags&ReqFlagSnapshot != 0 {
+		return c.srv.svc.SubmitBatchAt(ctx, kind, sl.keys, nil)
 	}
-	sl.part, sl.idx = sl.part[:n], sl.idx[:n]
-	//isi:allow-alloc(per frame, not per key: the BatchFuture, its result column and the partition bounds)
-	return c.srv.svc.SubmitBatchScatter(ctx, kind, sl.keys, sl.part, sl.idx, sl.hdr.Flags&ReqFlagSnapshot != 0)
+	return c.srv.svc.SubmitBatch(ctx, kind, sl.keys)
 }
 
 // replyPoints answers a point-admitted frame: one future per op, in
@@ -694,18 +686,18 @@ func (c *conn) replyPoints(sl *slot, futs []*serve.Future) {
 	c.reply(sl, MsgResults, len(futs))
 }
 
-// respondJoin serves one join frame through the same scatter admission,
-// streaming matches in chunks as shard segments complete, then the
-// per-probe aggregates. Match.Probe indexes the partitioned key order,
-// so each match is re-pointed through idx at the wire position of its
-// own occurrence, and aggregate j is encoded at position idx[j].
+// respondJoin serves one join frame through the same key-column
+// admission, streaming matches in chunks as shard segments complete,
+// then the per-probe aggregates. Both come back in submission order:
+// Match.Probe is the wire position of the probe's own occurrence, and
+// aggregate i is encoded at position i.
 func (c *conn) respondJoin(sl *slot) {
 	n := len(sl.keys)
 	defer c.done(n)
 	ctx, cancel := requestCtx(sl.hdr.DeadlineUS)
 	defer cancel()
 	id := sl.hdr.ID
-	bf := c.scatter(ctx, serve.OpJoin, sl)
+	bf := c.submitKeys(ctx, serve.OpJoin, sl)
 	chunk := make([]MatchRec, 0, c.srv.cfg.ChunkSize)
 	flush := func() {
 		if len(chunk) == 0 {
@@ -716,7 +708,7 @@ func (c *conn) respondJoin(sl *slot) {
 	}
 	for m := range bf.Matches() {
 		chunk = append(chunk, MatchRec{
-			Probe:   sl.idx[m.Probe],
+			Probe:   uint32(m.Probe),
 			Key:     m.Key,
 			Code:    m.Code,
 			Payload: m.Payload,
@@ -732,8 +724,8 @@ func (c *conn) respondJoin(sl *slot) {
 	}
 	flush()
 	recs := sl.begin(n, JoinResSize)
-	for j, r := range res {
-		putJoinRes(recs, int(sl.idx[j]), toWireJoinRes(r))
+	for i, r := range res {
+		putJoinRes(recs, i, toWireJoinRes(r))
 	}
 	c.reply(sl, MsgJoinResults, n)
 }

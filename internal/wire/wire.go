@@ -415,10 +415,10 @@ const (
 // beginRecords resizes dst (reusing its backing array when it is large
 // enough) to a results payload of n size-byte records with the header
 // written, and returns the payload and its record column. The records
-// are then written in any order with putResult or putJoinRes — each
-// exactly once, nothing is zeroed — which is how the server answers in
-// wire order from a shard-partitioned result column without an
-// intermediate slice.
+// are then written by index with putResult or putJoinRes — each exactly
+// once, nothing is zeroed — which is how the server answers straight
+// from a result column (or a future per op) without an intermediate
+// slice.
 //
 //isi:hotpath
 func beginRecords(dst []byte, id uint64, n, size int) (payload, recs []byte) {
