@@ -1,55 +1,123 @@
 package native
 
-// MergeSorted is the bulk-merge entry point for epoch rebuilds
-// (internal/serve): it merges a sorted dictionary column — keys with a
+// MergeSorted is the bulk merge of epoch rebuilds (internal/serve) run to
+// the end in one call: it merges a sorted dictionary column — keys with a
 // parallel value column — with a sorted write batch of upserts and
-// deletes into fresh slices, leaving both inputs untouched. The inputs
-// therefore stay live for concurrent readers while the merge runs on a
-// background goroutine, which is what lets a serving shard keep probing
-// its published snapshot until the merged one is installed.
+// deletes into fresh slices, leaving both inputs untouched.
 //
 // keys and upKeys must each be strictly increasing; del[i] marks upKeys[i]
 // as a delete (the key is dropped from the output; deleting an absent key
 // is a no-op). An upsert of an existing key replaces its value in place —
 // the output key multiset is keys ∪ upKeys minus the deleted keys.
 func MergeSorted(keys []uint64, vals []uint32, upKeys []uint64, upVals []uint32, del []bool) ([]uint64, []uint32) {
+	c := StartMerge(keys, vals, upKeys, upVals, del)
+	c.Step(c.Bound())
+	k, v, _ := c.Result()
+	return k, v
+}
+
+// MergeCursor is MergeSorted's loop with its state held in a struct, so a
+// serving shard can run the merge itself in bounded steps between the
+// writes it applies. The inputs are only read, so they stay live for
+// readers of the published snapshot while the merge is in flight. The
+// cursor also builds the merged column's page sample (Sample's layout) as
+// it emits, so no separate pass over the output follows a merge.
+type MergeCursor struct {
+	keys   []uint64
+	vals   []uint32
+	upKeys []uint64
+	upVals []uint32
+	del    []bool
+	i, j   int
+	// outK/outV are the output columns sized to Bound, top their page
+	// sample; the first o entries are emitted.
+	outK []uint64
+	outV []uint32
+	top  []uint64
+	o    int
+}
+
+// StartMerge begins MergeSorted's merge of the write batch (upKeys,
+// upVals, del) into the column (keys, vals), with the same input
+// contract. It allocates the output columns and their sample at their
+// bound; nothing is emitted until Step.
+func StartMerge(keys []uint64, vals []uint32, upKeys []uint64, upVals []uint32, del []bool) MergeCursor {
 	if len(keys) != len(vals) {
 		panic("native: MergeSorted keys/vals length mismatch")
 	}
 	if len(upKeys) != len(upVals) || len(upKeys) != len(del) {
 		panic("native: MergeSorted upKeys/upVals/del length mismatch")
 	}
-	outK := make([]uint64, 0, len(keys)+len(upKeys))
-	outV := make([]uint32, 0, len(keys)+len(upKeys))
-	i, j := 0, 0
-	for i < len(keys) && j < len(upKeys) {
-		switch {
-		case keys[i] < upKeys[j]:
-			outK = append(outK, keys[i])
-			outV = append(outV, vals[i])
-			i++
-		case keys[i] > upKeys[j]:
-			if !del[j] {
-				outK = append(outK, upKeys[j])
-				outV = append(outV, upVals[j])
-			}
-			j++
-		default: // the write batch overrides the main column
-			if !del[j] {
-				outK = append(outK, upKeys[j])
-				outV = append(outV, upVals[j])
-			}
-			i++
-			j++
-		}
+	m := len(keys) + len(upKeys)
+	return MergeCursor{
+		keys: keys, vals: vals, upKeys: upKeys, upVals: upVals, del: del,
+		outK: make([]uint64, m),                       //isi:allow-alloc(the merged column: one allocation per epoch rebuild, at the freeze that starts it)
+		outV: make([]uint32, m),                       //isi:allow-alloc(the merged code column, with the key column above)
+		top:  make([]uint64, (m+PageKeys-1)/PageKeys), //isi:allow-alloc(the merged column's page sample, with the key column above)
 	}
-	outK = append(outK, keys[i:]...)
-	outV = append(outV, vals[i:]...)
-	for ; j < len(upKeys); j++ {
+}
+
+// Bound is the most entries the merge can emit: len(keys) + len(upKeys).
+// A Step of Bound entries always completes it.
+func (c *MergeCursor) Bound() int { return len(c.outK) }
+
+// done reports whether every input entry has been consumed.
+func (c *MergeCursor) done() bool { return c.i == len(c.keys) && c.j == len(c.upKeys) }
+
+// Step emits up to n more output entries (deletes consume input without
+// emitting), appends the page sample of what it emitted, and reports
+// whether the merge is complete. The loop runs on local copies of the
+// cursor's state, so its stores to the output cannot force the compiler
+// to reload it.
+func (c *MergeCursor) Step(n int) bool {
+	keys, vals, upKeys, upVals, del := c.keys, c.vals, c.upKeys, c.upVals, c.del
+	outK, outV := c.outK, c.outV
+	i, j, o := c.i, c.j, c.o
+	from, stop := o, o+min(n, len(outK)-o)
+	for o < stop && i < len(keys) && j < len(upKeys) {
+		k, u := keys[i], upKeys[j]
+		if k < u {
+			outK[o], outV[o] = k, vals[i]
+			o++
+			i++
+			continue
+		}
+		if k == u { // the write batch overrides the main column
+			i++
+		}
 		if !del[j] {
-			outK = append(outK, upKeys[j])
-			outV = append(outV, upVals[j])
+			outK[o], outV[o] = u, upVals[j]
+			o++
+		}
+		j++
+	}
+	// At most one input has entries left below stop.
+	if t := min(stop-o, len(keys)-i); t > 0 {
+		copy(outK[o:o+t], keys[i:i+t])
+		copy(outV[o:o+t], vals[i:i+t])
+		o, i = o+t, i+t
+	}
+	for ; o < stop && j < len(upKeys); j++ {
+		if !del[j] {
+			outK[o], outV[o] = upKeys[j], upVals[j]
+			o++
 		}
 	}
-	return outK, outV
+	// Trailing deletes emit nothing: consume them so a merge whose last
+	// emitted entry met stop still reports done.
+	for i == len(keys) && j < len(upKeys) && del[j] {
+		j++
+	}
+	for p := (from + PageKeys - 1) / PageKeys * PageKeys; p < o; p += PageKeys {
+		c.top[p/PageKeys] = outK[p]
+	}
+	c.i, c.j, c.o = i, j, o
+	return c.done()
+}
+
+// Result returns the merged key and value columns and the key column's
+// page sample (Sample of the keys). It is complete once Step has
+// reported done.
+func (c *MergeCursor) Result() (keys []uint64, vals []uint32, top []uint64) {
+	return c.outK[:c.o], c.outV[:c.o], c.top[:(c.o+PageKeys-1)/PageKeys]
 }

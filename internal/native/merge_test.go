@@ -1,6 +1,7 @@
 package native
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -108,6 +109,149 @@ func TestMergeSortedRandomizedVsMap(t *testing.T) {
 			if want, ok := ref[k]; !ok || vals[i] != want {
 				t.Fatalf("gen %d: key %d = %d, reference %d (present %v)", gen, k, vals[i], want, ok)
 			}
+		}
+	}
+}
+
+// mergeCase is one merge input: a sorted column and a sorted write
+// batch, and the merged length it is built for.
+type mergeCase struct {
+	name   string
+	keys   []uint64
+	vals   []uint32
+	upKeys []uint64
+	upVals []uint32
+	del    []bool
+	out    int
+}
+
+// mergeCases builds the cursor's input shapes: an empty base, an empty
+// batch, a batch of deletes only, upserts over existing keys, and mixed
+// batches whose merged length lands just below, at and just above one
+// and two multiples of PageKeys. The base holds keys 4, 8, …, 4·base.
+func mergeCases() []mergeCase {
+	var cases []mergeCase
+	// add builds a case whose batch writes the keys of ws, in order,
+	// deleting where del(k).
+	add := func(name string, base int, ws []uint64, del func(uint64) bool, out int) {
+		c := mergeCase{name: name, out: out}
+		for i := range base {
+			c.keys, c.vals = append(c.keys, uint64(4*i+4)), append(c.vals, uint32(i))
+		}
+		for i, k := range ws {
+			c.upKeys, c.upVals, c.del = append(c.upKeys, k), append(c.upVals, uint32(100000+i)), append(c.del, del(k))
+		}
+		cases = append(cases, c)
+	}
+	seq := func(n int, f func(int) uint64) []uint64 {
+		ws := make([]uint64, n)
+		for i := range ws {
+			ws[i] = f(i)
+		}
+		return ws
+	}
+	never := func(uint64) bool { return false }
+	always := func(uint64) bool { return true }
+	add("empty both", 0, nil, never, 0)
+	add("empty base", 0, seq(1500, func(i int) uint64 { return uint64(3*i + 1) }), never, 1500)
+	add("empty batch", 1500, nil, never, 1500)
+	add("all deletes", 1300, seq(1400, func(i int) uint64 { return uint64(2*i + 2) }), always, 600)
+	add("delete everything", 700, seq(700, func(i int) uint64 { return uint64(4*i + 4) }), always, 0)
+	add("upserts over existing", 1024, seq(512, func(i int) uint64 { return uint64(8*i + 4) }), never, 1024)
+	// A batch over keys 2, 4, …, 2·n: the odd multiples of 2 are fresh
+	// inserts, the multiples of 8 delete a base key, the rest upsert one.
+	for _, out := range []int{PageKeys - 1, PageKeys, PageKeys + 1, 2*PageKeys - 1, 2 * PageKeys, 2*PageKeys + 1} {
+		const n = 160 // 80 inserts, 40 upserts, 40 deletes: out = base + 40
+		add(fmt.Sprintf("output %d", out), out-40, seq(n, func(i int) uint64 { return uint64(2*i + 2) }),
+			func(k uint64) bool { return k%8 == 0 }, out)
+	}
+	return cases
+}
+
+// stepAll runs a cursor over c with the chunk sizes next yields, checking
+// that every step emits exactly its chunk unless it completes the merge
+// and that Step reports done exactly once the inputs are consumed.
+func stepAll(t *testing.T, c mergeCase, next func() int) ([]uint64, []uint32, []uint64) {
+	t.Helper()
+	cur := StartMerge(c.keys, c.vals, c.upKeys, c.upVals, c.del)
+	for steps := 0; ; steps++ {
+		if steps > 2*cur.Bound()+2 {
+			t.Fatal("cursor does not finish")
+		}
+		n := next()
+		before, _, _ := cur.Result()
+		done := cur.Step(n)
+		after, _, _ := cur.Result()
+		if emitted := len(after) - len(before); emitted > n || (!done && emitted != max(n, 0)) {
+			t.Fatalf("Step(%d) emitted %d (done %v)", n, emitted, done)
+		}
+		if done != cur.done() {
+			t.Fatalf("Step reported %v, done %v", done, cur.done())
+		}
+		if done {
+			return cur.Result()
+		}
+	}
+}
+
+// TestMergeCursorEquivalence: a merge stepped in chunks of 1, 7, 511,
+// 512, 513 or all at once, or in random chunk sequences (zeros
+// included), yields exactly MergeSorted's keys and codes, and the page
+// sample it builds as it goes is exactly Sample of those keys.
+func TestMergeCursorEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 13))
+	for _, c := range mergeCases() {
+		wantK, wantV := MergeSorted(c.keys, c.vals, c.upKeys, c.upVals, c.del)
+		if len(wantK) != c.out {
+			t.Fatalf("%s: merged %d entries, the case is built for %d", c.name, len(wantK), c.out)
+		}
+		wantTop := Sample(wantK)
+		check := func(label string, k []uint64, v []uint32, top []uint64) {
+			t.Helper()
+			if !slices.Equal(k, wantK) || !slices.Equal(v, wantV) {
+				t.Fatalf("%s %s: merged %d entries, MergeSorted %d", c.name, label, len(k), len(wantK))
+			}
+			if !slices.Equal(top, wantTop) {
+				t.Fatalf("%s %s: sample %v, Sample %v", c.name, label, top, wantTop)
+			}
+		}
+		m := len(c.keys) + len(c.upKeys)
+		for _, chunk := range []int{1, 7, 511, 512, 513, m} {
+			k, v, top := stepAll(t, c, func() int { return chunk })
+			check(fmt.Sprintf("chunk %d", chunk), k, v, top)
+		}
+		for r := 0; r < 8; r++ {
+			k, v, top := stepAll(t, c, func() int { return int(rng.Uint64N(600)) })
+			check(fmt.Sprintf("random %d", r), k, v, top)
+		}
+	}
+}
+
+// TestMergeSortedVsReference pins MergeSorted (the cursor run to the
+// end) to a plain two-way merge written out here, on every cursor
+// shape.
+func TestMergeSortedVsReference(t *testing.T) {
+	for _, c := range mergeCases() {
+		var wantK []uint64
+		var wantV []uint32
+		i, j := 0, 0
+		for i < len(c.keys) || j < len(c.upKeys) {
+			switch {
+			case j == len(c.upKeys) || i < len(c.keys) && c.keys[i] < c.upKeys[j]:
+				wantK, wantV = append(wantK, c.keys[i]), append(wantV, c.vals[i])
+				i++
+				continue
+			case i < len(c.keys) && c.keys[i] == c.upKeys[j]:
+				i++
+			}
+			if !c.del[j] {
+				wantK, wantV = append(wantK, c.upKeys[j]), append(wantV, c.upVals[j])
+			}
+			j++
+		}
+		gotK, gotV := MergeSorted(c.keys, c.vals, c.upKeys, c.upVals, c.del)
+		if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
+			t.Fatalf("%s: MergeSorted %d entries, reference %d", c.name, len(gotK), len(wantK))
 		}
 	}
 }

@@ -9,8 +9,7 @@ import (
 // lifecycle events, one ring per shard (plus one service-level ring for
 // admission-side events), each stamping a batch's passage through the
 // system — admit → enqueue → drain-start → kernel-done → complete —
-// and the epoch machinery's merge/install and degraded-mode backlog
-// ticks. Recording is allocation-free (one struct copy into a
+// and the epoch machinery's merge/install events. Recording is allocation-free (one struct copy into a
 // pre-sized ring under a ring-local mutex — the writer is almost always
 // the single owning shard goroutine, so the lock is uncontended) and
 // nil-safe, so call sites gate on a single pointer check. Readers copy
@@ -35,21 +34,17 @@ const (
 	// SpanComplete: every future/segment slot of the message completed.
 	// Arg is the number of dropped requests.
 	SpanComplete
-	// SpanMergeStart: the epoch manager began bulk-merging a frozen delta.
-	// Batch is the target epoch sequence, N the frozen delta size.
+	// SpanMergeStart: a freeze started merging the frozen generation
+	// into the shard's column, a step per applied write. Batch is the
+	// target epoch sequence, N the frozen generation's size, Arg the
+	// merge's output bound.
 	SpanMergeStart
-	// SpanMergeDone: the merge finished and parked for install. Arg is the
-	// merged column length.
+	// SpanMergeDone: the merge's last step ran on the shard, which
+	// installs the result at once. Arg is the merged column length.
 	SpanMergeDone
-	// SpanInstall: the shard installed the merged epoch between batches.
-	// Batch is the epoch sequence, Arg the install pause in nanoseconds.
+	// SpanInstall: the shard installed the merged epoch. Batch is the
+	// epoch sequence, Arg the install pause in nanoseconds.
 	SpanInstall
-	// SpanStallPark: a degraded-mode tick — a freeze found the frozen-
-	// generation backlog behind the in-flight merge beyond the fence. The
-	// write proceeded (nothing parks since the multi-version rework); N is
-	// the backlog depth. The historical name is kept so span decoders and
-	// dashboards keyed on "stall-park" stay valid.
-	SpanStallPark
 	// SpanAccept: a network front-end accepted a connection. N is the
 	// live connection count after the accept.
 	SpanAccept
@@ -64,7 +59,7 @@ const (
 
 var spanKindNames = [nSpanKinds]string{
 	"admit", "enqueue", "drain-start", "kernel-done", "complete",
-	"merge-start", "merge-done", "install", "stall-park",
+	"merge-start", "merge-done", "install",
 	"accept", "decode", "respond",
 }
 
@@ -114,9 +109,8 @@ func NewSpanRing(capacity int) *SpanRing {
 }
 
 // Record appends one event, overwriting the oldest when full. Safe for
-// concurrent writers (the epoch manager stamps merge events into the
-// owning shard's ring from its own goroutine); allocation-free; no-op
-// on a nil ring.
+// concurrent writers (a front-end's connections share its ring) and
+// against Snapshot; allocation-free; no-op on a nil ring.
 //
 //isi:hotpath
 func (r *SpanRing) Record(kind SpanKind, shard int, batch uint64, n int, arg int64) {

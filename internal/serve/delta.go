@@ -12,11 +12,11 @@ import (
 // delta is deliberately tiny — it is bounded by the rebuild threshold,
 // so it stays cache-resident and a host-side binary search over it costs
 // less than one main-index suspension point. When it fills, the shard
-// freezes the committed prefix into a new generation and keeps writing
-// into a fresh live delta — a refill while the background merge is still
-// running simply starts another generation instead of parking the shard
-// (epoch.go). Every generation keeps being probed (newest first, behind
-// the live delta, in front of main) until the merged snapshot installs.
+// freezes the committed prefix into the frozen generation and keeps
+// writing into a fresh live delta, while it merges the frozen generation
+// into the main column a step per write (epoch.go). The frozen generation
+// keeps being probed (behind the live delta, in front of main) until the
+// merged snapshot installs.
 //
 // Entries are versioned for cross-shard atomic batches: seq 0 is a plain
 // write, visible to every reader the moment it lands in the delta; a
@@ -105,9 +105,9 @@ const (
 )
 
 // deltaView is the write-buffer snapshot one drain probes: the ordered
-// parts (live delta first, then frozen generations newest-first, then
-// any absorbed generations replayed for a pinned reader whose epoch
-// predates their merge), filtered by the read horizon `at`. Every part
+// parts (live delta first, then the frozen generation, then any absorbed
+// generations replayed for a pinned reader whose epoch predates their
+// merge), filtered by the read horizon `at`. Every part
 // is immutable for the duration of the drain (the shard goroutine only
 // mutates the live delta between drains, and generations are frozen).
 type deltaView struct {
@@ -170,54 +170,23 @@ func splitCommitted(delta []writeEntry, hz uint64) (committed, uncommitted []wri
 	return committed, uncommitted
 }
 
-// flattenGens collapses a batch of frozen generations (oldest→newest)
-// into one sorted, duplicate-free slice — exactly the per-key winners a
-// latest reader saw when probing the generations newest-first — plus the
-// highest surviving seq tag, which becomes the installed epoch's upTo
-// fence: a reader pinned below it must replay the absorbed generations
-// against the previous epoch instead.
-func flattenGens(gens [][]writeEntry) (flat []writeEntry, upTo uint64) {
-	for i := len(gens) - 1; i >= 0; i-- {
-		flat = mergeFlat(flat, gens[i])
+// flattenGen collapses one frozen generation into the parallel columns
+// native.StartMerge consumes: one entry per key, the head of its version
+// chain — every entry of a frozen generation is committed, so the head is
+// exactly what a latest reader saw — plus the highest seq tag among them,
+// which becomes the installed epoch's upTo fence: a reader pinned below
+// it must replay the absorbed generation against the previous epoch
+// instead.
+func flattenGen(gen []writeEntry) (keys []uint64, vals []uint32, del []bool, upTo uint64) {
+	keys = make([]uint64, 0, len(gen))
+	vals = make([]uint32, 0, len(gen))
+	del = make([]bool, 0, len(gen))
+	for i := 0; i < len(gen); i = skipKeyRun(gen, i) {
+		e := gen[i]
+		keys, vals, del = append(keys, e.key), append(vals, e.val), append(del, e.del)
+		upTo = max(upTo, e.seq)
 	}
-	for _, e := range flat {
-		if e.seq > upTo {
-			upTo = e.seq
-		}
-	}
-	return flat, upTo
-}
-
-// mergeFlat merges an already-deduplicated newer slice over an older
-// generation that may still carry per-key version chains: the newer
-// entry wins key collisions, and an uncontested chain contributes its
-// head (the newest entry of its run).
-func mergeFlat(newer, older []writeEntry) []writeEntry {
-	if len(older) == 0 {
-		return newer
-	}
-	out := make([]writeEntry, 0, len(newer)+len(older))
-	i, j := 0, 0
-	for i < len(newer) && j < len(older) {
-		switch {
-		case newer[i].key < older[j].key:
-			out = append(out, newer[i])
-			i++
-		case newer[i].key > older[j].key:
-			out = append(out, older[j])
-			j = skipKeyRun(older, j)
-		default:
-			out = append(out, newer[i])
-			i++
-			j = skipKeyRun(older, j)
-		}
-	}
-	out = append(out, newer[i:]...)
-	for j < len(older) {
-		out = append(out, older[j])
-		j = skipKeyRun(older, j)
-	}
-	return out
+	return keys, vals, del, upTo
 }
 
 // skipKeyRun advances past the duplicate-key run starting at i.
@@ -226,16 +195,4 @@ func skipKeyRun(part []writeEntry, i int) int {
 	for i++; i < len(part) && part[i].key == k; i++ {
 	}
 	return i
-}
-
-// deltaColumns splits a flattened generation batch into the parallel
-// slices native.MergeSorted consumes. The input must be duplicate-free (flattenGens output).
-func deltaColumns(flat []writeEntry) (keys []uint64, vals []uint32, del []bool) {
-	keys = make([]uint64, len(flat))
-	vals = make([]uint32, len(flat))
-	del = make([]bool, len(flat))
-	for i, e := range flat {
-		keys[i], vals[i], del[i] = e.key, e.val, e.del
-	}
-	return keys, vals, del
 }

@@ -116,9 +116,10 @@ func chainsLookupAt(stack []map[uint64]chainOracle, key, at uint64) (uint32, del
 
 // FuzzDeltaChains replays an arbitrary interleaving of plain writes,
 // atomic-batch writes, tombstones, commits, and freeze points through
-// applyWriteEntry + splitCommitted + flattenGens + deltaColumns +
-// MergeSorted, checking every step against the chain oracle: lookups at
-// the commit horizon and at latest, the committed/uncommitted
+// applyWriteEntry + splitCommitted, then folds every frozen generation,
+// oldest first, through flattenGen + MergeSorted as successive epochs
+// would absorb them, checking every step against the chain oracle:
+// lookups at the commit horizon and at latest, the committed/uncommitted
 // partition, and the final merged column.
 func FuzzDeltaChains(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77})
@@ -215,12 +216,15 @@ func FuzzDeltaChains(f *testing.F) {
 		} else if len(committed) > 0 {
 			gens = append(gens, committed)
 		}
-		flat, upTo := flattenGens(gens)
-		if upTo > hz {
-			t.Fatalf("flatten fence %d beyond horizon %d", upTo, hz)
+		var outK []uint64
+		var outV []uint32
+		for _, gen := range gens {
+			keys, vals, del, upTo := flattenGen(gen)
+			if upTo > hz {
+				t.Fatalf("flatten fence %d beyond horizon %d", upTo, hz)
+			}
+			outK, outV = native.MergeSorted(outK, outV, keys, vals, del)
 		}
-		keys, vals, del := deltaColumns(flat)
-		outK, outV := native.MergeSorted(nil, nil, keys, vals, del)
 		want := map[uint64]uint32{}
 		allChains := append([]map[uint64]chainOracle{}, oracle...)
 		for k := uint64(0); k < keySpace; k++ {
@@ -229,7 +233,7 @@ func FuzzDeltaChains(f *testing.F) {
 			}
 		}
 		if len(outK) != len(want) {
-			t.Fatalf("merged %d keys, oracle has %d (flat %v)", len(outK), len(want), flat)
+			t.Fatalf("merged %d keys, oracle has %d", len(outK), len(want))
 		}
 		for i, k := range outK {
 			if v, ok := want[k]; !ok || v != outV[i] {

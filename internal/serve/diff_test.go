@@ -77,8 +77,7 @@ func genStream(seed uint64, n int, keySpace uint64) []diffOp {
 }
 
 // replayCfg tunes one differential replay: the rebuild threshold (small
-// values force delta refills while merges are in flight, stacking
-// generations), and snapEvery routes every Nth clean read through the
+// values force delta refills while merges are in flight), and snapEvery routes every Nth clean read through the
 // snapshot-pinned At-variants (0 = all latest). The replay is
 // sequential, so a read pinned at admission must agree with a latest
 // read — and with the oracle — exactly; any divergence is a visibility
@@ -148,7 +147,7 @@ func replayService(t *testing.T, domain []uint64, stream []diffOp, keySpace uint
 	}
 	ordered = s.Range(ctx, 0, ^uint64(0), 0).Collect(0)
 	if st := awaitRebuild(t, s); st.WriteStalls != 0 {
-		t.Fatalf("differential replay hit the degraded write backlog %d times", st.WriteStalls)
+		t.Fatalf("differential replay found an unfinished merge at %d freezes", st.WriteStalls)
 	}
 	return perOp, perRange, sweep, ordered
 }
@@ -250,9 +249,8 @@ func TestDifferentialBackendsVsOracle(t *testing.T) {
 // genBurstStream is genStream with write bursts spliced in: every ~25
 // ops, a run of 12-20 consecutive inserts/deletes over a narrow key
 // window. With a tiny rebuild threshold each burst refills the delta
-// several times while the previous freeze's merge is still in flight,
-// so the replay constantly runs with multiple frozen generations
-// stacked — the exact pressure the old machinery answered by parking.
+// several times in a row, so freeze after freeze lands while the
+// previous merge has only its per-write steps to finish in.
 func genBurstStream(seed uint64, n int, keySpace uint64) []diffOp {
 	rng := rand.New(rand.NewPCG(seed^0x5eed, seed*2654435761))
 	base := genStream(seed, n, keySpace)
@@ -279,10 +277,11 @@ func genBurstStream(seed uint64, n int, keySpace uint64) []diffOp {
 
 // TestDifferentialRefillPressureVsOracle replays write-burst streams
 // with a rebuild threshold of 4, forcing delta refills during every
-// rebuild (multiple generations queued behind in-flight merges), with
-// every other clean read routed through the snapshot-pinned paths. The
-// service must agree with the oracle op for op — and never count a
-// write stall, because writes must not stall under exactly this load.
+// rebuild (a merge in flight at nearly every write), with every other
+// clean read routed through the snapshot-pinned paths. The service must
+// agree with the oracle op for op — and never count a write stall: the
+// per-write merge step ends every merge before the next freeze, on any
+// schedule.
 func TestDifferentialRefillPressureVsOracle(t *testing.T) {
 	seeds := []uint64{11, 12}
 	nOps := 500

@@ -88,11 +88,11 @@ type shardMetrics struct {
 	// quantiles are still reported, computed from the summed buckets.
 	lat [nOpClasses]obs.Histogram
 
-	// Write-path counters: applied writes, time spent applying them, the
-	// delta-size gauge, degraded-mode write-stall ticks (generation
-	// backlog beyond the fence — writes never park anymore), the frozen-
-	// generation and retained-epoch depth gauges, and the epoch rebuilds
-	// with their install pauses.
+	// Write-path counters: applied writes, time spent applying them
+	// (merge steps included), the delta-size gauge, write stalls (freezes
+	// that had to finish the previous merge first), the frozen-generation
+	// (0 or 1) and retained-epoch depth gauges, and the epoch rebuilds with
+	// their install pauses.
 	inserts      obs.Counter
 	deletes      obs.Counter
 	wBusyNS      obs.Counter
@@ -174,16 +174,16 @@ func (m *shardMetrics) recordWriteBusy(busy time.Duration) {
 	m.wBusyNS.Add(uint64(busy))
 }
 
-// recordWriteStall counts one degraded-mode tick: a generation froze
-// while the backlog behind the in-flight merge already exceeded the
-// fence. Nothing waited — the write proceeded — so no duration is
-// recorded.
+// recordWriteStall counts one write that waited on a merge: a freeze
+// found the previous merge unfinished and ran it to the end before
+// freezing. The per-write merge step makes this unreachable; the counter
+// reads 0 unless that arithmetic is broken.
 func (m *shardMetrics) recordWriteStall() {
 	m.stalls.Add(1)
 }
 
-// setGenDepth / setRetained refresh the frozen-generation queue depth
-// and retained-epoch ring depth gauges.
+// setGenDepth / setRetained refresh the frozen-generation count (0 or
+// 1) and retained-epoch ring depth gauges.
 func (m *shardMetrics) setGenDepth(n int) { m.genDepth.Set(int64(n)) }
 func (m *shardMetrics) setRetained(n int) { m.retainedEp.Set(int64(n)) }
 
@@ -290,13 +290,13 @@ type ShardStats struct {
 	P50, P99 time.Duration
 	PerOp    OpLatencies
 	// Inserts and Deletes count applied writes (included in Items);
-	// WriteBusy the time spent applying them (including any piggybacked
-	// installs); DeltaLen is the live write-delta size after the most
-	// recent write or install. WriteStalls is a degraded-mode counter: a
-	// refilling delta now freezes another generation instead of parking
-	// the shard, and the counter only ticks when a freeze finds the
-	// generation backlog behind the in-flight merge beyond the fence.
-	// FrozenGens is the current frozen-generation queue depth,
+	// WriteBusy the time spent applying them, including the merge step
+	// each write runs and any install it completes; DeltaLen is the live
+	// write-delta size after the most recent write or install.
+	// WriteStalls counts writes that waited on a merge: a freeze that
+	// found the previous merge unfinished and finished it first. The
+	// per-write merge step keeps it at 0. FrozenGens is the number of
+	// frozen generations (0 or 1: one merge in flight or none),
 	// RetainedEpochs the multi-version retained-epoch ring depth after the
 	// last reclaim.
 	Inserts        uint64
@@ -419,8 +419,8 @@ type Stats struct {
 	P50, P99 time.Duration
 	PerOp    OpLatencies
 	// Inserts/Deletes count applied writes service-wide, WriteBusy their
-	// total apply time; WriteStalls the degraded-mode generation-backlog
-	// ticks (writes never park); Rebuilds the installed epoch rebuilds,
+	// total apply time; WriteStalls the writes that waited on a merge (0
+	// by the per-write merge step); Rebuilds the installed epoch rebuilds,
 	// RebuildPause their total install pause and MaxRebuildPause the
 	// worst single pause on any shard.
 	Inserts         uint64

@@ -58,8 +58,8 @@ func TestSampleAfterNew(t *testing.T) {
 	}
 }
 
-// TestSampleAcrossInstalls: the epoch manager samples every merged column
-// it ships, so the invariant holds after each install — while inserts
+// TestSampleAcrossInstalls: the merge cursor samples every merged column
+// as it emits it, so the invariant holds after each install — while inserts
 // grow a one-shard service across a page boundary and deletes shrink it
 // back below one page — and lookups across the windows stay right.
 func TestSampleAcrossInstalls(t *testing.T) {

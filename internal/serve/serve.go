@@ -25,11 +25,13 @@
 //
 // The service is read-write: each shard buffers writes in a small sorted
 // delta probed delta-then-main by the same coroutine drains that serve
-// reads, and a background epoch manager bulk-merges full deltas into the
-// shard's index, publishing merged snapshots through an atomic epoch
-// pointer (delta.go, epoch.go). Reads never block on writes, and writes
-// never block on merges: a delta that refills before the previous
-// rebuild installs freezes another generation and keeps going.
+// reads. A full delta freezes into one generation, which the shard
+// merges into its index itself, a bounded step per applied write (and
+// in larger steps while idle), publishing the merged snapshot through an
+// atomic epoch pointer (delta.go, epoch.go). Reads never block on
+// writes, and writes never wait on merges: the step is sized so a merge
+// ends before the delta can refill, so at most one generation is ever
+// frozen.
 //
 // Epochs are multi-versioned: each shard retains its last few installed
 // snapshots behind a grace-period reclaimer, so a reader can pin the
@@ -264,11 +266,11 @@ type Config struct {
 	// QueueDepth is the per-shard sub-batch queue depth; a full queue
 	// back-pressures admission.
 	QueueDepth int
-	// RebuildThreshold is the per-shard write-delta size that triggers a
-	// background epoch rebuild (bulk-merging the delta into the shard's
-	// index and publishing the merged snapshot). 0 takes the default; a
-	// negative value disables rebuilds, leaving writes in the delta
-	// indefinitely.
+	// RebuildThreshold is the per-shard write-delta size that triggers an
+	// epoch rebuild (freezing the delta, merging it into the shard's
+	// index a step per later write, and publishing the merged snapshot).
+	// 0 takes the default; a negative value disables rebuilds, leaving
+	// writes in the delta indefinitely.
 	RebuildThreshold int
 }
 
@@ -424,7 +426,6 @@ type Service struct {
 	cfg       Config
 	b         *batcher
 	shards    []*shard
-	em        *epochManager
 	wg        sync.WaitGroup
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -597,9 +598,7 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 		sh.met.group.Set(int64(cfg.Group))
 		s.shards = append(s.shards, sh)
 	}
-	s.em = newEpochManager(cfg.Shards)
 	for _, sh := range s.shards {
-		sh.em = s.em
 		s.wg.Add(1)
 		go sh.run(&s.wg)
 	}
@@ -748,7 +747,6 @@ func (s *Service) Close() {
 		}
 		s.admitGate.Unlock()
 		s.wg.Wait()
-		s.em.close()
 	})
 }
 

@@ -32,18 +32,19 @@ type shard struct {
 	ctl   *controller
 	met   *shardMetrics
 
-	// Write state (shard goroutine only, except the pendingInstall slot
-	// the epoch manager fills).
-	delta     []writeEntry   // live sorted write buffer
-	gens      [][]writeEntry // frozen generations queued for merge, oldest→newest
-	merging   int            // generations covered by the in-flight merge; 0 = idle
-	rebuildAt int            // freeze threshold; <= 0 disables rebuilds
-	em        *epochManager
+	// Write state, shard goroutine only: the live delta, and at most one
+	// frozen generation whose merge into the current epoch the shard runs
+	// itself, mergeStep output entries per applied write (epoch.go).
+	delta      []writeEntry       // live sorted write buffer
+	frozen     []writeEntry       // generation being merged; nil = no merge in flight
+	frozenUpTo uint64             // frozen's visibility fence (flattenGen)
+	merge      native.MergeCursor // frozen merged into the current epoch's columns
+	mergeStep  int                // output entries each applied write advances merge by
+	rebuildAt  int                // freeze threshold; <= 0 disables rebuilds
 	// retained is the multi-version epoch ring, oldest→newest; the last
 	// entry is always the current epoch. Shard goroutine only — pinned
 	// readers drain on this goroutine too, so no locking.
-	retained       []*epochState
-	pendingInstall atomic.Pointer[installMsg]
+	retained []*epochState
 	// hz/pins alias the service's commit horizon and snapshot pin set.
 	hz   *atomic.Uint64
 	pins *pinSet
@@ -81,8 +82,12 @@ type shardMsg struct {
 	id     uint64
 }
 
-// run drains column segments and range batches until the queue closes,
-// installing any completed rebuild between messages.
+// run drains column segments and range batches until the queue closes.
+// While a merge is in flight and the queue is empty, it advances the
+// merge by idleMergeChunk entries at a time between checks of the queue;
+// a merge those idle steps finish installs when the next message
+// arrives, so once a caller's batch has completed, the shard changes
+// nothing but its cursor until it is sent more work.
 //
 //isi:hotpath
 func (sh *shard) run(wg *sync.WaitGroup) {
@@ -92,9 +97,14 @@ func (sh *shard) run(wg *sync.WaitGroup) {
 		//isi:allow-ctx(pprof label reset to the empty root at goroutine exit, not a request context)
 		defer pprof.SetGoroutineLabels(context.Background())
 	}
-	for msg := range sh.in {
-		//isi:allow-alloc(epoch install is the rebuild pause: index construction and epoch bookkeeping run between batches, off the per-op path)
-		sh.installPending()
+	for {
+		for sh.frozen != nil && len(sh.in) == 0 && !sh.merge.Step(idleMergeChunk) {
+		}
+		msg, ok := <-sh.in
+		if !ok {
+			return
+		}
+		sh.stepMerge(0) // install a merge the idle steps finished
 		switch {
 		case msg.rf != nil:
 			sh.setLabels(sh.opCtx[classRange])
@@ -112,25 +122,26 @@ func (sh *shard) run(wg *sync.WaitGroup) {
 	}
 }
 
-// applyOp applies one write to the live delta and returns its
-// acknowledgement result. seq is 0 for a plain (immediately visible)
-// write, or the atomic batch tag the entry becomes visible at. Shard
-// goroutine only.
+// applyOp applies one write to the live delta, advances the in-flight
+// merge by its step, freezes the delta if it has reached the threshold,
+// and returns the write's acknowledgement result. seq is 0 for a plain
+// (immediately visible) write, or the atomic batch tag the entry becomes
+// visible at. Shard goroutine only.
 //
 //isi:hotpath
 func (sh *shard) applyOp(op Op, seq uint64) Result {
-	switch op.Kind {
-	case OpInsert:
+	r := Result{Code: NotFound}
+	if op.Kind == OpInsert {
 		sh.delta = applyWriteEntry(sh.delta, op.Key, op.Val, false, seq)
 		sh.met.recordInsert(len(sh.delta))
-		sh.maybeRebuild()
-		return Result{Code: op.Val, Found: true}
-	default: // OpDelete
+		r = Result{Code: op.Val, Found: true}
+	} else { // OpDelete
 		sh.delta = applyWriteEntry(sh.delta, op.Key, 0, true, seq)
 		sh.met.recordDelete(len(sh.delta))
-		sh.maybeRebuild()
-		return Result{Code: NotFound}
 	}
+	sh.stepMerge(sh.mergeStep)
+	sh.maybeRebuild()
+	return r
 }
 
 // drainOps executes one shard segment of a column in submission order.
@@ -384,8 +395,7 @@ type index struct {
 	table []uint64
 	codes []uint32
 	// top is table's page sample, built where the column is built (New's
-	// partition pass, the epoch manager's merge) and never on the shard
-	// goroutine.
+	// partition pass, the merge cursor's steps), never by a pass of its own.
 	top   []uint64
 	jt    *nativejoin.Table
 	slots *drainSlots

@@ -9,11 +9,10 @@ import (
 
 // awaitRebuild returns the service's stats once at least one epoch rebuild
 // has installed, failing the test after 2 s without one. A test that has
-// written past the rebuild threshold has started a merge, but the merge
-// runs in the background and its result installs only when the shard next
-// dequeues a message — so asserting Rebuilds > 0 straight after the last
-// write races the merger on any host with a second core. The sweep below
-// keeps every shard dequeuing while this polls.
+// written past the rebuild threshold has started a merge, but after the
+// last write the shard finishes it in idle steps on its own goroutine —
+// so asserting Rebuilds > 0 straight after the last write races the
+// shard. The sweep below keeps every shard touched while this polls.
 func awaitRebuild(t *testing.T, s *Service) Stats {
 	t.Helper()
 	keys := make([]uint64, 64) // 0..63 reach every shard, in whatever order GoBatch leaves them
@@ -155,8 +154,8 @@ func TestWriteOrderingWithinMixedBatch(t *testing.T) {
 
 // TestReadYourWritesAcrossMidBatchInstall is the regression test for a
 // mid-sub-batch epoch install: with threshold 1 every insert freezes the
-// delta, and the write-stall path installs the pending epoch *between
-// ops of one sub-batch*. A read later in the same sub-batch must probe
+// delta and the next insert's merge step finishes and installs the
+// epoch *between ops of one sub-batch*. A read later in the same sub-batch must probe
 // the post-install snapshot — an epoch pointer captured once per
 // sub-batch returned NotFound for the merged key here.
 func TestReadYourWritesAcrossMidBatchInstall(t *testing.T) {
@@ -168,8 +167,8 @@ func TestReadYourWritesAcrossMidBatchInstall(t *testing.T) {
 		}
 		defer s.Close()
 		ctx := context.Background()
-		// One sealed sub-batch: three inserts (forcing stall-installs
-		// mid-batch) then a lookup of the first key.
+		// One sealed sub-batch: three inserts (forcing installs mid-batch)
+		// then a lookup of the first key.
 		f1 := s.Insert(ctx, 11, 5)
 		f2 := s.Insert(ctx, 12, 6)
 		f3 := s.Insert(ctx, 13, 7)
