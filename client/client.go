@@ -7,12 +7,15 @@
 // binds to either with one code path.
 //
 // A Remote multiplexes requests over a fixed set of connections
-// (round-robin per request). Point submissions coalesce client-side:
-// ops buffered per connection flush as one wire frame when the buffer
-// fills or a short linger expires, and the server feeds small frames
-// through the service's group-commit batcher — so point traffic from
-// many remote clients still forms the dense admission batches the
-// interleaved kernels want.
+// (round-robin per request). Point submissions coalesce client-side, and
+// only there: each connection keeps one open op column, which point ops
+// of every kind join, and it flies as one op frame when it fills or a
+// short linger expires. The server admits the frame as one column, as
+// ApplyBatch admits one in process — the same frame Remote.ApplyBatch
+// sends — so a point op waits for one linger, not two. A misused op
+// (OpRange, an unknown kind, a join against a server without a build
+// side, an insert of NotFound) panics at submission as it does in
+// process, so it never reaches a frame shared with valid ops.
 //
 // Deadlines: a vectorized or range call's ctx deadline travels in the
 // request header and is enforced server-side (drops surface exactly as
@@ -90,10 +93,11 @@ func WithCoalesce(maxOps int, linger time.Duration) Option {
 }
 
 // WithSnapshotReads makes every read this Remote submits (point and
-// vectorized lookups, joins, and ranges) fly with the wire snapshot
-// flag: the server pins each read batch to the atomic-write horizon at
-// admission, so a cross-shard ApplyBatchAtomic is observed all-or-none
-// (the remote twin of serve.WithSnapshotReads). Writes are unaffected.
+// vectorized lookups and joins, the reads of an ApplyBatch column, and
+// ranges) fly with the wire snapshot flag: the server pins each frame's
+// reads to the atomic-write horizon at admission, so a cross-shard
+// ApplyBatchAtomic is observed all-or-none (the remote twin of
+// serve.WithSnapshotReads). Writes are unaffected.
 func WithSnapshotReads(on bool) Option {
 	return func(c *config) { c.snapshot = on }
 }

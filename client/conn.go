@@ -16,12 +16,12 @@ import (
 	"repro/internal/wire"
 )
 
-// call kinds: which response frames complete a request.
+// call kinds: which request frame a call flies as.
 const (
-	ckLookup = iota
-	ckJoin
-	ckWrite
-	ckRange
+	ckLookup = iota // lookup key column
+	ckJoin          // join key column
+	ckOps           // op column: coalesced point ops, ApplyBatch
+	ckRange         // range column
 )
 
 // call is one in-flight request frame: registered under its wire id
@@ -34,10 +34,9 @@ type call struct {
 	kind  int
 	start time.Time
 	n     int
-	point bool // a coalesced point frame: ops entered one by one
 
-	keys []uint64   // lookup/join batches: submitted key order
-	ops  []serve.Op // write/range batches: submitted op order
+	keys []uint64   // key columns: submitted key order
+	ops  []serve.Op // op and range columns: submitted op order
 
 	res     []serve.Result
 	jres    []serve.JoinResult
@@ -58,7 +57,7 @@ func (c *call) dropAll() {
 	for i := range c.res {
 		c.res[i] = serve.Result{Code: serve.NotFound, Dropped: true}
 	}
-	if c.kind == ckJoin {
+	if c.kind == ckJoin || c.kind == ckOps {
 		c.jres = make([]serve.JoinResult, c.n)
 		for i := range c.jres {
 			c.jres[i] = serve.JoinResult{Code: serve.NotFound, Dropped: true}
@@ -76,7 +75,7 @@ func (c *call) failAll(err error) {
 }
 
 // Future is one in-flight remote point request (the client twin of
-// serve.Future): an index into its coalesced frame's result column.
+// serve.Future): an index into its coalesced op frame's result column.
 type Future struct {
 	c   *call
 	idx int
@@ -138,7 +137,7 @@ func (bf *BatchFuture) Done() <-chan struct{} { return bf.c.done }
 // Keys returns the submitted keys in submission order.
 func (bf *BatchFuture) Keys() []uint64 { return bf.c.keys }
 
-// Ops returns a write batch's ops in submission order.
+// Ops returns an op column's ops in submission order.
 func (bf *BatchFuture) Ops() []serve.Op { return bf.c.ops }
 
 // Dropped reports how many of the batch's ops completed dropped.
@@ -216,11 +215,12 @@ func (rf *RangeFuture) Collect(r int) []serve.RangeEntry {
 // round-robin over its connections. See the package comment for the
 // semantics it shares with serve.Service.
 type Remote struct {
-	cfg    config
-	conns  []*cconn
-	rr     atomic.Uint64
-	shards int
-	closed atomic.Bool
+	cfg      config
+	conns    []*cconn
+	rr       atomic.Uint64
+	shards   int
+	hasBuild bool // the server admits joins (from the handshake)
+	closed   atomic.Bool
 
 	ops, dropped, shed  atomic.Uint64
 	framesIn, framesOut atomic.Uint64
@@ -282,7 +282,7 @@ func (r *Remote) dialConn(addr string) (*cconn, error) {
 			nc.Close()
 			return nil, err
 		}
-		r.shards = int(ack.Shards)
+		r.shards, r.hasBuild = int(ack.Shards), ack.HasBuild
 	case wire.MsgErr:
 		msg, _ := wire.DecodeErr(p)
 		nc.Close()
@@ -386,14 +386,6 @@ func (r *Remote) localDrop(c *call) {
 	r.finish(c)
 }
 
-// closedCall returns a completed call refused with serve.ErrClosed
-// (submission after Close — the same refusal serve gives).
-func closedCall(kind, n int) *call {
-	c := &call{kind: kind, n: n, start: time.Now(), done: make(chan struct{})}
-	c.failAll(serve.ErrClosed)
-	return c
-}
-
 // deadlineUS converts a ctx deadline to the wire header's relative
 // microseconds (0 = none). ok=false means the deadline already passed.
 func deadlineUS(ctx context.Context) (uint32, bool) {
@@ -420,36 +412,45 @@ func deadlineUS(ctx context.Context) (uint32, bool) {
 // --- point surface -------------------------------------------------
 
 // Submit admits one asynchronous typed point operation; see
-// serve.Service.Submit for semantics. The op joins the connection's
-// coalescing buffer and flies as part of a batched frame.
+// serve.Service.Submit for semantics, misuse panics included. The op
+// joins the connection's open op column and flies as part of one op
+// frame.
 func (r *Remote) Submit(ctx context.Context, op serve.Op) *Future {
-	switch op.Kind {
-	case serve.OpLookup, serve.OpJoin, serve.OpInsert, serve.OpDelete:
-	case serve.OpRange:
-		panic("client: OpRange requires Range/RangeBatch admission")
-	default:
-		panic("client: unknown op kind " + op.Kind.String())
-	}
-	if r.closed.Load() {
-		return &Future{c: closedCall(pointKind(op.Kind), 1)}
-	}
-	if ctx != nil && ctx.Err() != nil {
-		c := &call{kind: pointKind(op.Kind), n: 1, start: time.Now(), done: make(chan struct{})}
-		r.localDrop(c)
+	r.checkOp(op)
+	if closed := r.closed.Load(); closed || ctx != nil && ctx.Err() != nil {
+		c := &call{kind: ckOps, n: 1, start: time.Now(), done: make(chan struct{})}
+		if closed {
+			c.failAll(serve.ErrClosed) // the refusal serve gives after Close
+		} else {
+			r.localDrop(c)
+		}
 		return &Future{c: c}
 	}
 	conn := r.pick()
 	return conn.co.enqueue(conn, op)
 }
 
-func pointKind(k serve.OpKind) int {
-	switch k {
+// checkOp panics on a misused op as serve.Service's admission does: an
+// unknown kind, OpRange (Range/RangeBatch only), a join against a server
+// without a build side, an insert of the NotFound sentinel. Refusing it
+// here keeps one bad op from getting the valid ops coalesced with it
+// shed by the server's screen.
+func (r *Remote) checkOp(op serve.Op) {
+	switch op.Kind {
+	case serve.OpLookup, serve.OpDelete:
 	case serve.OpJoin:
-		return ckJoin
-	case serve.OpInsert, serve.OpDelete:
-		return ckWrite
+		if !r.hasBuild {
+			panic("client: OpJoin on a server without a build side")
+		}
+	case serve.OpInsert:
+		if op.Val == serve.NotFound {
+			panic("client: OpInsert value collides with the NotFound sentinel")
+		}
+	case serve.OpRange:
+		panic("client: OpRange requires Range/RangeBatch admission")
+	default:
+		panic("client: unknown op kind " + op.Kind.String())
 	}
-	return ckLookup
 }
 
 // Go submits one asynchronous lookup.
@@ -524,37 +525,38 @@ func (r *Remote) JoinBatch(ctx context.Context, keys []uint64) *BatchFuture {
 	return r.SubmitBatch(ctx, serve.OpJoin, keys)
 }
 
-// ApplyBatch admits one vectorized write column; see
-// serve.Service.ApplyBatch. Results align with the submission order,
-// and the server applies the column's writes to each key in that order.
-// Unlike the in-process ApplyBatch it takes writes only: the wire's write
-// frame carries no reads.
+// ApplyBatch admits one op column — any mix of the kinds Submit accepts
+// — as one op frame; see serve.Service.ApplyBatch. Results align with
+// the submission order, and the server executes the column's ops on each
+// key in that order, so a read observes every earlier write to its key
+// in the column. Joins answer with their aggregates (WaitJoin); no
+// matches stream for an op column. A Remote dialed WithSnapshotReads
+// pins the column's reads, as serve's ApplyBatch does under
+// serve.WithSnapshotReads.
 func (r *Remote) ApplyBatch(ctx context.Context, ops []serve.Op) *BatchFuture {
-	return r.applyBatch(ctx, ops, 0)
+	for _, op := range ops {
+		r.checkOp(op)
+	}
+	return r.applyBatch(ctx, ops, r.readFlags())
 }
 
 // ApplyBatchAtomic admits one vectorized write column with cross-shard
-// atomicity; see serve.Service.ApplyBatchAtomic. The frame flies with
-// the wire atomic flag, so the server installs it as one all-or-none
-// batch regardless of its coalescing config, and snapshot-pinned
-// readers observe either every op or none.
+// atomicity; see serve.Service.ApplyBatchAtomic (read kinds panic). The
+// frame flies with the wire atomic flag, so the server installs it as
+// one all-or-none batch, and snapshot-pinned readers observe either
+// every op or none.
 func (r *Remote) ApplyBatchAtomic(ctx context.Context, ops []serve.Op) *BatchFuture {
+	for _, op := range ops {
+		if !op.Kind.IsWrite() {
+			panic("client: ApplyBatchAtomic of read kind " + op.Kind.String())
+		}
+		r.checkOp(op)
+	}
 	return r.applyBatch(ctx, ops, wire.ReqFlagAtomic)
 }
 
 func (r *Remote) applyBatch(ctx context.Context, ops []serve.Op, flags uint8) *BatchFuture {
-	wops := make([]wire.WriteOp, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case serve.OpInsert:
-			wops[i] = wire.WriteOp{Kind: wire.WriteInsert, Key: op.Key, Val: op.Val}
-		case serve.OpDelete:
-			wops[i] = wire.WriteOp{Kind: wire.WriteDelete, Key: op.Key}
-		default:
-			panic("client: ApplyBatch of read kind " + op.Kind.String())
-		}
-	}
-	c := &call{kind: ckWrite, n: len(ops), start: time.Now(), ops: ops, done: make(chan struct{})}
+	c := &call{kind: ckOps, n: len(ops), start: time.Now(), ops: ops, done: make(chan struct{})}
 	if r.closed.Load() {
 		c.failAll(serve.ErrClosed)
 		return &BatchFuture{c: c}
@@ -564,9 +566,7 @@ func (r *Remote) applyBatch(ctx context.Context, ops []serve.Op, flags uint8) *B
 		r.localDrop(c)
 		return &BatchFuture{c: c}
 	}
-	r.pick().submit(c, wire.MsgWriteBatch, wire.ReqHeader{DeadlineUS: us, Flags: flags}, func(dst []byte, h wire.ReqHeader) []byte {
-		return wire.AppendWriteBatch(dst, wire.WriteBatch{Hdr: h, Ops: wops})
-	})
+	r.pick().submitOps(c, wire.ReqHeader{DeadlineUS: us, Flags: flags})
 	return &BatchFuture{c: c}
 }
 
@@ -632,8 +632,11 @@ type cconn struct {
 	// nothing will resolve a call registered after that, so submit
 	// refuses it instead.
 	dead bool
-	// waiters are Quiesce registrations: channels closed (and cleared)
-	// whenever the pending set drains to empty. Guarded by pmu.
+	// taken counts calls out of pending whose completion has not yet
+	// settled; waiters are Quiesce registrations, channels closed (and
+	// cleared) once pending is empty and nothing taken is unsettled.
+	// Guarded by pmu.
+	taken   int
 	waiters []chan struct{}
 
 	co coalescer
@@ -647,7 +650,7 @@ const encRetain = 1 << 20
 func (c *cconn) drained() <-chan struct{} {
 	ch := make(chan struct{})
 	c.pmu.Lock()
-	if len(c.pending) == 0 {
+	if len(c.pending) == 0 && c.taken == 0 {
 		c.pmu.Unlock()
 		close(ch)
 		return ch
@@ -657,24 +660,32 @@ func (c *cconn) drained() <-chan struct{} {
 	return ch
 }
 
-// notifyDrained closes registered drain waiters; caller holds pmu with
-// an empty pending set.
-func (c *cconn) notifyDrained() {
-	for _, ch := range c.waiters {
-		close(ch)
-	}
-	c.waiters = nil
-}
-
+// take removes id's call from the pending set. The caller completes it
+// and then settles it, so a Quiesce woken by the drain never finds a
+// call it waited for still incomplete.
 func (c *cconn) take(id uint64) *call {
 	c.pmu.Lock()
 	cl := c.pending[id]
-	delete(c.pending, id)
-	if len(c.pending) == 0 {
-		c.notifyDrained()
+	if cl != nil {
+		delete(c.pending, id)
+		c.taken++
 	}
 	c.pmu.Unlock()
 	return cl
+}
+
+// settle retires n completed taken calls and, once nothing is pending
+// or unsettled, closes (and clears) the drain waiters.
+func (c *cconn) settle(n int) {
+	c.pmu.Lock()
+	c.taken -= n
+	if len(c.pending) == 0 && c.taken == 0 {
+		for _, ch := range c.waiters {
+			close(ch)
+		}
+		c.waiters = nil
+	}
+	c.pmu.Unlock()
 }
 
 func (c *cconn) peek(id uint64) *call {
@@ -686,7 +697,8 @@ func (c *cconn) peek(id uint64) *call {
 
 // writeFrame builds one frame in the connection's encode buffer — body
 // appends the payload, under h for a request — and writes it to the
-// socket in one call.
+// socket in one call. The frame is counted before the write, so its
+// response can never be counted in Stats ahead of it.
 //
 //isi:hotpath
 func (c *cconn) writeFrame(t wire.MsgType, h wire.ReqHeader, body func([]byte, wire.ReqHeader) []byte) error {
@@ -698,12 +710,10 @@ func (c *cconn) writeFrame(t wire.MsgType, h wire.ReqHeader, body func([]byte, w
 	if cap(b) > encRetain {
 		c.enc = nil
 	}
-	if _, err := c.nc.Write(b); err != nil {
-		return err
-	}
 	c.r.framesOut.Add(1)
 	c.r.bytesOut.Add(uint64(len(b)))
-	return nil
+	_, err := c.nc.Write(b)
+	return err
 }
 
 // submit registers cl under a fresh id and ships its request frame. A
@@ -729,6 +739,16 @@ func (c *cconn) submit(cl *call, t wire.MsgType, h wire.ReqHeader, body func([]b
 	}
 	cl.failAll(serve.ErrClosed) //isi:allow-alloc(refusal path: the connection is gone)
 	c.r.shed.Add(uint64(cl.n))
+	if !dead {
+		c.settle(1)
+	}
+}
+
+// submitOps ships an op column call as one MsgOpBatch frame.
+func (c *cconn) submitOps(cl *call, h wire.ReqHeader) {
+	c.submit(cl, wire.MsgOpBatch, h, func(dst []byte, h wire.ReqHeader) []byte {
+		return wire.AppendOpBatch(dst, wire.OpBatch{Hdr: h, Ops: cl.ops})
+	})
 }
 
 // readLoop resolves response frames until the stream dies, then fails
@@ -759,12 +779,13 @@ func (c *cconn) failPending() {
 		calls = append(calls, cl)
 		delete(c.pending, id)
 	}
-	c.notifyDrained()
+	c.taken += len(calls)
 	c.pmu.Unlock()
 	for _, cl := range calls {
 		cl.failAll(serve.ErrClosed)
 		c.r.shed.Add(uint64(cl.n))
 	}
+	c.settle(len(calls))
 }
 
 // handle resolves one response frame; false kills the connection.
@@ -786,19 +807,20 @@ func (c *cconn) handle(t wire.MsgType, p []byte) bool {
 		cl.jres = make([]serve.JoinResult, n)
 		for i := range cl.jres {
 			e := wire.JoinResAt(recs, i)
-			cl.jres[i] = serve.JoinResult{Code: e.Code, Hits: e.Hits, Agg: e.Agg, Dropped: e.Flags&wire.FlagDropped != 0}
-			cl.res[i] = serve.Result{Code: e.Code, Found: e.Code != serve.NotFound, Dropped: cl.jres[i].Dropped}
-			if cl.jres[i].Dropped {
+			cl.res[i] = fromWireResult(wire.Result{Code: e.Code, Flags: e.Flags})
+			cl.jres[i] = serve.JoinResult{Code: e.Code, Hits: e.Hits, Agg: e.Agg, Dropped: cl.res[i].Dropped}
+			if cl.res[i].Dropped {
 				cl.dropped++
 			}
 		}
 		c.r.finish(cl)
+		c.settle(1)
 	case wire.MsgMatchChunk:
 		ch, err := wire.DecodeMatchChunk(p)
 		if err != nil {
 			return false
 		}
-		if cl := c.peek(ch.ID); cl != nil && !cl.point {
+		if cl := c.peek(ch.ID); cl != nil {
 			for _, m := range ch.Matches {
 				cl.matches = append(cl.matches, serve.Match{Probe: int(m.Probe), Key: m.Key, Code: m.Code, Payload: m.Payload})
 			}
@@ -827,6 +849,7 @@ func (c *cconn) handle(t wire.MsgType, p []byte) bool {
 			cl.dropped = cl.n
 		}
 		c.r.finish(cl)
+		c.settle(1)
 	case wire.MsgShed:
 		s, err := wire.DecodeShed(p)
 		if err != nil {
@@ -842,6 +865,7 @@ func (c *cconn) handle(t wire.MsgType, p []byte) bool {
 			cl.failAll(&ShedError{Reason: s.Reason})
 		}
 		c.r.shed.Add(uint64(cl.n))
+		c.settle(1)
 	case wire.MsgErr:
 		return false
 	default:
@@ -871,6 +895,7 @@ func (c *cconn) handleResults(p []byte) bool {
 		}
 	}
 	c.r.finish(cl)
+	c.settle(1)
 	return true
 }
 
@@ -885,50 +910,40 @@ func fromWireResult(e wire.Result) serve.Result {
 
 // --- point coalescing ----------------------------------------------
 
-// coalescer buffers point ops per connection and per class (lookups,
-// joins, writes fly as different frame types), flushing a class when it
-// reaches maxOps and when its linger expires.
+// coalescer keeps one open op column per connection: point ops of every
+// kind append to it, and it flies as one op frame when it reaches maxOps
+// or when its linger expires.
 //
-// Timer discipline: each forming frame records its own linger deadline,
+// Timer discipline: the open column records its own linger deadline,
 // and at most one timer callback is outstanding (armed). Enqueue arms
 // the timer only when nothing is scheduled; the callback flushes the
-// frames whose deadlines have passed and re-arms for the earliest
-// remaining one. The old single shared Reset-per-frame timer raced its
-// own expiry: a callback already fired (or blocked on the mutex) would
-// steal a frame formed moments earlier, flushing it with ~zero linger,
-// and Reset on a fired AfterFunc timer left a stray second callback in
-// flight. Deadlines make expiry checks explicit, so a stale callback
-// observes a young frame and leaves it alone.
+// column if its deadline has passed and otherwise re-arms for it. The
+// old single shared Reset-per-frame timer raced its own expiry: a
+// callback already fired (or blocked on the mutex) would steal a column
+// opened moments earlier, flushing it with ~zero linger, and Reset on a
+// fired AfterFunc timer left a stray second callback in flight. The
+// deadline makes the expiry check explicit, so a stale callback observes
+// a young column and leaves it alone.
 type coalescer struct {
 	maxOps int
 	linger time.Duration
 
-	mu    sync.Mutex
-	bufs  [3]openBuf // indexed by ckLookup/ckJoin/ckWrite
-	timer *time.Timer
-	armed bool // a linger callback is scheduled and has not yet run
-}
-
-// openBuf is one class's forming frame: the call its futures already
-// point at, plus the payload column gathered so far.
-type openBuf struct {
-	c        *call
-	keys     []uint64
-	wops     []wire.WriteOp
-	deadline time.Time // when this frame's linger expires
+	mu       sync.Mutex
+	open     *call     // the forming op column its futures point at; nil when none
+	deadline time.Time // when open's linger expires
+	timer    *time.Timer
+	armed    bool // a linger callback is scheduled and has not yet run
 }
 
 // enqueue adds one point op, returning its future; may flush inline.
 func (co *coalescer) enqueue(conn *cconn, op serve.Op) *Future {
-	ck := pointKind(op.Kind)
 	co.mu.Lock()
-	b := &co.bufs[ck]
-	if b.c == nil {
-		b.c = &call{kind: ck, start: time.Now(), point: true, done: make(chan struct{})}
-		b.deadline = b.c.start.Add(co.linger)
+	if co.open == nil {
+		co.open = &call{kind: ckOps, start: time.Now(), done: make(chan struct{})}
+		co.deadline = co.open.start.Add(co.linger)
 		// Deadlines are minted monotonically (always now+linger), so an
-		// already-armed timer fires no later than this frame needs; the
-		// callback re-arms for whatever remains.
+		// already-armed timer fires no later than this column needs; the
+		// callback re-arms for it.
 		if !co.armed {
 			if co.timer == nil {
 				co.timer = time.AfterFunc(co.linger, func() { co.onLinger(conn) })
@@ -938,110 +953,54 @@ func (co *coalescer) enqueue(conn *cconn, op serve.Op) *Future {
 			co.armed = true
 		}
 	}
-	f := &Future{c: b.c, idx: b.c.n}
-	b.c.n++
-	if ck == ckWrite {
-		k := wire.WriteInsert
-		if op.Kind == serve.OpDelete {
-			k = wire.WriteDelete
-		}
-		b.wops = append(b.wops, wire.WriteOp{Kind: k, Key: op.Key, Val: op.Val})
-	} else {
-		b.keys = append(b.keys, op.Key)
-	}
-	var fl *flushed
-	if b.c.n >= co.maxOps {
-		fl = co.steal(ck)
+	f := &Future{c: co.open, idx: co.open.n}
+	co.open.ops = append(co.open.ops, op)
+	co.open.n++
+	var full *call
+	if co.open.n >= co.maxOps {
+		full, co.open = co.open, nil
 	}
 	co.mu.Unlock()
-	if fl != nil {
-		fl.send(conn)
-	}
+	co.send(conn, full)
 	return f
 }
 
-// flushed is one sealed frame ready to ship (built outside the lock).
-type flushed struct {
-	ck   int
-	c    *call
-	keys []uint64
-	wops []wire.WriteOp
-}
-
-// steal seals class ck's forming frame; caller holds co.mu.
-func (co *coalescer) steal(ck int) *flushed {
-	b := &co.bufs[ck]
-	if b.c == nil {
-		return nil
-	}
-	fl := &flushed{ck: ck, c: b.c, keys: b.keys, wops: b.wops}
-	*b = openBuf{}
-	return fl
-}
-
-// onLinger is the timer callback: it flushes every frame whose linger
-// deadline has passed and re-arms for the earliest still-young frame.
-// A frame formed after this callback was scheduled keeps its full
-// linger — its deadline is in the future, so it stays put.
+// onLinger is the timer callback: it flushes the open column if its
+// linger deadline has passed, and re-arms for it otherwise — a column
+// opened after this callback was scheduled keeps its full linger.
 func (co *coalescer) onLinger(conn *cconn) {
-	now := time.Now()
 	co.mu.Lock()
 	co.armed = false
-	var fls []*flushed
-	var next time.Time
-	for ck := range co.bufs {
-		b := &co.bufs[ck]
-		if b.c == nil {
-			continue
+	var due *call
+	if co.open != nil {
+		if wait := time.Until(co.deadline); wait > 0 {
+			co.timer.Reset(wait)
+			co.armed = true
+		} else {
+			due, co.open = co.open, nil
 		}
-		if !b.deadline.After(now) {
-			fls = append(fls, co.steal(ck))
-		} else if next.IsZero() || b.deadline.Before(next) {
-			next = b.deadline
-		}
-	}
-	if !next.IsZero() {
-		co.timer.Reset(time.Until(next))
-		co.armed = true
 	}
 	co.mu.Unlock()
-	for _, fl := range fls {
-		fl.send(conn)
-	}
+	co.send(conn, due)
 }
 
-// flushAll ships every forming frame immediately (Quiesce and Close).
+// flushAll ships the open column immediately (Quiesce and Close).
 func (co *coalescer) flushAll(conn *cconn) {
 	co.mu.Lock()
-	var fls []*flushed
-	for ck := range co.bufs {
-		if fl := co.steal(ck); fl != nil {
-			fls = append(fls, fl)
-		}
-	}
+	open := co.open
+	co.open = nil
 	if co.armed {
 		co.timer.Stop() // a lost Stop race is fine: the callback finds nothing
 		co.armed = false
 	}
 	co.mu.Unlock()
-	for _, fl := range fls {
-		fl.send(conn)
-	}
+	co.send(conn, open)
 }
 
-func (fl *flushed) send(conn *cconn) {
-	fl.c.keys = fl.keys
-	if fl.ck == ckWrite {
-		conn.submit(fl.c, wire.MsgWriteBatch, wire.ReqHeader{}, func(dst []byte, h wire.ReqHeader) []byte {
-			return wire.AppendWriteBatch(dst, wire.WriteBatch{Hdr: h, Ops: fl.wops})
-		})
-		return
+// send ships a sealed column, if any, as one op frame; its reads are
+// pinned when the Remote was dialed WithSnapshotReads.
+func (co *coalescer) send(conn *cconn, cl *call) {
+	if cl != nil {
+		conn.submitOps(cl, wire.ReqHeader{Flags: conn.r.readFlags()})
 	}
-	mt := wire.MsgLookupBatch
-	if fl.ck == ckJoin {
-		mt = wire.MsgJoinBatch
-	}
-	conn.submit(fl.c, mt, wire.ReqHeader{Flags: conn.r.readFlags()}, func(dst []byte, h wire.ReqHeader) []byte {
-		return wire.AppendKeyBatch(dst, wire.KeyBatch{Hdr: h, Keys: fl.keys})
-	})
 }

@@ -2,12 +2,12 @@
 // the internal/wire network front-end: a TCP server speaking the
 // length-prefixed binary protocol that the client package binds to
 // (client.Dial; examples/remoteclient is the quickstart). It accepts
-// many concurrent connections, coalesces small point frames from all of
-// them into the service's group-commit admission batches, streams range
-// entries and join matches back as they materialize, and sheds load at
-// admission — per-tenant token-bucket quotas (-tenantrate) and a
-// server-wide in-flight cap (-maxinflight) refuse whole frames before
-// the shards see them.
+// many concurrent connections and admits every request frame as one
+// column — the client has already coalesced point ops into op frames —
+// streams range entries and join matches back as they materialize, and
+// sheds load at admission: per-tenant token-bucket quotas (-tenantrate)
+// and a server-wide in-flight cap (-maxinflight) refuse whole frames
+// before the shards see them.
 //
 // The domain holds even values only (value of code i is 2i, so odd keys
 // miss), and the build side is drawn from a seeded skew, so a client
@@ -44,8 +44,6 @@ func main() {
 		buildMB  = flag.Int("build", 32, "join build side size in MB of 16-byte tuples (0 disables joins)")
 		bZipf    = flag.Float64("buildzipf", 0, "fraction of build tuples on the Zipf hot set")
 		bTheta   = flag.Float64("buildtheta", 1.1, "build-side Zipf exponent (>1)")
-		batch    = flag.Int("batch", 256, "point-mode admission batch size bound")
-		wait     = flag.Duration("wait", 200*time.Microsecond, "point-mode admission batch time bound")
 		group    = flag.Int("group", 6, "initial interleaving group size per shard")
 		minGroup = flag.Int("mingroup", 1, "adaptive controller lower bound")
 		maxGroup = flag.Int("maxgroup", 32, "adaptive controller upper bound")
@@ -54,7 +52,6 @@ func main() {
 		rebuild  = flag.Int("rebuild", 0, "per-shard delta size triggering a background epoch rebuild (0 = default, <0 disables)")
 		seed     = flag.Uint64("seed", 7, "domain/build seed (must match the client's for differential runs)")
 
-		coalesce  = flag.Int("coalesce", 64, "frames with fewer ops ride point admission (group-commit coalescing across connections); larger frames go vectorized")
 		inflight  = flag.Int("maxinflight", 1<<20, "server-wide cap on admitted-but-unanswered ops; beyond it frames are shed")
 		trate     = flag.Float64("tenantrate", 0, "per-tenant admission quota in ops/second (0 = unlimited)")
 		tburst    = flag.Float64("tenantburst", 0, "per-tenant token-bucket depth (0 = max(rate, 1024))")
@@ -73,8 +70,6 @@ func main() {
 
 	scfg := serve.Config{
 		Shards:           *shards,
-		MaxBatch:         *batch,
-		MaxWait:          *wait,
 		Group:            *group,
 		MinGroup:         *minGroup,
 		MaxGroup:         *maxGroup,
@@ -113,12 +108,11 @@ func main() {
 	}
 
 	srv := wire.NewServer(svc, wire.Config{
-		MaxFrame:      *maxFrame,
-		CoalesceBelow: *coalesce,
-		MaxInflight:   *inflight,
-		TenantRate:    *trate,
-		TenantBurst:   *tburst,
-		ChunkSize:     *chunk,
+		MaxFrame:    *maxFrame,
+		MaxInflight: *inflight,
+		TenantRate:  *trate,
+		TenantBurst: *tburst,
+		ChunkSize:   *chunk,
 	})
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -127,8 +121,8 @@ func main() {
 	}
 	// The "listening on" banner is the readiness signal scripts wait for;
 	// it carries the resolved port for :0.
-	fmt.Printf("isiserved: listening on %s (shards=%d domain=%d keys, join=%v, coalesce<%d, quota=%.0f ops/s/tenant)\n",
-		ln.Addr(), *shards, n, *buildMB > 0, *coalesce, *trate)
+	fmt.Printf("isiserved: listening on %s (shards=%d domain=%d keys, join=%v, quota=%.0f ops/s/tenant)\n",
+		ln.Addr(), *shards, n, *buildMB > 0, *trate)
 
 	done := make(chan os.Signal, 1)
 	signal.Notify(done, syscall.SIGINT, syscall.SIGTERM)

@@ -302,6 +302,40 @@ func TestPinnedSnapshotSurvivesChurn(t *testing.T) {
 	}
 }
 
+// TestApplyBatchAtPinsReads: ApplyBatchAt reads an op column at the
+// pin — a Snap's horizon, or the horizon at admission for a nil one —
+// while the column's own plain write stays visible to its later read.
+func TestApplyBatchAtPinsReads(t *testing.T) {
+	keys := atomicKeys(6)
+	s, err := New(testDomain(64, 1), WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	s.ApplyBatchAtomic(ctx, versionOps(keys, 1)).Wait()
+	sn := s.Snapshot()
+	defer sn.Release()
+	s.ApplyBatchAtomic(ctx, versionOps(keys, 2)).Wait()
+	col := []Op{{Kind: OpInsert, Key: 9001, Val: 5}}
+	for _, k := range keys {
+		col = append(col, Op{Kind: OpLookup, Key: k})
+	}
+	col = append(col, Op{Kind: OpLookup, Key: 9001})
+	for _, c := range []struct {
+		sn   *Snap
+		want uint32
+	}{{sn, 1}, {nil, 2}} {
+		res := s.ApplyBatchAt(ctx, col, c.sn).Wait()
+		if got := checkUniformVersion(t, "ApplyBatchAt", keys, res[1:len(keys)+1]); got != c.want {
+			t.Fatalf("ApplyBatchAt(pinned %v) read version %d, want %d", c.sn != nil, got, c.want)
+		}
+		if r := res[len(res)-1]; r != (Result{Code: 5, Found: true}) {
+			t.Fatalf("the column's own write read back as %+v", r)
+		}
+	}
+}
+
 // TestWithSnapshotReadsMode: the service-wide option routes plain reads
 // through admission-time pins — point futures in one sealed batch share
 // one snapshot, vectorized batches pin per batch — and everything stays

@@ -295,7 +295,21 @@ func (s *Service) ApplyBatch(ctx context.Context, ops []Op) *BatchFuture {
 	for _, op := range ops {
 		s.checkOp(op)
 	}
-	return s.applyBatch(ctx, ops, false)
+	return s.applyBatch(ctx, ops, false, nil, s.snapReads)
+}
+
+// ApplyBatchAt is ApplyBatch with the column's reads at a pinned commit
+// horizon, the op-column twin of SubmitBatchAt: every read observes the
+// atomic batches committed at or before the pin — all of a cross-shard
+// ApplyBatchAtomic or none of it — while plain writes, the column's own
+// included, stay immediately visible. A nil sn pins the current horizon
+// ephemerally at admission and releases it when the batch completes; a
+// non-nil sn is the caller's to Release.
+func (s *Service) ApplyBatchAt(ctx context.Context, ops []Op, sn *Snap) *BatchFuture {
+	for _, op := range ops {
+		s.checkOp(op)
+	}
+	return s.applyBatch(ctx, ops, false, sn, true)
 }
 
 // ApplyBatchAtomic admits one cross-shard atomic write batch: the same
@@ -325,16 +339,21 @@ func (s *Service) ApplyBatchAtomic(ctx context.Context, ops []Op) *BatchFuture {
 		}
 		s.checkOp(op)
 	}
-	return s.applyBatch(ctx, ops, true)
+	return s.applyBatch(ctx, ops, true, nil, false)
 }
 
-// applyBatch admits a validated op column through the admission gate.
-func (s *Service) applyBatch(ctx context.Context, ops []Op, atomic bool) *BatchFuture {
+// applyBatch admits a validated op column through the admission gate,
+// its reads at sn or — sn nil and pin set — at the current horizon
+// pinned ephemerally (submitBatch's convention).
+func (s *Service) applyBatch(ctx context.Context, ops []Op, atomic bool, sn *Snap, pin bool) *BatchFuture {
 	bf := &BatchFuture{ctx: ctx, enq: time.Now(), ops: ops, done: make(chan struct{}), snapSeq: latestSeq}
 	s.admitGate.RLock()
 	defer s.admitGate.RUnlock()
 	if s.refuse(bf, len(ops)) {
 		return bf
+	}
+	if sn != nil {
+		bf.snapSeq = sn.Seq()
 	}
 	// A cancelled atomic column mints no seq, so the commit horizon
 	// cannot wedge behind it; it drains as a plain column, every op
@@ -343,7 +362,7 @@ func (s *Service) applyBatch(ctx context.Context, ops []Op, atomic bool) *BatchF
 		bf.svc = s
 		bf.atomicSeq = s.atomSeq.Add(1)
 	}
-	s.admitOps(bf, !atomic && s.snapReads)
+	s.admitOps(bf, pin && sn == nil)
 	return bf
 }
 

@@ -6,9 +6,9 @@ package wire_test
 // one process. The anchor is the differential test: the same seeded op
 // stream replayed through an in-process serve.Service and through the
 // network stack against an identically-built service must produce
-// bit-identical results, so the protocol, the server's result
-// realignment, and the client's coalescer cannot silently reorder,
-// drop, or mangle anything.
+// bit-identical results, so the protocol, the server's column admission
+// and record encoding, and the client's coalescer cannot silently
+// reorder, drop, or mangle anything.
 
 import (
 	"context"
@@ -28,8 +28,9 @@ import (
 )
 
 // testService builds the canonical small test service: 3 shards, tiny
-// admission bounds, a skewed build side over an even-key domain.
-func testService(t *testing.T, o *obs.Observer) *serve.Service {
+// admission bounds, a skewed build side over an even-key domain; extra
+// options apply last.
+func testService(t *testing.T, o *obs.Observer, extra ...serve.Option) *serve.Service {
 	t.Helper()
 	const domainN = 256
 	domain := make([]uint64, domainN)
@@ -53,7 +54,7 @@ func testService(t *testing.T, o *obs.Observer) *serve.Service {
 	if o != nil {
 		opts = append(opts, serve.WithObserver(o))
 	}
-	s, err := serve.New(domain, opts...)
+	s, err := serve.New(domain, append(opts, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,17 +159,18 @@ func replayStream(stream []e2eOp, fns replayFns) (perOp []serve.Result, perJoin 
 // TestLoopbackDifferential is the e2e anchor: the same seeded stream
 // through an in-process service and through TCP against a twin service
 // must agree exactly — point results, join results, and ordered range
-// entries.
+// entries. The second seed runs both bindings in snapshot-read mode, so
+// every coalesced op frame and range frame flies pinned.
 func TestLoopbackDifferential(t *testing.T) {
-	seeds := []uint64{11, 12}
 	nOps := 500
 	if testing.Short() {
-		seeds, nOps = seeds[:1], 250
+		nOps = 250
 	}
-	for _, seed := range seeds {
+	for _, seed := range []uint64{11, 12} {
 		stream := genE2EStream(seed, nOps)
+		snapshot := seed == 12
 
-		local := testService(t, nil)
+		local := testService(t, nil, serve.WithSnapshotReads(snapshot))
 		wantOps, wantJoins, wantRanges := replayStream(stream, replayFns{
 			point: func(ctx context.Context, op serve.Op) serve.Result {
 				return local.Submit(ctx, op).Wait()
@@ -188,11 +190,8 @@ func TestLoopbackDifferential(t *testing.T) {
 
 		remoteSvc := testService(t, nil)
 		defer remoteSvc.Close()
-		// CoalesceBelow 4 forces both server paths: most point frames ride
-		// group-commit point admission, coalesced client frames above 4 ops
-		// go vectorized.
-		addr := startServer(t, remoteSvc, wire.Config{CoalesceBelow: 4, ChunkSize: 3})
-		rm, err := client.Dial(addr, client.WithCoalesce(6, 100*time.Microsecond))
+		addr := startServer(t, remoteSvc, wire.Config{ChunkSize: 3})
+		rm, err := client.Dial(addr, client.WithCoalesce(6, 100*time.Microsecond), client.WithSnapshotReads(snapshot))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +215,7 @@ func TestLoopbackDifferential(t *testing.T) {
 
 		for i, op := range stream {
 			if gotOps[i] != wantOps[i] {
-				t.Fatalf("seed %d op %d (%+v): remote %+v, local %+v", seed, i, op, gotOps[i], wantOps[i])
+				t.Fatalf("seed %d (snapshot %v) op %d (%+v): remote %+v, local %+v", seed, snapshot, i, op, gotOps[i], wantOps[i])
 			}
 			if gotJoins[i] != wantJoins[i] {
 				t.Fatalf("seed %d op %d (%+v): remote join %+v, local %+v", seed, i, op, gotJoins[i], wantJoins[i])
@@ -312,7 +311,7 @@ func TestLoopbackVectorDifferential(t *testing.T) {
 	defer local.Close()
 	remoteSvc := testService(t, nil)
 	defer remoteSvc.Close()
-	addr := startServer(t, remoteSvc, wire.Config{CoalesceBelow: 4, ChunkSize: 5})
+	addr := startServer(t, remoteSvc, wire.Config{ChunkSize: 5})
 	rm, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -404,13 +403,11 @@ func TestLoopbackVectorDifferential(t *testing.T) {
 	}
 }
 
-// TestLoopbackPositional is the realignment check the key→result
+// TestLoopbackPositional is the submission-order check the key→result
 // comparison above cannot make: result i must be the oracle's answer for
 // submitted key i — duplicates included, each at its own position — and
-// Keys()[i] the key submitted there. Frame sizes straddle the server's
-// point/vector threshold (default CoalesceBelow 64) and reach past one
-// socket read; both read modes, since snapshot reads always take the
-// vector path.
+// Keys()[i] the key submitted there. Frame sizes run from one key past
+// one socket read, in both read modes (plain and pinned key columns).
 func TestLoopbackPositional(t *testing.T) {
 	svc := testService(t, nil)
 	defer svc.Close()
@@ -447,11 +444,9 @@ func TestLoopbackPositional(t *testing.T) {
 	}
 }
 
-// TestLoopbackWriteFrameOrder: write frames at and above the server's
-// point/vector threshold (default CoalesceBelow 64, the ApplyBatch arm)
-// and atomic frames, every key written many times per frame: after each
-// frame completes every key reads the frame's last write to it, and ack
-// i is op i's own.
+// TestLoopbackWriteFrameOrder: plain and atomic write frames, every key
+// written many times per frame: after each frame completes every key
+// reads the frame's last write to it, and ack i is op i's own.
 func TestLoopbackWriteFrameOrder(t *testing.T) {
 	svc := testService(t, nil)
 	defer svc.Close()
@@ -663,9 +658,7 @@ func TestQuotaShed(t *testing.T) {
 	defer svc.Close()
 	// Burst 100 tokens, effectively no refill: the second 80-key batch
 	// must be refused atomically (80 > 20 remaining).
-	addr := startServer(t, svc, wire.Config{
-		TenantRate: 1e-9, TenantBurst: 100, CoalesceBelow: 1,
-	})
+	addr := startServer(t, svc, wire.Config{TenantRate: 1e-9, TenantBurst: 100})
 	rm, err := client.Dial(addr, client.WithTenant("team-a"))
 	if err != nil {
 		t.Fatal(err)

@@ -24,15 +24,13 @@ import (
 // MsgShed rather than queueing unboundedly, and every shed is folded
 // into the service's Stats.DroppedShed via Service.Shed.
 //
-// Point-shaped frames (lookup and write batches below
-// Config.CoalesceBelow ops) are admitted through Service.Submit, so
-// small requests from many connections coalesce into the service's
-// group-commit batches — the cross-connection batching that makes the
-// interleaved probe kernels worth driving over a network. Larger frames
-// go through the vectorized paths (SubmitBatch/ApplyBatch), joins
-// always (their matches stream back in MsgMatchChunk frames as shard
-// segments complete), ranges always through RangeBatch (entries stream
-// in MsgRangeChunk frames off the lazy k-way merge).
+// Every request frame is admitted as one column, whatever its size: a
+// key column through SubmitBatch (a join's matches stream back in
+// MsgMatchChunk frames as shard segments complete), an op column through
+// ApplyBatch, and a range column through RangeBatch (entries stream in
+// MsgRangeChunk frames off the lazy k-way merge). Point ops are batched
+// once, by the client's coalescer, into op frames; the server adds no
+// second linger.
 type Server struct {
 	svc *serve.Service
 	cfg Config
@@ -64,11 +62,6 @@ type Config struct {
 	// MaxFrame caps an inbound frame's encoded length (default
 	// DefaultMaxFrame).
 	MaxFrame int
-	// CoalesceBelow routes lookup/write frames with fewer ops through
-	// point admission (Service.Submit), letting the group-commit batcher
-	// coalesce them across connections; frames at or above it use the
-	// vectorized batch paths. Default 64.
-	CoalesceBelow int
 	// MaxInflight caps admitted-but-unanswered ops server-wide; beyond it
 	// frames are shed with ShedOverload. Default 1<<20.
 	MaxInflight int
@@ -91,9 +84,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.CoalesceBelow <= 0 {
-		c.CoalesceBelow = 64
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 1 << 20
@@ -125,11 +115,16 @@ type tenant struct {
 	last   time.Time
 }
 
-// take spends n tokens, refilling first; a bucket too dry for the whole
-// frame refuses it atomically (no partial admission).
-func (t *tenant) take(n int, rate, burst float64) bool {
+// take spends n tokens, refilling first, and returns 0 or the reason the
+// frame is refused whole (no partial admission): ShedQuota for a bucket
+// too dry for it now, ShedBadRequest for a frame larger than the bucket
+// can ever hold — no retry would admit it.
+func (t *tenant) take(n int, rate, burst float64) uint8 {
 	if rate <= 0 {
-		return true
+		return 0
+	}
+	if float64(n) > burst {
+		return ShedBadRequest
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -137,10 +132,10 @@ func (t *tenant) take(n int, rate, burst float64) bool {
 	t.tokens = min(burst, t.tokens+rate*now.Sub(t.last).Seconds())
 	t.last = now
 	if t.tokens < float64(n) {
-		return false
+		return ShedQuota
 	}
 	t.tokens -= float64(n)
-	return true
+	return 0
 }
 
 // NewServer builds a front-end over svc. Observability rides the
@@ -294,8 +289,9 @@ const slotRetain = 1 << 19
 // Buffers grow to the frames the connection actually sends.
 type slot struct {
 	hdr  ReqHeader
-	keys []uint64 // decoded key column, wire order
-	out  []byte   // terminal response payload, encoded in place
+	keys []uint64   // decoded key column, wire order
+	ops  []serve.Op // decoded op column, wire order
+	out  []byte     // terminal response payload, encoded in place
 }
 
 // begin sizes sl.out as a results payload of n size-byte records and
@@ -459,7 +455,9 @@ func (c *conn) handshake(fr *FrameReader) bool {
 	}
 	c.tenant = c.srv.tenantFor(name)
 	c.nc.SetReadDeadline(time.Time{})
-	c.send(MsgHelloAck, AppendHelloAck(nil, HelloAck{Version: Version, Shards: uint16(c.srv.svc.Shards())}))
+	c.send(MsgHelloAck, AppendHelloAck(nil, HelloAck{
+		Version: Version, Shards: uint16(c.srv.svc.Shards()), HasBuild: c.srv.svc.HasBuild(),
+	}))
 	return true
 }
 
@@ -473,18 +471,19 @@ func (c *conn) dispatch(t MsgType, p []byte) bool {
 	switch t {
 	case MsgLookupBatch, MsgJoinBatch:
 		return c.dispatchKeys(t, p, <-c.free)
-	case MsgWriteBatch:
+	case MsgOpBatch:
 		sl := <-c.free
-		b, err := DecodeWriteBatch(p)
+		b, err := DecodeOpBatchInto(p, sl.ops)
 		if err != nil {
 			return c.protoErr(sl, err)
 		}
-		sl.hdr = b.Hdr
+		sl.hdr, sl.ops = b.Hdr, b.Ops
+		ok, join := c.screenOps(b.Ops, b.Hdr.Flags&ReqFlagAtomic != 0)
 		switch n := len(b.Ops); {
-		case !validWrites(b.Ops):
+		case !ok:
 			c.shed(sl, ShedBadRequest, n)
 		case c.admit(sl, n, len(p)):
-			go c.respondWrite(sl, b)
+			go c.respondOps(sl, join)
 		}
 	case MsgRangeBatch:
 		sl := <-c.free
@@ -539,16 +538,31 @@ func (c *conn) protoErr(sl *slot, err error) bool {
 	return false
 }
 
-// validWrites screens remote write ops so invalid input is refused with
-// ShedBadRequest instead of reaching serve's checkOp panics: unknown
-// kinds and inserts colliding with the NotFound sentinel.
-func validWrites(ops []WriteOp) bool {
+// screenOps screens a remote op column so that invalid input is refused
+// with ShedBadRequest instead of reaching serve's admission panics: an
+// unknown kind, OpRange (ranges fly in range frames), an insert of the
+// NotFound sentinel, a join on a service without a build side, and a
+// read in an atomic frame. It also reports whether the column carries a
+// join, which decides the reply's record type.
+func (c *conn) screenOps(ops []serve.Op, atomic bool) (ok, join bool) {
 	for _, o := range ops {
-		if o.Kind > WriteDelete || (o.Kind == WriteInsert && o.Val == serve.NotFound) {
-			return false
+		switch o.Kind {
+		case serve.OpLookup:
+			ok = !atomic
+		case serve.OpJoin:
+			ok, join = !atomic && c.srv.svc.HasBuild(), true
+		case serve.OpInsert:
+			ok = o.Val != serve.NotFound
+		case serve.OpDelete:
+			ok = true
+		default:
+			ok = false
+		}
+		if !ok {
+			return false, false
 		}
 	}
-	return true
+	return true, join
 }
 
 // admit runs the tenant quota and the server-wide in-flight cap; a
@@ -558,8 +572,8 @@ func validWrites(ops []WriteOp) bool {
 //
 //isi:hotpath
 func (c *conn) admit(sl *slot, n, payloadBytes int) bool {
-	if !c.tenant.take(n, c.srv.cfg.TenantRate, c.srv.cfg.TenantBurst) {
-		c.shed(sl, ShedQuota, n)
+	if reason := c.tenant.take(n, c.srv.cfg.TenantRate, c.srv.cfg.TenantBurst); reason != 0 {
+		c.shed(sl, reason, n)
 		return false
 	}
 	if c.srv.inflight.Add(int64(n)) > int64(c.srv.cfg.MaxInflight) {
@@ -623,41 +637,16 @@ func requestCtx(deadlineUS uint32) (context.Context, context.CancelFunc) {
 
 func noCancel() {}
 
-// respondLookup serves one lookup frame. Below the coalesce threshold
-// each key rides point admission — Submit feeds the group-commit
-// batcher, so keys from many connections share admission batches — and
-// results come back in submission order for free. At or above it, and
-// for every snapshot read (which must drain as ONE pinned batch; point
-// coalescing would scatter the keys across admission batches with
-// different pins), the vectorized path is cheaper: the decoded column is
-// admitted as one key column, which the service only reads and answers
-// in submission order, so result i is encoded at wire position i.
+// respondLookup serves one lookup frame: the decoded column is admitted
+// as one key column, which the service only reads and answers in
+// submission order, so result i is encoded at wire position i.
 //
 //isi:hotpath
 func (c *conn) respondLookup(sl *slot) {
-	n := len(sl.keys)
-	defer c.done(n)
+	defer c.done(len(sl.keys))
 	ctx, cancel := requestCtx(sl.hdr.DeadlineUS) //isi:allow-alloc(a timer context only when the request carries a deadline)
 	defer cancel()
-	if sl.hdr.Flags&ReqFlagSnapshot == 0 && n < c.srv.cfg.CoalesceBelow {
-		futs := make([]*serve.Future, n) //isi:allow-alloc(point admission: a future per key is the coalescing path's design)
-		for i, k := range sl.keys {
-			futs[i] = c.srv.svc.Go(ctx, k) //isi:allow-alloc(as above)
-		}
-		c.replyPoints(sl, futs)
-		return
-	}
-	bf := c.submitKeys(ctx, serve.OpLookup, sl)
-	res := bf.Wait()
-	if bf.Err() != nil {
-		c.shed(sl, ShedClosed, 0)
-		return
-	}
-	recs := sl.begin(n, ResultSize)
-	for i, r := range res {
-		putResult(recs, i, r.Code, resultFlags(r))
-	}
-	c.reply(sl, MsgResults, n)
+	c.replyColumn(sl, c.submitKeys(ctx, serve.OpLookup, sl), false)
 }
 
 // submitKeys admits sl's decoded key column as one key column, pinned at
@@ -671,19 +660,33 @@ func (c *conn) submitKeys(ctx context.Context, kind serve.OpKind, sl *slot) *ser
 	return c.srv.svc.SubmitBatch(ctx, kind, sl.keys)
 }
 
-// replyPoints answers a point-admitted frame: one future per op, in
-// wire order.
-func (c *conn) replyPoints(sl *slot, futs []*serve.Future) {
-	recs := sl.begin(len(futs), ResultSize)
-	for i, f := range futs {
-		if f.Err() != nil {
-			c.shed(sl, ShedClosed, 0)
-			return
-		}
-		r := f.Wait()
-		putResult(recs, i, r.Code, resultFlags(r))
+// replyColumn waits for a column and answers it in submission order:
+// record i is element i's outcome, MsgJoinResults records (hits and
+// aggregate added) when join is set, MsgResults otherwise. A column the
+// closed service refused is shed with ShedClosed.
+//
+//isi:hotpath
+func (c *conn) replyColumn(sl *slot, bf *serve.BatchFuture, join bool) {
+	res := bf.Wait()
+	if bf.Err() != nil {
+		c.shed(sl, ShedClosed, 0)
+		return
 	}
-	c.reply(sl, MsgResults, len(futs))
+	n := len(res)
+	if !join {
+		recs := sl.begin(n, ResultSize)
+		for i, r := range res {
+			putResult(recs, i, r.Code, resultFlags(r))
+		}
+		c.reply(sl, MsgResults, n)
+		return
+	}
+	jres := bf.WaitJoin()
+	recs := sl.begin(n, JoinResSize)
+	for i, r := range res {
+		putJoinRes(recs, i, JoinRes{Code: r.Code, Hits: jres[i].Hits, Agg: jres[i].Agg, Flags: resultFlags(r)})
+	}
+	c.reply(sl, MsgJoinResults, n)
 }
 
 // respondJoin serves one join frame through the same key-column
@@ -692,8 +695,7 @@ func (c *conn) replyPoints(sl *slot, futs []*serve.Future) {
 // Match.Probe is the wire position of the probe's own occurrence, and
 // aggregate i is encoded at position i.
 func (c *conn) respondJoin(sl *slot) {
-	n := len(sl.keys)
-	defer c.done(n)
+	defer c.done(len(sl.keys))
 	ctx, cancel := requestCtx(sl.hdr.DeadlineUS)
 	defer cancel()
 	id := sl.hdr.ID
@@ -717,70 +719,33 @@ func (c *conn) respondJoin(sl *slot) {
 			flush()
 		}
 	}
-	res := bf.WaitJoin()
-	if bf.Err() != nil {
-		c.shed(sl, ShedClosed, 0)
-		return
-	}
-	flush()
-	recs := sl.begin(n, JoinResSize)
-	for i, r := range res {
-		putJoinRes(recs, i, toWireJoinRes(r))
-	}
-	c.reply(sl, MsgJoinResults, n)
+	flush() // a column the closed service refused streams nothing
+	c.replyColumn(sl, bf, true)
 }
 
-// respondWrite serves one write frame. Below the coalesce threshold
-// each op rides point admission in order, acked exactly. At or above
-// it the frame goes through ApplyBatch as one op column, whose results
-// come back aligned with the ops as submitted — one ack per op, its own
-// Dropped flag included — and are encoded in wire order. A
-// ReqFlagAtomic frame always goes through ApplyBatchAtomic as one
-// batch, whatever its size: snapshot readers see it all-or-nothing.
-// Either way a shard applies a frame's writes in wire order, so the last
-// write to a key in a frame is the one that stays.
-func (c *conn) respondWrite(sl *slot, b WriteBatch) {
-	n := len(b.Ops)
-	defer c.done(n)
-	ctx, cancel := requestCtx(b.Hdr.DeadlineUS)
+// respondOps serves one op frame as one op column: ApplyBatchAtomic
+// under ReqFlagAtomic (snapshot readers see all of its writes or none),
+// ApplyBatchAt under ReqFlagSnapshot (its reads pinned at admission),
+// ApplyBatch otherwise. The service answers in submission order — each
+// op's own outcome, Dropped flag included — and a shard executes the
+// frame's ops on it in wire order, so a read observes every earlier write
+// to its key in the frame and the last write to a key is the one that
+// stays. A frame carrying a join is answered with join records; no
+// matches stream for it.
+func (c *conn) respondOps(sl *slot, join bool) {
+	defer c.done(len(sl.ops))
+	ctx, cancel := requestCtx(sl.hdr.DeadlineUS)
 	defer cancel()
-	atomic := b.Hdr.Flags&ReqFlagAtomic != 0
-	if !atomic && n < c.srv.cfg.CoalesceBelow {
-		futs := make([]*serve.Future, n)
-		for i, o := range b.Ops {
-			if o.Kind == WriteInsert {
-				futs[i] = c.srv.svc.Insert(ctx, o.Key, o.Val)
-			} else {
-				futs[i] = c.srv.svc.Delete(ctx, o.Key)
-			}
-		}
-		c.replyPoints(sl, futs)
-		return
-	}
-	ops := make([]serve.Op, n)
-	for i, o := range b.Ops {
-		if o.Kind == WriteInsert {
-			ops[i] = serve.Op{Kind: serve.OpInsert, Key: o.Key, Val: o.Val}
-		} else {
-			ops[i] = serve.Op{Kind: serve.OpDelete, Key: o.Key}
-		}
-	}
 	var bf *serve.BatchFuture
-	if atomic {
-		bf = c.srv.svc.ApplyBatchAtomic(ctx, ops)
-	} else {
-		bf = c.srv.svc.ApplyBatch(ctx, ops)
+	switch {
+	case sl.hdr.Flags&ReqFlagAtomic != 0:
+		bf = c.srv.svc.ApplyBatchAtomic(ctx, sl.ops)
+	case sl.hdr.Flags&ReqFlagSnapshot != 0:
+		bf = c.srv.svc.ApplyBatchAt(ctx, sl.ops, nil)
+	default:
+		bf = c.srv.svc.ApplyBatch(ctx, sl.ops)
 	}
-	res := bf.Wait()
-	if bf.Err() != nil {
-		c.shed(sl, ShedClosed, 0)
-		return
-	}
-	recs := sl.begin(n, ResultSize)
-	for i, r := range res {
-		putResult(recs, i, r.Code, resultFlags(r))
-	}
-	c.reply(sl, MsgResults, n)
+	c.replyColumn(sl, bf, join)
 }
 
 // respondRange serves one range frame through RangeBatch, streaming
@@ -836,14 +801,6 @@ func resultFlags(r serve.Result) uint8 {
 		f |= FlagDropped
 	}
 	return f
-}
-
-func toWireJoinRes(r serve.JoinResult) JoinRes {
-	var f uint8
-	if r.Dropped {
-		f |= FlagDropped
-	}
-	return JoinRes{Code: r.Code, Hits: r.Hits, Agg: r.Agg, Flags: f}
 }
 
 // Read and Write are the socket as the read and write loops' bufio

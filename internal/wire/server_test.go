@@ -50,7 +50,7 @@ func TestSlotBound(t *testing.T) {
 	}
 
 	const frames = 4000
-	go func() { // the pipelining writer: point-path and vector-path frames alternate
+	go func() { // the pipelining writer: 8- and 72-key frames alternate
 		var buf []byte
 		for id := uint64(1); id <= frames; id++ {
 			keys := make([]uint64, 8+(id%2)*64)

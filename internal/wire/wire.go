@@ -1,6 +1,7 @@
 // Package wire is the network protocol between a remote client and the
 // serve service: a length-prefixed binary framing with a versioned
-// handshake, typed request frames for lookup/join/range/write batches
+// handshake, typed request frames — key columns for lookup and join
+// batches, op columns for point ops and ApplyBatch, range columns —
 // (tenant identity rides the handshake, a request id and optional
 // deadline ride every request header), and streaming response frames —
 // join matches and range entries flow back in chunks as they
@@ -10,11 +11,11 @@
 //
 //	frame    := u32 length | u8 type | payload       (length = 1 + len(payload))
 //	hello    := u32 magic | u16 version | u16 n | n×tenant bytes
-//	helloack := u16 version | u16 shards
+//	helloack := u16 version | u16 shards | u8 build  (1: joins admissible)
 //	header   := u64 id | u32 deadline_us | u8 flags   (0 = no deadline)
 //	keys     := header | u32 n | n×u64                (lookup and join batches)
 //	ranges   := header | u32 n | n×(u64 lo | u64 hi | u32 limit)
-//	writes   := header | u32 n | n×(u8 kind | u64 key | u32 val)
+//	ops      := header | u32 n | n×(u8 kind | u64 key | u32 val)  (kind: serve.OpKind)
 //	results  := u64 id | u32 n | n×(u32 code | u8 flags)
 //	joinres  := u64 id | u32 n | n×(u32 code | u32 hits | u64 agg | u8 flags)
 //	matches  := u64 id | u32 n | n×(u32 probe | u64 key | u32 code | u32 payload)
@@ -34,6 +35,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/serve"
 )
 
 // Magic opens every Hello ("isiw" little-endian): a TCP client speaking
@@ -42,8 +45,10 @@ const Magic uint32 = 0x77697369
 
 // Version is the protocol revision this package speaks. The handshake
 // refuses a client whose version the server does not know. Version 2
-// added the request-header flags byte (snapshot-pinned reads).
-const Version uint16 = 2
+// added the request-header flags byte (snapshot-pinned reads); version 3
+// replaced the write-only frame with the op column (MsgOpBatch) and added
+// the handshake's build bit.
+const Version uint16 = 3
 
 // DefaultMaxFrame bounds a frame's encoded length (16 MiB): the decoder
 // refuses anything longer before buffering it, so a corrupt length
@@ -59,15 +64,16 @@ const (
 	MsgHello MsgType = iota + 1
 	MsgHelloAck
 	// MsgLookupBatch and MsgJoinBatch carry a key column; MsgRangeBatch a
-	// column of [lo, hi, limit] scans; MsgWriteBatch a column of
-	// insert/delete ops.
+	// column of [lo, hi, limit] scans; MsgOpBatch an op column of
+	// lookups, joins, inserts and deletes in any mix.
 	MsgLookupBatch
 	MsgJoinBatch
 	MsgRangeBatch
-	MsgWriteBatch
-	// MsgResults answers a lookup or write batch; MsgJoinResults a join
-	// batch (after its MsgMatchChunk stream); MsgRangeChunk/MsgRangeDone
-	// stream and then complete a range batch.
+	MsgOpBatch
+	// MsgResults answers a lookup batch or an op batch without joins;
+	// MsgJoinResults a join batch (after its MsgMatchChunk stream) or an
+	// op batch carrying a join (no matches stream for it); MsgRangeChunk/
+	// MsgRangeDone stream and then complete a range batch.
 	MsgResults
 	MsgJoinResults
 	MsgMatchChunk
@@ -94,8 +100,8 @@ func (t MsgType) String() string {
 		return "join-batch"
 	case MsgRangeBatch:
 		return "range-batch"
-	case MsgWriteBatch:
-		return "write-batch"
+	case MsgOpBatch:
+		return "op-batch"
 	case MsgResults:
 		return "results"
 	case MsgJoinResults:
@@ -122,16 +128,11 @@ const (
 	ShedOverload
 	// ShedClosed: the service behind the server is closed.
 	ShedClosed
-	// ShedBadRequest: the request failed validation (unknown write kind,
-	// sentinel-colliding insert, join without a build side, out-of-range
-	// tree key).
+	// ShedBadRequest: the request failed validation (an op of unknown or
+	// range kind, a sentinel-colliding insert, a join without a build
+	// side, a read in an atomic frame, a frame larger than the tenant's
+	// whole token bucket).
 	ShedBadRequest
-)
-
-// Write-op kinds on the wire.
-const (
-	WriteInsert uint8 = iota
-	WriteDelete
 )
 
 // Result flag bits.
@@ -154,22 +155,25 @@ type Hello struct {
 	Tenant  string
 }
 
-// HelloAck accepts a handshake; Shards is informational (the serving
-// fleet's partition count).
+// HelloAck accepts a handshake. Shards is informational (the serving
+// fleet's partition count); HasBuild says whether the service carries a
+// build side, so a client can refuse a join probe before it flies.
 type HelloAck struct {
-	Version uint16
-	Shards  uint16
+	Version  uint16
+	Shards   uint16
+	HasBuild bool
 }
 
 // Request-header flag bits.
 const (
 	// ReqFlagSnapshot asks the server to drain the read at a pinned
 	// commit horizon (serve's At-variants): the batch observes every
-	// cross-shard atomic write batch all-or-nothing. Ignored on writes.
+	// cross-shard atomic write batch all-or-nothing. An op frame's own
+	// writes stay immediately visible.
 	ReqFlagSnapshot uint8 = 1 << 0
-	// ReqFlagAtomic asks the server to apply a write batch atomically
+	// ReqFlagAtomic asks the server to apply an op frame atomically
 	// (serve.ApplyBatchAtomic): snapshot readers see all of the frame's
-	// writes or none, across shards. Ignored on reads.
+	// writes or none, across shards. An atomic frame carries writes only.
 	ReqFlagAtomic uint8 = 1 << 1
 )
 
@@ -201,18 +205,12 @@ type RangeBatch struct {
 	Ranges []RangeReq
 }
 
-// WriteOp is one wire-level write: Kind is WriteInsert or WriteDelete,
-// Val the inserted code (ignored for deletes).
-type WriteOp struct {
-	Kind uint8
-	Key  uint64
-	Val  uint32
-}
-
-// WriteBatch is a column of writes.
-type WriteBatch struct {
+// OpBatch is an op column: each op flies as its kind, key and value
+// (Val is an insert's code; Hi and Limit do not travel), and result i
+// answers op i.
+type OpBatch struct {
 	Hdr ReqHeader
-	Ops []WriteOp
+	Ops []serve.Op
 }
 
 // Result is one key's outcome: the resolved code plus FlagFound /
@@ -222,14 +220,16 @@ type Result struct {
 	Flags uint8
 }
 
-// Results answers a lookup or write batch, aligned with the request's
-// key (or op) order.
+// Results answers a lookup or op batch, aligned with the request's key
+// (or op) order.
 type Results struct {
 	ID  uint64
 	Res []Result
 }
 
-// JoinRes is one join probe's aggregate outcome.
+// JoinRes is one join probe's aggregate outcome (in an op batch's
+// MsgJoinResults, any op's outcome: Hits and Agg are zero but for a
+// join).
 type JoinRes struct {
 	Code  uint32
 	Hits  uint32
@@ -237,9 +237,9 @@ type JoinRes struct {
 	Flags uint8
 }
 
-// JoinResults completes a join batch, aligned with the request's key
-// order; per-match payloads streamed ahead of it in MsgMatchChunk
-// frames.
+// JoinResults completes a join batch or an op batch carrying a join,
+// aligned with the request's key (or op) order; a join batch's per-match
+// payloads streamed ahead of it in MsgMatchChunk frames.
 type JoinResults struct {
 	ID  uint64
 	Res []JoinRes
@@ -336,7 +336,15 @@ func AppendHello(dst []byte, h Hello) []byte {
 // AppendHelloAck encodes a HelloAck payload.
 func AppendHelloAck(dst []byte, a HelloAck) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, a.Version)
-	return binary.LittleEndian.AppendUint16(dst, a.Shards)
+	dst = binary.LittleEndian.AppendUint16(dst, a.Shards)
+	return appendBool(dst, a.HasBuild)
+}
+
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
 }
 
 func appendHeader(dst []byte, h ReqHeader) []byte {
@@ -368,12 +376,12 @@ func AppendRangeBatch(dst []byte, b RangeBatch) []byte {
 	return dst
 }
 
-// AppendWriteBatch encodes a WriteBatch payload.
-func AppendWriteBatch(dst []byte, b WriteBatch) []byte {
+// AppendOpBatch encodes an OpBatch payload.
+func AppendOpBatch(dst []byte, b OpBatch) []byte {
 	dst = appendHeader(dst, b.Hdr)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.Ops)))
 	for _, o := range b.Ops {
-		dst = append(dst, o.Kind)
+		dst = append(dst, uint8(o.Kind))
 		dst = binary.LittleEndian.AppendUint64(dst, o.Key)
 		dst = binary.LittleEndian.AppendUint32(dst, o.Val)
 	}
@@ -476,11 +484,7 @@ func AppendRangeChunk(dst []byte, c RangeChunk) []byte {
 // AppendRangeDone encodes a RangeDone payload.
 func AppendRangeDone(dst []byte, d RangeDone) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, d.ID)
-	b := byte(0)
-	if d.Dropped {
-		b = 1
-	}
-	return append(dst, b)
+	return appendBool(dst, d.Dropped)
 }
 
 // AppendShed encodes a Shed payload.
@@ -597,7 +601,7 @@ func DecodeHello(p []byte) (Hello, error) {
 // DecodeHelloAck decodes a MsgHelloAck payload.
 func DecodeHelloAck(p []byte) (HelloAck, error) {
 	d := dec{p: p}
-	a := HelloAck{Version: d.u16(), Shards: d.u16()}
+	a := HelloAck{Version: d.u16(), Shards: d.u16(), HasBuild: d.u8() != 0}
 	return a, d.fin()
 }
 
@@ -645,19 +649,31 @@ func DecodeRangeBatch(p []byte) (RangeBatch, error) {
 	return b, d.fin()
 }
 
-// DecodeWriteBatch decodes a MsgWriteBatch payload.
-func DecodeWriteBatch(p []byte) (WriteBatch, error) {
+// DecodeOpBatchInto decodes a MsgOpBatch payload into ops' backing
+// array, replaced only when it is too small (DecodeKeyBatchInto's
+// contract): the count is checked against the bytes present and the
+// payload for trailing bytes before anything is grown or written. Kinds
+// decode as sent; screening them is the receiver's job.
+func DecodeOpBatchInto(p []byte, ops []serve.Op) (OpBatch, error) {
 	d := dec{p: p}
-	b := WriteBatch{Hdr: d.header()}
-	n := d.count(d.u32(), 13)
-	if n > 0 {
-		b.Ops = make([]WriteOp, n)
-		for i := range b.Ops {
-			b.Ops[i] = WriteOp{Kind: d.u8(), Key: d.u64(), Val: d.u32()}
-		}
+	b := OpBatch{Hdr: d.header()}
+	n := d.count(d.u32(), opSize)
+	raw := dec{p: d.bytes(opSize * n)}
+	if err := d.fin(); err != nil {
+		return b, err
 	}
-	return b, d.fin()
+	if cap(ops) < n {
+		ops = make([]serve.Op, n)
+	}
+	b.Ops = ops[:n]
+	for i := range b.Ops {
+		b.Ops[i] = serve.Op{Kind: serve.OpKind(raw.u8()), Key: raw.u64(), Val: raw.u32()}
+	}
+	return b, nil
 }
+
+// opSize is an op record's encoded size: u8 kind | u64 key | u32 val.
+const opSize = 13
 
 // splitRecords validates a results payload of size-byte records — the
 // count against the bytes present, nothing trailing — and returns its id

@@ -6,6 +6,8 @@ import (
 	"io"
 	"slices"
 	"testing"
+
+	"repro/internal/serve"
 )
 
 // Round-trip every frame type through its Append/Decode pair: the
@@ -33,12 +35,11 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestHelloAckRoundTrip(t *testing.T) {
-	a, err := DecodeHelloAck(AppendHelloAck(nil, HelloAck{Version: 3, Shards: 12}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Version != 3 || a.Shards != 12 {
-		t.Fatalf("got %+v", a)
+	for _, in := range []HelloAck{{Version: 3, Shards: 12, HasBuild: true}, {Version: 3, Shards: 1}} {
+		a, err := DecodeHelloAck(AppendHelloAck(nil, in))
+		if err != nil || a != in {
+			t.Fatalf("got %+v, %v, want %+v", a, err, in)
+		}
 	}
 }
 
@@ -119,20 +120,37 @@ func TestRangeBatchRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteBatchRoundTrip(t *testing.T) {
-	in := WriteBatch{
-		Hdr: ReqHeader{ID: 3, DeadlineUS: 10},
-		Ops: []WriteOp{
-			{Kind: WriteInsert, Key: 8, Val: 77},
-			{Kind: WriteDelete, Key: 9},
+// TestOpBatchRoundTrip: every kind rides an op frame as kind, key and
+// value, an unknown kind decodes as sent (screening it is the server's
+// job), and the decode-into contract of DecodeKeyBatchInto holds: a
+// column with room is decoded into in place, and a malformed payload
+// leaves it alone.
+func TestOpBatchRoundTrip(t *testing.T) {
+	in := OpBatch{
+		Hdr: ReqHeader{ID: 3, DeadlineUS: 10, Flags: ReqFlagAtomic},
+		Ops: []serve.Op{
+			{Kind: serve.OpInsert, Key: 8, Val: 77},
+			{Kind: serve.OpDelete, Key: 9},
+			{Kind: serve.OpLookup, Key: ^uint64(0)},
+			{Kind: serve.OpJoin, Key: 4},
+			{Kind: 200, Key: 5, Val: 6},
 		},
 	}
-	out, err := DecodeWriteBatch(AppendWriteBatch(nil, in))
-	if err != nil {
-		t.Fatal(err)
+	p := AppendOpBatch(nil, in)
+	if len(p) != 17+opSize*len(in.Ops) {
+		t.Fatalf("%d-byte payload for %d ops", len(p), len(in.Ops))
 	}
-	if out.Hdr != in.Hdr || !slices.Equal(out.Ops, in.Ops) {
-		t.Fatalf("got %+v want %+v", out, in)
+	col := make([]serve.Op, 1, 16)
+	out, err := DecodeOpBatchInto(p, col)
+	if err != nil || out.Hdr != in.Hdr || !slices.Equal(out.Ops, in.Ops) {
+		t.Fatalf("got %+v, %v, want %+v", out, err, in)
+	}
+	if &out.Ops[0] != &col[0] {
+		t.Fatal("a column with room was not decoded into in place")
+	}
+	col[0] = serve.Op{Key: 12345}
+	if _, err := DecodeOpBatchInto(p[:len(p)-1], col); !errors.Is(err, ErrMalformed) || col[0].Key != 12345 {
+		t.Fatalf("truncated record: err %v, column %v", err, col[:1])
 	}
 }
 
@@ -320,7 +338,12 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(AppendHello(nil, Hello{Version: Version, Tenant: "t"}))
 	f.Add(AppendKeyBatch(nil, KeyBatch{Hdr: ReqHeader{ID: 1}, Keys: []uint64{1, 2, 3}}))
 	f.Add(AppendRangeBatch(nil, RangeBatch{Hdr: ReqHeader{ID: 2}, Ranges: []RangeReq{{Lo: 1, Hi: 2}}}))
-	f.Add(AppendWriteBatch(nil, WriteBatch{Hdr: ReqHeader{ID: 3}, Ops: []WriteOp{{Kind: WriteInsert, Key: 1, Val: 2}}}))
+	every := []serve.Op{{Kind: serve.OpLookup, Key: 1}, {Kind: serve.OpJoin, Key: 2}, {Kind: serve.OpInsert, Key: 3, Val: 4}, {Kind: serve.OpDelete, Key: 5}}
+	f.Add(AppendOpBatch(nil, OpBatch{Hdr: ReqHeader{ID: 3}, Ops: every}))
+	f.Add(AppendOpBatch(nil, OpBatch{Hdr: ReqHeader{ID: 3, Flags: ReqFlagAtomic}, Ops: every[2:]}))
+	f.Add(AppendOpBatch(nil, OpBatch{Hdr: ReqHeader{ID: 3}, Ops: []serve.Op{{Kind: serve.OpRange, Key: 1}, {Kind: 0xff, Key: 2}}}))
+	truncated := AppendOpBatch(nil, OpBatch{Hdr: ReqHeader{ID: 3}, Ops: every[:2]})
+	f.Add(truncated[:len(truncated)-1])
 	f.Add(AppendResults(nil, Results{ID: 4, Res: []Result{{Code: 5}}}))
 	f.Add(AppendJoinResults(nil, JoinResults{ID: 5, Res: []JoinRes{{Code: 1}}}))
 	f.Add(AppendMatchChunk(nil, MatchChunk{ID: 6, Matches: []MatchRec{{Key: 1}}}))
@@ -330,7 +353,6 @@ func FuzzWireDecode(f *testing.F) {
 		DecodeHello(p)
 		DecodeHelloAck(p)
 		DecodeRangeBatch(p)
-		DecodeWriteBatch(p)
 		DecodeMatchChunk(p)
 		DecodeRangeChunk(p)
 		DecodeRangeDone(p)
@@ -348,6 +370,14 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if c := cap(into.Keys); c > cap(small) && c > len(p)/8 {
 			t.Fatalf("DecodeKeyBatchInto grew to %d keys from a %d-byte payload", c, len(p))
+		}
+		smallOps := make([]serve.Op, 0, 2)
+		ob, oerr := DecodeOpBatchInto(p, smallOps)
+		if oerr == nil && !bytes.Equal(AppendOpBatch(nil, ob), p) {
+			t.Fatalf("DecodeOpBatchInto accepted %x, which does not re-encode to itself", p)
+		}
+		if c := cap(ob.Ops); c > cap(smallOps) && c > len(p)/opSize {
+			t.Fatalf("DecodeOpBatchInto grew to %d ops from a %d-byte payload", c, len(p))
 		}
 		rs, rerr := DecodeResults(p)
 		if _, recs, err := SplitResults(p); (err == nil) != (rerr == nil) || len(recs) > len(p) {
