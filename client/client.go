@@ -9,10 +9,14 @@
 // A Remote multiplexes requests over a fixed set of connections
 // (round-robin per request). Point submissions coalesce client-side, and
 // only there: each connection keeps one open op column, which point ops
-// of every kind join, and it flies as one op frame when it fills or a
-// short linger expires. The server admits the frame as one column, as
-// ApplyBatch admits one in process — the same frame Remote.ApplyBatch
-// sends — so a point op waits for one linger, not two. A misused op
+// of every kind join. There is no timer (Nagle's rule, RFC 896): the
+// column flies as one op frame when it fills, at once when none of the
+// connection's coalesced frames is unanswered, and otherwise when the
+// response to the one in flight arrives. A lone op therefore flies
+// alone and at once, and under load ops gather behind the frame in
+// flight. The server admits the frame as one column, as ApplyBatch
+// admits one in process — the same frame Remote.ApplyBatch sends — and
+// adds no wait of its own. A misused op
 // (OpRange, an unknown kind, a join against a server without a build
 // side, an insert of NotFound) panics at submission as it does in
 // process, so it never reaches a frame shared with valid ops.
@@ -55,7 +59,6 @@ type config struct {
 	conns       int
 	tenant      string
 	coalesceMax int
-	coalesceLin time.Duration
 	dialTimeout time.Duration
 	maxFrame    int
 	snapshot    bool
@@ -77,17 +80,14 @@ func WithTenant(name string) Option {
 	return func(c *config) { c.tenant = name }
 }
 
-// WithCoalesce tunes client-side point coalescing: a connection's
-// buffered point ops flush as one frame at maxOps or after linger,
-// whichever first (defaults 64 ops, 200µs). maxOps 1 disables
-// buffering.
-func WithCoalesce(maxOps int, linger time.Duration) Option {
+// WithCoalesce caps client-side point coalescing: a connection's open
+// op column flies at maxOps ops at the latest (default 64), and earlier
+// when the frame in flight before it is answered. maxOps 1 sends every
+// point op as a frame of its own.
+func WithCoalesce(maxOps int) Option {
 	return func(c *config) {
 		if maxOps > 0 {
 			c.coalesceMax = maxOps
-		}
-		if linger > 0 {
-			c.coalesceLin = linger
 		}
 	}
 }
@@ -116,7 +116,6 @@ func defaultConfig() config {
 		conns:       1,
 		tenant:      "default",
 		coalesceMax: 64,
-		coalesceLin: 200 * time.Microsecond,
 		dialTimeout: 10 * time.Second,
 	}
 }

@@ -44,6 +44,7 @@ type call struct {
 	ents    [][]serve.RangeEntry
 	dropped int
 	rdrop   bool // range batch incomplete
+	pt      bool // a coalesced point column: its answer opens the window
 	err     error
 	done    chan struct{}
 }
@@ -257,8 +258,6 @@ func (r *Remote) dialConn(addr string) (*cconn, error) {
 		nc:      nc,
 		pending: make(map[uint64]*call),
 	}
-	c.co.maxOps = r.cfg.coalesceMax
-	c.co.linger = r.cfg.coalesceLin
 
 	// Handshake synchronously before the read loop owns the stream.
 	nc.SetDeadline(time.Now().Add(r.cfg.dialTimeout))
@@ -301,32 +300,29 @@ func (r *Remote) dialConn(addr string) (*cconn, error) {
 // Shards reports the server's partition count (from the handshake).
 func (r *Remote) Shards() int { return r.shards }
 
-// Close flushes buffered point ops, closes every connection, and fails
-// whatever is still in flight with serve.ErrClosed. Like
-// serve.Service.Close it is a shutdown, not a drain: callers wanting
-// every result wait on their futures first.
+// Close closes every connection and fails whatever is still in flight
+// with serve.ErrClosed, point ops still in an open column included.
+// Like serve.Service.Close it is a shutdown, not a drain: callers
+// wanting every result wait on their futures first.
 func (r *Remote) Close() error {
 	if !r.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	for _, c := range r.conns {
-		c.co.flushAll(c)
 		c.nc.Close()
 	}
 	return nil
 }
 
-// Quiesce flushes buffered point ops and blocks until every in-flight
-// request completes (the remote analogue of serve.Close's drain — but
-// the Remote stays usable). Callers must have stopped submitting; a
+// Quiesce blocks until every in-flight request completes, point ops in
+// an open column included (the remote analogue of serve.Close's drain —
+// but the Remote stays usable). Callers must have stopped submitting; a
 // concurrent submitter can keep the pending set non-empty forever.
 func (r *Remote) Quiesce(ctx context.Context) error {
-	for _, c := range r.conns {
-		c.co.flushAll(c)
-	}
 	// Each connection's read loop closes drain waiters as its pending set
 	// empties, so the wait is a pure notification — no polling timers, no
-	// worst-case 1ms of added latency per spin.
+	// worst-case 1ms of added latency per spin. An open column always has
+	// a coalesced frame pending ahead of it, whose answer flies it.
 	for _, c := range r.conns {
 		select {
 		case <-c.drained():
@@ -426,8 +422,7 @@ func (r *Remote) Submit(ctx context.Context, op serve.Op) *Future {
 		}
 		return &Future{c: c}
 	}
-	conn := r.pick()
-	return conn.co.enqueue(conn, op)
+	return r.pick().enqueue(op)
 }
 
 // checkOp panics on a misused op as serve.Service's admission does: an
@@ -615,7 +610,8 @@ func (r *Remote) RangeBatch(ctx context.Context, ops []serve.Op) *RangeFuture {
 
 // cconn is one client connection: a synchronous write path (a mutex
 // over a recycled encode buffer, one socket write per frame), a read
-// loop resolving responses to pending calls, and a point-op coalescer.
+// loop resolving responses to pending calls, and a point-op coalescer:
+// one open op column, which point ops of every kind join.
 type cconn struct {
 	r  *Remote
 	nc net.Conn
@@ -633,13 +629,16 @@ type cconn struct {
 	// refuses it instead.
 	dead bool
 	// taken counts calls out of pending whose completion has not yet
-	// settled; waiters are Quiesce registrations, channels closed (and
-	// cleared) once pending is empty and nothing taken is unsettled.
-	// Guarded by pmu.
+	// settled, and sealed point columns not yet registered; waiters are
+	// Quiesce registrations, channels closed (and cleared) once pending
+	// is empty and nothing taken is unsettled. Guarded by pmu.
 	taken   int
 	waiters []chan struct{}
-
-	co coalescer
+	// open is the forming point column its futures point at (nil when
+	// none), and unanswered counts sealed point columns whose answer has
+	// not been taken. Guarded by pmu.
+	open       *call
+	unanswered int
 }
 
 // encRetain caps the encode buffer a connection keeps between frames.
@@ -662,15 +661,21 @@ func (c *cconn) drained() <-chan struct{} {
 
 // take removes id's call from the pending set. The caller completes it
 // and then settles it, so a Quiesce woken by the drain never finds a
-// call it waited for still incomplete.
+// call it waited for still incomplete. Taking a point column's answer
+// may fly the open column.
 func (c *cconn) take(id uint64) *call {
 	c.pmu.Lock()
 	cl := c.pending[id]
+	var sealed *call
 	if cl != nil {
 		delete(c.pending, id)
 		c.taken++
+		if cl.pt {
+			sealed = c.answeredLocked(1)
+		}
 	}
 	c.pmu.Unlock()
+	c.sendAsync(sealed)
 	return cl
 }
 
@@ -725,10 +730,14 @@ func (c *cconn) submit(cl *call, t wire.MsgType, h wire.ReqHeader, body func([]b
 	h.ID = c.seq.Add(1)
 	c.pmu.Lock()
 	dead := c.dead
+	var sealed *call
 	if !dead {
 		c.pending[h.ID] = cl
+	} else if cl.pt {
+		sealed = c.answeredLocked(1)
 	}
 	c.pmu.Unlock()
+	c.sendAsync(sealed) //isi:allow-alloc(refusal path: the connection is gone)
 	if !dead {
 		if c.writeFrame(t, h, body) == nil {
 			return
@@ -737,8 +746,8 @@ func (c *cconn) submit(cl *call, t wire.MsgType, h wire.ReqHeader, body func([]b
 			return // the read loop's sweep refused it first
 		}
 	}
-	cl.failAll(serve.ErrClosed) //isi:allow-alloc(refusal path: the connection is gone)
 	c.r.shed.Add(uint64(cl.n))
+	cl.failAll(serve.ErrClosed) //isi:allow-alloc(refusal path: the connection is gone)
 	if !dead {
 		c.settle(1)
 	}
@@ -770,20 +779,27 @@ func (c *cconn) readLoop() {
 	}
 }
 
-// failPending marks the connection dead and refuses every pending call.
+// failPending marks the connection dead and refuses every pending call;
+// the open point column, if any, follows through submit's refusal.
 func (c *cconn) failPending() {
 	c.pmu.Lock()
 	c.dead = true
 	calls := make([]*call, 0, len(c.pending))
+	pts := 0
 	for id, cl := range c.pending {
 		calls = append(calls, cl)
 		delete(c.pending, id)
+		if cl.pt {
+			pts++
+		}
 	}
 	c.taken += len(calls)
+	sealed := c.answeredLocked(pts)
 	c.pmu.Unlock()
+	c.sendAsync(sealed)
 	for _, cl := range calls {
-		cl.failAll(serve.ErrClosed)
 		c.r.shed.Add(uint64(cl.n))
+		cl.failAll(serve.ErrClosed)
 	}
 	c.settle(len(calls))
 }
@@ -859,12 +875,13 @@ func (c *cconn) handle(t wire.MsgType, p []byte) bool {
 		if cl == nil {
 			return true
 		}
+		// Counted before completion, so a waiter reads its own shed.
+		c.r.shed.Add(uint64(cl.n))
 		if s.Reason == wire.ShedClosed {
 			cl.failAll(serve.ErrClosed)
 		} else {
 			cl.failAll(&ShedError{Reason: s.Reason})
 		}
-		c.r.shed.Add(uint64(cl.n))
 		c.settle(1)
 	case wire.MsgErr:
 		return false
@@ -910,97 +927,60 @@ func fromWireResult(e wire.Result) serve.Result {
 
 // --- point coalescing ----------------------------------------------
 
-// coalescer keeps one open op column per connection: point ops of every
-// kind append to it, and it flies as one op frame when it reaches maxOps
-// or when its linger expires.
-//
-// Timer discipline: the open column records its own linger deadline,
-// and at most one timer callback is outstanding (armed). Enqueue arms
-// the timer only when nothing is scheduled; the callback flushes the
-// column if its deadline has passed and otherwise re-arms for it. The
-// old single shared Reset-per-frame timer raced its own expiry: a
-// callback already fired (or blocked on the mutex) would steal a column
-// opened moments earlier, flushing it with ~zero linger, and Reset on a
-// fired AfterFunc timer left a stray second callback in flight. The
-// deadline makes the expiry check explicit, so a stale callback observes
-// a young column and leaves it alone.
-type coalescer struct {
-	maxOps int
-	linger time.Duration
+// window is how many of a connection's point columns may be unanswered
+// while its open column still flies with its first op (Nagle's rule,
+// RFC 896).
+const window = 1
 
-	mu       sync.Mutex
-	open     *call     // the forming op column its futures point at; nil when none
-	deadline time.Time // when open's linger expires
-	timer    *time.Timer
-	armed    bool // a linger callback is scheduled and has not yet run
-}
-
-// enqueue adds one point op, returning its future; may flush inline.
-func (co *coalescer) enqueue(conn *cconn, op serve.Op) *Future {
-	co.mu.Lock()
-	if co.open == nil {
-		co.open = &call{kind: ckOps, start: time.Now(), done: make(chan struct{})}
-		co.deadline = co.open.start.Add(co.linger)
-		// Deadlines are minted monotonically (always now+linger), so an
-		// already-armed timer fires no later than this column needs; the
-		// callback re-arms for it.
-		if !co.armed {
-			if co.timer == nil {
-				co.timer = time.AfterFunc(co.linger, func() { co.onLinger(conn) })
-			} else {
-				co.timer.Reset(co.linger)
-			}
-			co.armed = true
-		}
+// enqueue adds one point op to the open column, returning its future.
+// The column flies when it reaches WithCoalesce's cap, at once while
+// fewer than window point columns are unanswered, and otherwise when
+// taking an answer opens the window; there is no timer.
+func (c *cconn) enqueue(op serve.Op) *Future {
+	c.pmu.Lock()
+	if c.open == nil {
+		c.open = &call{kind: ckOps, pt: true, start: time.Now(), done: make(chan struct{})}
 	}
-	f := &Future{c: co.open, idx: co.open.n}
-	co.open.ops = append(co.open.ops, op)
-	co.open.n++
-	var full *call
-	if co.open.n >= co.maxOps {
-		full, co.open = co.open, nil
+	f := &Future{c: c.open, idx: c.open.n}
+	c.open.ops = append(c.open.ops, op)
+	c.open.n++
+	var sealed *call
+	if c.open.n >= c.r.cfg.coalesceMax || c.unanswered < window {
+		sealed, c.open = c.open, nil
+		c.unanswered++
 	}
-	co.mu.Unlock()
-	co.send(conn, full)
+	c.pmu.Unlock()
+	if sealed != nil {
+		c.submitOps(sealed, wire.ReqHeader{Flags: c.r.readFlags()})
+	}
 	return f
 }
 
-// onLinger is the timer callback: it flushes the open column if its
-// linger deadline has passed, and re-arms for it otherwise — a column
-// opened after this callback was scheduled keeps its full linger.
-func (co *coalescer) onLinger(conn *cconn) {
-	co.mu.Lock()
-	co.armed = false
-	var due *call
-	if co.open != nil {
-		if wait := time.Until(co.deadline); wait > 0 {
-			co.timer.Reset(wait)
-			co.armed = true
-		} else {
-			due, co.open = co.open, nil
-		}
+// answeredLocked retires n point columns that will get no further
+// answer (answered, shed, or refused with the connection) and seals the
+// open column once the window has room, counting it as taken until
+// sendAsync has registered it.
+func (c *cconn) answeredLocked(n int) *call {
+	c.unanswered -= n
+	sealed := c.open
+	if sealed == nil || c.unanswered >= window {
+		return nil
 	}
-	co.mu.Unlock()
-	co.send(conn, due)
+	c.open = nil
+	c.unanswered++
+	c.taken++
+	return sealed
 }
 
-// flushAll ships the open column immediately (Quiesce and Close).
-func (co *coalescer) flushAll(conn *cconn) {
-	co.mu.Lock()
-	open := co.open
-	co.open = nil
-	if co.armed {
-		co.timer.Stop() // a lost Stop race is fine: the callback finds nothing
-		co.armed = false
-	}
-	co.mu.Unlock()
-	co.send(conn, open)
-}
-
-// send ships a sealed column, if any, as one op frame; its reads are
-// pinned when the Remote was dialed WithSnapshotReads.
-func (co *coalescer) send(conn *cconn, cl *call) {
+// sendAsync flies a column answeredLocked sealed from a goroutine of its
+// own. Its callers include the read loop, which must never write to the
+// socket: a client blocked on a write stops reading, and the server
+// stops reading once its slots fill.
+func (c *cconn) sendAsync(cl *call) {
 	if cl != nil {
-		conn.submitOps(cl, wire.ReqHeader{Flags: conn.r.readFlags()})
+		go func() {
+			c.submitOps(cl, wire.ReqHeader{Flags: c.r.readFlags()})
+			c.settle(1)
+		}()
 	}
 }

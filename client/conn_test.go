@@ -1,12 +1,14 @@
 package client
 
-// In-package race tests for the connection plumbing the e2e suite can't
-// reach deterministically: the point coalescer's add-vs-linger-expiry
-// race (the forming frame must never be flushed out from under a
-// concurrent enqueue, nor double-sent by a stale timer callback) and
-// Quiesce's drain notification (no polling, no lost wakeup). Run with
-// -race; the assertions are completeness — every future completes
-// exactly once with a coherent result.
+// In-package tests for the connection plumbing the e2e suite can't
+// reach deterministically: the point coalescer's rule, counted in
+// frames (a lone op flies alone, callers gather behind the frame in
+// flight), its add-vs-completion race (the forming frame must never be
+// flushed out from under a concurrent enqueue, nor sent twice), the
+// window's release when a frame is never answered, and Quiesce's drain
+// notification (no polling, no lost wakeup). Run with -race; the race
+// assertions are completeness — every future completes exactly once
+// with a coherent result.
 
 import (
 	"context"
@@ -40,7 +42,7 @@ func dialTestRemote(t *testing.T, opts ...Option) *Remote {
 	}
 	svc, err := serve.New(domain,
 		serve.WithShards(2),
-		serve.WithAdmission(8, 50*time.Microsecond),
+		serve.WithAdmission(8),
 		serve.WithRebuildThreshold(16),
 		serve.WithBuild(build),
 	)
@@ -141,14 +143,14 @@ func TestSubmitOnDeadConnection(t *testing.T) {
 	}
 }
 
-// TestCoalescerAddVsLingerRace hammers point submission from several
-// goroutines against a linger short enough that expiry callbacks fire
-// constantly mid-enqueue. Every future must complete with a served
-// (non-dropped, non-shed) result: a frame stolen torn, double-sent, or
-// stranded in a buffer the timer no longer covers all fail here (the
-// stranded case as a hang, bounded by the deadline below).
-func TestCoalescerAddVsLingerRace(t *testing.T) {
-	rm := dialTestRemote(t, WithCoalesce(8, 20*time.Microsecond))
+// TestCoalescerAddVsCompletionRace hammers point submission from
+// several goroutines while answers keep sealing the open column from
+// the read loop's side mid-enqueue. Every future must complete with a
+// served (non-dropped, non-shed) result: a frame stolen torn, sent
+// twice, or stranded behind a window no answer reopens all fail here
+// (the stranded case as a hang, bounded by the deadline below).
+func TestCoalescerAddVsCompletionRace(t *testing.T) {
+	rm := dialTestRemote(t, WithCoalesce(8))
 	defer rm.Close()
 
 	const (
@@ -175,8 +177,9 @@ func TestCoalescerAddVsLingerRace(t *testing.T) {
 				}
 				futs[w] = append(futs[w], f)
 				if i%17 == 0 {
-					// Sit across the linger boundary so expiry callbacks
-					// interleave with fresh frames, not just full flushes.
+					// Let answers arrive between enqueues, so completion
+					// seals interleave with fresh frames, not just full
+					// flushes.
 					time.Sleep(30 * time.Microsecond)
 				}
 			}
@@ -209,7 +212,7 @@ func TestCoalescerAddVsLingerRace(t *testing.T) {
 // Quiesce: idle return is immediate, a loaded Remote drains, and a
 // cancelled ctx aborts the wait instead of deadlocking.
 func TestQuiesceDrainsWithoutPolling(t *testing.T) {
-	rm := dialTestRemote(t, WithConns(2), WithCoalesce(16, 50*time.Microsecond))
+	rm := dialTestRemote(t, WithConns(2), WithCoalesce(16))
 	defer rm.Close()
 
 	// Idle: nothing pending, nothing buffered — must not block.
@@ -222,7 +225,8 @@ func TestQuiesceDrainsWithoutPolling(t *testing.T) {
 	}
 
 	// Loaded: buffered point ops plus in-flight vector batches across
-	// both connections; Quiesce must flush the buffers and wait them out.
+	// both connections; Quiesce must wait them all out, the ops still in
+	// an open column included.
 	var futs []*Future
 	for i := 0; i < 40; i++ {
 		futs = append(futs, rm.Insert(context.Background(), uint64(i)*2, uint32(i)))
@@ -290,7 +294,7 @@ func TestQuiesceDrainsWithoutPolling(t *testing.T) {
 // bookkeeping: many Quiesce calls racing request completions must all
 // return without a lost wakeup.
 func TestQuiesceConcurrentWithCompletions(t *testing.T) {
-	rm := dialTestRemote(t, WithCoalesce(4, 20*time.Microsecond))
+	rm := dialTestRemote(t, WithCoalesce(4))
 	defer rm.Close()
 
 	var wg sync.WaitGroup

@@ -30,11 +30,13 @@ func main() {
 
 	// One Remote multiplexes everything; WithConns(4) fans requests over
 	// four connections round-robin. Point ops of every kind coalesce
-	// client-side into one op column per connection (flush at 64 ops or
-	// 200µs), which the server admits as one column, exactly like the
-	// ApplyBatch below: concurrent point traffic still forms the dense
-	// batches the interleaved kernels want, and the client's linger is
-	// the only wait.
+	// client-side into one op column per connection, which the server
+	// admits as one column, exactly like the ApplyBatch below. Nothing
+	// waits on a timer: a column flies at once when its connection has
+	// no coalesced frame in flight, and otherwise when that frame is
+	// answered (or at 64 ops), so a lone op flies alone while concurrent
+	// point traffic still forms the dense batches the interleaved
+	// kernels want.
 	rm, err := client.Dial(*addr, client.WithConns(4), client.WithTenant(*tenant))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dial:", err)

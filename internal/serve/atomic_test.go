@@ -343,7 +343,7 @@ func TestApplyBatchAtPinsReads(t *testing.T) {
 func TestWithSnapshotReadsMode(t *testing.T) {
 	keys := atomicKeys(8)
 	s, err := New(testDomain(64, 1), WithShards(2), WithRebuildThreshold(4),
-		WithSnapshotReads(true), WithAdmission(4, 100*time.Microsecond))
+		WithSnapshotReads(true), WithAdmission(4))
 	if err != nil {
 		t.Fatal(err)
 	}

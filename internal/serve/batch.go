@@ -77,6 +77,7 @@ type BatchFuture struct {
 	// segment lands and svc's commit queue advances the horizon past it.
 	atomicSeq uint64
 	svc       *Service
+	b         *batcher // a point batch's batcher, whose window it holds
 }
 
 // Err blocks until the batch completes and reports whether it entered
@@ -143,7 +144,9 @@ func (bf *BatchFuture) Matches() iter.Seq[Match] {
 // the last segment completes the batch. An atomic batch commits its seq
 // (advancing the commit horizon over the contiguous completed prefix)
 // before done closes, so a reader admitted after Wait returns observes
-// the whole batch; an ephemeral admission pin releases here too.
+// the whole batch; an ephemeral admission pin releases here too. A
+// point batch frees its batcher's window before done closes, so the
+// waiter's next op finds it open.
 func (bf *BatchFuture) segDone(dropped uint64) {
 	if dropped > 0 {
 		bf.dropped.Add(dropped)
@@ -153,6 +156,9 @@ func (bf *BatchFuture) segDone(dropped uint64) {
 			bf.svc.commits.commit(bf.atomicSeq, &bf.svc.horizon)
 		}
 		bf.snap.Release()
+		if bf.b != nil {
+			bf.b.finished()
+		}
 		close(bf.done)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
-	"time"
 )
 
 // checkGrouping runs groupByShard over col and checks what every column
@@ -286,7 +285,7 @@ func TestBatchCancelledContext(t *testing.T) {
 // and the staged join drain paths — and counted in Stats.
 func TestPointCancelledContext(t *testing.T) {
 	for _, withBuild := range []bool{false, true} {
-		opts := []Option{WithShards(2), WithAdmission(8, 50*time.Microsecond)}
+		opts := []Option{WithShards(2), WithAdmission(8)}
 		if withBuild {
 			opts = append(opts, WithBuild([]BuildTuple{{Key: 3, Payload: 30}}))
 		}

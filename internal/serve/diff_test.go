@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
-	"time"
 )
 
 // This file is the differential harness: the same seeded randomized op
@@ -97,7 +96,7 @@ func replayService(t *testing.T, domain []uint64, stream []diffOp, keySpace uint
 	t.Helper()
 	s, err := New(domain,
 		WithShards(3),
-		WithAdmission(1, 50*time.Microsecond),
+		WithAdmission(1),
 		WithRebuildThreshold(cfg.threshold))
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +340,7 @@ func TestDifferentialJoinVsOracle(t *testing.T) {
 	for _, seed := range seeds {
 		rng := rand.New(rand.NewPCG(seed, seed*31+7))
 		s, err := New(domain, WithShards(shards),
-			WithAdmission(1, 50*time.Microsecond),
+			WithAdmission(1),
 			WithRebuildThreshold(16), WithBuild(build))
 		if err != nil {
 			t.Fatal(err)

@@ -120,7 +120,7 @@ func TestSnapshotConsistencyUnderRebuilds(t *testing.T) {
 func TestSubmitRacesClose(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		s, err := New(testDomain(100, 1), WithShards(2),
-			WithAdmission(4, 20*time.Microsecond))
+			WithAdmission(4))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func TestSampleAcrossInstalls(t *testing.T) {
 		domain[i] = uint64(2 * i)
 	}
 	for _, join := range []bool{false, true} {
-		opts := []Option{WithShards(1), WithAdmission(1, 50*time.Microsecond), WithRebuildThreshold(8)}
+		opts := []Option{WithShards(1), WithAdmission(1), WithRebuildThreshold(8)}
 		name := "lookup"
 		if join {
 			opts, name = append(opts, WithBuild(nil)), "join"

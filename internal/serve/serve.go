@@ -7,9 +7,10 @@
 // a dictionary write — insert or delete) and arrive three ways:
 //
 //   - Point admission (Submit/Go/GoJoin/Insert/Delete): one op per
-//     call, accumulated by a group-commit style batcher bounded in both
-//     size and time into an op column; a Future is an index into the
-//     sealed column, completed with it.
+//     call, accumulated by a group-commit style batcher into an op
+//     column that seals when full or when the batch in flight before it
+//     completes (no timer: a lone op flies at once); a Future is an
+//     index into the sealed column, completed with it.
 //   - Vectorized admission (SubmitBatch/GoBatch/JoinBatch/ApplyBatch): a
 //     whole key column, or a whole op column of any point kinds, per
 //     call — the paper's index join is a column operator, so a client
@@ -247,12 +248,11 @@ type Config struct {
 	// Shards is the number of index partitions (one goroutine each).
 	Shards int
 	// MaxBatch seals an admission batch when it reaches this many
-	// requests; MaxWait seals a non-empty batch after this long even if
-	// it is smaller (group-commit semantics). A sealed batch is an op
-	// column, admitted like an ApplyBatch; vectorized submissions bypass
-	// the batcher entirely.
+	// requests; a smaller batch seals when the sealed batch in flight
+	// before it completes, or at once if none is. A sealed batch is an
+	// op column, admitted like an ApplyBatch; vectorized submissions
+	// bypass the batcher entirely.
 	MaxBatch int
-	MaxWait  time.Duration
 	// Group is the initial interleaving group size per shard; the
 	// adaptive controller explores within [MinGroup, MaxGroup].
 	Group    int
@@ -274,14 +274,13 @@ type Config struct {
 	RebuildThreshold int
 }
 
-// DefaultConfig returns the serving defaults: 4 shards, 256-request /
-// 200µs admission batches, and an adaptive group starting at the paper's
-// 6.
+// DefaultConfig returns the serving defaults: 4 shards, admission
+// batches of at most 256 requests, and an adaptive group starting at
+// the paper's 6.
 func DefaultConfig() Config {
 	return Config{
 		Shards:     4,
 		MaxBatch:   256,
-		MaxWait:    200 * time.Microsecond,
 		Group:      6,
 		MinGroup:   1,
 		MaxGroup:   32,
@@ -302,9 +301,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = d.MaxBatch
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = d.MaxWait
 	}
 	if c.Group <= 0 {
 		c.Group = d.Group
@@ -357,9 +353,9 @@ func WithConfig(cfg Config) Option { return func(o *options) { o.cfg = cfg } }
 func WithShards(n int) Option { return func(o *options) { o.cfg.Shards = n } }
 
 // WithAdmission bounds the point-op group-commit batcher: a batch seals
-// at maxBatch requests or maxWait after its first, whichever comes first.
-func WithAdmission(maxBatch int, maxWait time.Duration) Option {
-	return func(o *options) { o.cfg.MaxBatch, o.cfg.MaxWait = maxBatch, maxWait }
+// at maxBatch requests at the latest.
+func WithAdmission(maxBatch int) Option {
+	return func(o *options) { o.cfg.MaxBatch = maxBatch }
 }
 
 // WithGroup sets the initial interleaving group size and the bounds the
@@ -602,7 +598,7 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 		s.wg.Add(1)
 		go sh.run(&s.wg)
 	}
-	s.b = newBatcher(cfg.MaxBatch, cfg.MaxWait, s.dispatch)
+	s.b = newBatcher(cfg.MaxBatch, s.dispatch)
 	return s, nil
 }
 
@@ -620,8 +616,8 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 // and the sealed batch is one op column, admitted and drained exactly
 // like an ApplyBatch column (see its ordering contract): within a batch
 // a shard executes its ops in submission order, and batches in the
-// order they were sealed, so a single client that waits for a write
-// before issuing a read observes the write (read-your-writes per key);
+// order they were sealed, so a single client's ops on one key execute
+// in submission order even when it does not wait between them;
 // concurrent clients race at admission as usual.
 func (s *Service) Submit(ctx context.Context, op Op) *Future {
 	s.checkOp(op)

@@ -34,7 +34,6 @@ func TestServiceCorrectUnderConcurrency(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Shards = 4
 		cfg.MaxBatch = 64
-		cfg.MaxWait = 200 * time.Microsecond
 		s, err := New(vals, WithConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +103,7 @@ func TestServiceCorrectUnderConcurrency(t *testing.T) {
 // shards own nothing; lookups must still resolve correctly everywhere.
 func TestServiceTinyDomainEmptyShards(t *testing.T) {
 	t.Run("native", func(t *testing.T) {
-		s, err := New([]uint64{10, 20}, WithShards(8), WithAdmission(0, 50*time.Microsecond))
+		s, err := New([]uint64{10, 20}, WithShards(8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +122,7 @@ func TestServiceTinyDomainEmptyShards(t *testing.T) {
 }
 
 func TestServiceDedupAndUnsortedDomain(t *testing.T) {
-	s, err := New([]uint64{30, 10, 20, 10, 30}, WithAdmission(0, 50*time.Microsecond))
+	s, err := New([]uint64{30, 10, 20, 10, 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,32 +216,6 @@ func TestNewDomainShapes(t *testing.T) {
 	}
 }
 
-// TestServiceCloseRacesTimerFlush is the regression test for Close
-// racing a pending maxWait timer: the timer's dispatch must never send
-// into a closed shard queue, and the future must still complete. Run
-// with -race to exercise the window.
-func TestServiceCloseRacesTimerFlush(t *testing.T) {
-	vals := testDomain(64, 1)
-	for i := 0; i < 300; i++ {
-		cfg := DefaultConfig()
-		cfg.Shards = 2
-		cfg.MaxBatch = 1000                                      // force the timer path
-		cfg.MaxWait = time.Duration(i%5) * 10 * time.Microsecond // race the timer against Close
-		if cfg.MaxWait == 0 {
-			cfg.MaxWait = time.Microsecond
-		}
-		s, err := New(vals, WithConfig(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := s.Go(context.Background(), uint64(i%64))
-		s.Close()
-		if r := f.Wait(); !r.Found || uint64(r.Code) != uint64(i%64) {
-			t.Fatalf("iter %d: future resolved %+v after Close race", i, r)
-		}
-	}
-}
-
 // TestServiceCloseIdempotent is the regression test for repeated and
 // concurrent Close calls: every call must return (after the shutdown
 // finishes) without panicking, and futures submitted before the first
@@ -305,7 +278,6 @@ func TestJoinServiceCorrectUnderConcurrency(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Shards = 4
 	cfg.MaxBatch = 64
-	cfg.MaxWait = 100 * time.Microsecond
 	s, err := New(vals, WithConfig(cfg), WithBuild(build))
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +347,7 @@ func TestJoinServiceCorrectUnderConcurrency(t *testing.T) {
 // dictionary and build side) on a join service.
 func TestJoinServiceTinyDomain(t *testing.T) {
 	s, err := New([]uint64{10, 20, 30},
-		WithShards(8), WithAdmission(0, 50*time.Microsecond),
+		WithShards(8),
 		WithBuild([]BuildTuple{{Key: 10, Payload: 1}, {Key: 10, Payload: 2}, {Key: 30, Payload: 7}}))
 	if err != nil {
 		t.Fatal(err)
@@ -439,7 +411,6 @@ func TestJoinServiceAdaptiveControllerRuns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Shards = 2
 	cfg.MaxBatch = 128
-	cfg.MaxWait = 100 * time.Microsecond
 	cfg.AdaptEvery = 2
 	s, err := New(vals, WithConfig(cfg), WithBuild(build))
 	if err != nil {
@@ -515,50 +486,6 @@ func TestSubmitUnknownOpKindPanics(t *testing.T) {
 		}
 	}()
 	s.Submit(context.Background(), Op{Kind: nOpKinds + 3, Key: 1})
-}
-
-func TestBatcherSizeBound(t *testing.T) {
-	var mu sync.Mutex
-	var batches []*BatchFuture
-	b := newBatcher(4, time.Hour, func(bf *BatchFuture) {
-		mu.Lock()
-		batches = append(batches, bf)
-		mu.Unlock()
-	})
-	for i := 0; i < 10; i++ {
-		if f := b.add(Future{op: Op{Key: uint64(i)}}); f.bf.futs[f.i].op.Key != uint64(i) || f.Key() != uint64(i) {
-			t.Fatalf("add %d: future is not its slab slot", i)
-		}
-	}
-	mu.Lock()
-	got := len(batches)
-	mu.Unlock()
-	if got != 2 {
-		t.Fatalf("sealed %d size-bound batches, want 2", got)
-	}
-	b.close()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(batches) != 3 || len(batches[2].futs) != 2 {
-		t.Fatalf("close flushed %d batches (last size %d), want 3 with trailing 2", len(batches), len(batches[len(batches)-1].futs))
-	}
-	if b.add(Future{op: Op{Key: 99}}) != nil {
-		t.Fatal("add after close was not refused")
-	}
-}
-
-func TestBatcherTimeBound(t *testing.T) {
-	done := make(chan *BatchFuture, 1)
-	b := newBatcher(1000, 5*time.Millisecond, func(bf *BatchFuture) { done <- bf })
-	b.add(Future{op: Op{Key: 1}})
-	select {
-	case bf := <-done:
-		if len(bf.futs) != 1 {
-			t.Fatalf("timer flushed %d requests, want 1", len(bf.futs))
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("maxWait timer never sealed the batch")
-	}
 }
 
 // TestControllerConvergesOnConvexCost drives the hill climber against a
@@ -661,7 +588,6 @@ func TestServiceAdaptiveControllerRuns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Shards = 2
 	cfg.MaxBatch = 128
-	cfg.MaxWait = 100 * time.Microsecond
 	cfg.AdaptEvery = 2
 	s, err := New(testDomain(1<<16, 1), WithConfig(cfg))
 	if err != nil {

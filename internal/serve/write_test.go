@@ -40,7 +40,7 @@ func TestWritesVisibleAcrossRebuilds(t *testing.T) {
 		vals := testDomain(domainN, 2) // even values; odd keys start absent
 		// MaxBatch 1 seals every point op immediately, so the sequential
 		// submit-and-wait replay is deterministic and fast.
-		s, err := New(vals, WithShards(3), WithAdmission(1, 50*time.Microsecond), WithRebuildThreshold(8))
+		s, err := New(vals, WithShards(3), WithAdmission(1), WithRebuildThreshold(8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,13 +110,11 @@ func TestWritesVisibleAcrossRebuilds(t *testing.T) {
 }
 
 // TestWriteOrderingWithinMixedBatch checks submission-order semantics on
-// the point path: reads submitted after a write in the same sealed
-// admission batch observe it, reads before it do not.
+// the point path: reads submitted after a write observe it, reads before
+// it do not, whether the two share a sealed admission batch or not.
 func TestWriteOrderingWithinMixedBatch(t *testing.T) {
 	for _, withBuild := range []bool{false, true} {
-		// Six ops seal one batch by size (the wait bound only covers the
-		// trailing single-op lookups below).
-		opts := []Option{WithShards(1), WithAdmission(6, 5*time.Millisecond)}
+		opts := []Option{WithShards(1), WithAdmission(6)}
 		if withBuild {
 			opts = append(opts, WithBuild(nil))
 		}
@@ -125,8 +123,9 @@ func TestWriteOrderingWithinMixedBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
-		// One sealed batch of six ops on one shard: the drain must apply
-		// them in submission order.
+		// Six ops without a wait: the first seals alone, the rest behind
+		// it, split by when it completes. The drain applies a batch's ops
+		// in submission order and the shard runs batches in seal order.
 		before := s.Go(ctx, 99)
 		ins := s.Insert(ctx, 99, 7)
 		mid := s.Go(ctx, 99)
@@ -160,23 +159,20 @@ func TestWriteOrderingWithinMixedBatch(t *testing.T) {
 // sub-batch returned NotFound for the merged key here.
 func TestReadYourWritesAcrossMidBatchInstall(t *testing.T) {
 	t.Run("native", func(t *testing.T) {
-		s, err := New(testDomain(8, 1), WithShards(1),
-			WithAdmission(4, 5*time.Millisecond), WithRebuildThreshold(1))
+		s, err := New(testDomain(8, 1), WithShards(1), WithRebuildThreshold(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
 		ctx := context.Background()
-		// One sealed sub-batch: three inserts (forcing installs mid-batch)
-		// then a lookup of the first key.
-		f1 := s.Insert(ctx, 11, 5)
-		f2 := s.Insert(ctx, 12, 6)
-		f3 := s.Insert(ctx, 13, 7)
-		look := s.Go(ctx, 11)
-		f1.Wait()
-		f2.Wait()
-		f3.Wait()
-		if r := look.Wait(); !r.Found || r.Code != 5 {
+		// One op column, so one sub-batch on the one shard (point ops
+		// would seal the first insert alone): three inserts (forcing
+		// installs mid-batch) then a lookup of the first key.
+		res := s.ApplyBatch(ctx, []Op{
+			{Kind: OpInsert, Key: 11, Val: 5}, {Kind: OpInsert, Key: 12, Val: 6},
+			{Kind: OpInsert, Key: 13, Val: 7}, {Kind: OpLookup, Key: 11},
+		}).Wait()
+		if r := res[3]; !r.Found || r.Code != 5 {
 			t.Fatalf("lookup(11) after mid-batch installs = %+v, want code 5", r)
 		}
 	})
@@ -195,7 +191,7 @@ func TestJoinTracksDictionaryWrites(t *testing.T) {
 	// Codes: 10→0, 20→1, 30→2. Build tuples on codes 0 (two) and 1 (one).
 	build := []BuildTuple{{Key: 10, Payload: 5}, {Key: 10, Payload: 6}, {Key: 20, Payload: 9}}
 	s, err := New([]uint64{10, 20, 30}, WithShards(shards),
-		WithAdmission(1, 50*time.Microsecond), WithRebuildThreshold(4), WithBuild(build))
+		WithAdmission(1), WithRebuildThreshold(4), WithBuild(build))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +346,7 @@ func TestApplyBatchAcksAndVisibility(t *testing.T) {
 // TestCancelledPointWritesNotApplied: point writes under a cancelled
 // context complete Dropped and never touch the delta.
 func TestCancelledPointWritesNotApplied(t *testing.T) {
-	s, err := New(testDomain(50, 1), WithShards(2), WithAdmission(4, 50*time.Microsecond))
+	s, err := New(testDomain(50, 1), WithShards(2), WithAdmission(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +371,7 @@ func TestCancelledPointWritesNotApplied(t *testing.T) {
 // delta — correct answers, growing delta, zero rebuilds.
 func TestRebuildsDisabled(t *testing.T) {
 	s, err := New(testDomain(10, 1), WithShards(2),
-		WithAdmission(1, 50*time.Microsecond), WithRebuildThreshold(-1))
+		WithAdmission(1), WithRebuildThreshold(-1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func BenchmarkLoopbackPoint(b *testing.B) {
 			for i := range rms {
 				opts := []client.Option{client.WithConns(cs.conns)}
 				if cs.remotes > 1 {
-					opts = append(opts, client.WithCoalesce(1, time.Millisecond))
+					opts = append(opts, client.WithCoalesce(1))
 				}
 				if rms[i], err = client.Dial(addr, opts...); err != nil {
 					b.Fatal(err)

@@ -47,7 +47,7 @@ func testService(t *testing.T, o *obs.Observer, extra ...serve.Option) *serve.Se
 	}
 	opts := []serve.Option{
 		serve.WithShards(3),
-		serve.WithAdmission(8, 50*time.Microsecond),
+		serve.WithAdmission(8),
 		serve.WithRebuildThreshold(16),
 		serve.WithBuild(build),
 	}
@@ -191,7 +191,7 @@ func TestLoopbackDifferential(t *testing.T) {
 		remoteSvc := testService(t, nil)
 		defer remoteSvc.Close()
 		addr := startServer(t, remoteSvc, wire.Config{ChunkSize: 3})
-		rm, err := client.Dial(addr, client.WithCoalesce(6, 100*time.Microsecond), client.WithSnapshotReads(snapshot))
+		rm, err := client.Dial(addr, client.WithCoalesce(6), client.WithSnapshotReads(snapshot))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestLoopbackWideKeys(t *testing.T) {
 	}
 	newService := func() *serve.Service {
 		s, err := serve.New(domain, serve.WithShards(3),
-			serve.WithAdmission(1, 50*time.Microsecond), serve.WithRebuildThreshold(1))
+			serve.WithAdmission(1), serve.WithRebuildThreshold(1))
 		if err != nil {
 			t.Fatal(err)
 		}

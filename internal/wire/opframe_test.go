@@ -1,8 +1,8 @@
 package wire_test
 
 // Op-frame tests: point ops and ApplyBatch fly as one op column and are
-// admitted as one column — the same results as in process, no second
-// linger behind the client's, no match stream for point joins — and a
+// admitted as one column — the same results as in process, no wait in
+// the server's point batcher, no match stream for point joins — and a
 // remote request the service would panic on is shed as a bad request.
 
 import (
@@ -120,15 +120,14 @@ func TestLoopbackApplyBatchDifferential(t *testing.T) {
 	}
 }
 
-// TestLoopbackNoSecondLinger: a point op waits for the client's linger
-// only. On a service whose point batcher would hold a batch for 10 s, a
-// synchronous remote Lookup, Insert and GoJoin each complete in well
-// under that, because an op frame is admitted as one column, not fed op
-// by op through the batcher. Point joins answer with their aggregates in
-// the results frame alone: the client receives exactly one frame per
-// frame it sent, no MsgMatchChunk.
+// TestLoopbackNoSecondLinger: a synchronous remote Lookup, Insert and
+// GoJoin each complete within 2 s, a bound only a hang or a wait on a
+// timer could break: an op frame is admitted as one column, not fed op
+// by op through the service's point batcher. Point joins answer with
+// their aggregates in the results frame alone: the client receives
+// exactly one frame per frame it sent, no MsgMatchChunk.
 func TestLoopbackNoSecondLinger(t *testing.T) {
-	svc := testService(t, nil, serve.WithAdmission(256, 10*time.Second))
+	svc := testService(t, nil)
 	defer svc.Close()
 	rm, err := client.Dial(startServer(t, svc, wire.Config{}))
 	if err != nil {
@@ -141,7 +140,7 @@ func TestLoopbackNoSecondLinger(t *testing.T) {
 		start := time.Now()
 		f()
 		if d := time.Since(start); d > 2*time.Second {
-			t.Fatalf("synchronous remote %s took %v: a second linger behind the client's", name, d)
+			t.Fatalf("synchronous remote %s took %v", name, d)
 		}
 	}
 	timed("Lookup", func() {

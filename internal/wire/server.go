@@ -29,8 +29,8 @@ import (
 // MsgMatchChunk frames as shard segments complete), an op column through
 // ApplyBatch, and a range column through RangeBatch (entries stream in
 // MsgRangeChunk frames off the lazy k-way merge). Point ops are batched
-// once, by the client's coalescer, into op frames; the server adds no
-// second linger.
+// once, by the client's coalescer, into op frames; the server admits
+// each as it arrives and never holds one for company.
 type Server struct {
 	svc *serve.Service
 	cfg Config
