@@ -10,7 +10,8 @@ package native
 // is a no-op). An upsert of an existing key replaces its value in place —
 // the output key multiset is keys ∪ upKeys minus the deleted keys.
 func MergeSorted(keys []uint64, vals []uint32, upKeys []uint64, upVals []uint32, del []bool) ([]uint64, []uint32) {
-	c := StartMerge(keys, vals, upKeys, upVals, del)
+	m := len(keys) + len(upKeys)
+	c := StartMerge(keys, vals, upKeys, upVals, del, make([]uint64, m), make([]uint32, m), make([]uint64, SampleLen(m)))
 	c.Step(c.Bound())
 	k, v, _ := c.Result()
 	return k, v
@@ -39,9 +40,12 @@ type MergeCursor struct {
 
 // StartMerge begins MergeSorted's merge of the write batch (upKeys,
 // upVals, del) into the column (keys, vals), with the same input
-// contract. It allocates the output columns and their sample at their
-// bound; nothing is emitted until Step.
-func StartMerge(keys []uint64, vals []uint32, upKeys []uint64, upVals []uint32, del []bool) MergeCursor {
+// contract, into the caller's output buffers: outK and outV must have
+// capacity for Bound = len(keys) + len(upKeys) entries and top for their
+// page sample (SampleLen(Bound) entries). The buffers' contents are
+// overwritten and must not overlap the inputs; nothing is emitted until
+// Step.
+func StartMerge(keys []uint64, vals []uint32, upKeys []uint64, upVals []uint32, del []bool, outK []uint64, outV []uint32, top []uint64) MergeCursor {
 	if len(keys) != len(vals) {
 		panic("native: MergeSorted keys/vals length mismatch")
 	}
@@ -49,11 +53,12 @@ func StartMerge(keys []uint64, vals []uint32, upKeys []uint64, upVals []uint32, 
 		panic("native: MergeSorted upKeys/upVals/del length mismatch")
 	}
 	m := len(keys) + len(upKeys)
+	if cap(outK) < m || cap(outV) < m || cap(top) < SampleLen(m) {
+		panic("native: StartMerge output buffers below the merge's bound")
+	}
 	return MergeCursor{
 		keys: keys, vals: vals, upKeys: upKeys, upVals: upVals, del: del,
-		outK: make([]uint64, m),                       //isi:allow-alloc(the merged column: one allocation per epoch rebuild, at the freeze that starts it)
-		outV: make([]uint32, m),                       //isi:allow-alloc(the merged code column, with the key column above)
-		top:  make([]uint64, (m+PageKeys-1)/PageKeys), //isi:allow-alloc(the merged column's page sample, with the key column above)
+		outK: outK[:m], outV: outV[:m], top: top[:SampleLen(m)],
 	}
 }
 
@@ -119,5 +124,5 @@ func (c *MergeCursor) Step(n int) bool {
 // page sample (Sample of the keys). It is complete once Step has
 // reported done.
 func (c *MergeCursor) Result() (keys []uint64, vals []uint32, top []uint64) {
-	return c.outK[:c.o], c.outV[:c.o], c.top[:(c.o+PageKeys-1)/PageKeys]
+	return c.outK[:c.o], c.outV[:c.o], c.top[:SampleLen(c.o)]
 }

@@ -168,12 +168,38 @@ func mergeCases() []mergeCase {
 	return cases
 }
 
-// stepAll runs a cursor over c with the chunk sizes next yields, checking
-// that every step emits exactly its chunk unless it completes the merge
-// and that Step reports done exactly once the inputs are consumed.
-func stepAll(t *testing.T, c mergeCase, next func() int) ([]uint64, []uint32, []uint64) {
+// mergeBufs is a set of merge output buffers recycled from merge to
+// merge, as a serving shard recycles its spare columns: each merge
+// overwrites what the last one left, and the buffers grow only when a
+// merge's bound exceeds them.
+type mergeBufs struct {
+	k, top []uint64
+	v      []uint32
+}
+
+// fit returns the buffers at capacity for a merge bounded by m, growing
+// them with stale values in them when they are smaller.
+func (b *mergeBufs) fit(m int) ([]uint64, []uint32, []uint64) {
+	if cap(b.k) < m {
+		b.k, b.v, b.top = make([]uint64, m+3), make([]uint32, m+3), make([]uint64, SampleLen(m)+1)
+		for i := range b.k {
+			b.k[i], b.v[i] = ^uint64(0)-uint64(i), uint32(i)
+		}
+		for i := range b.top {
+			b.top[i] = ^uint64(0)
+		}
+	}
+	return b.k, b.v, b.top
+}
+
+// stepAll runs a cursor over c into bufs with the chunk sizes next
+// yields, checking that every step emits exactly its chunk unless it
+// completes the merge and that Step reports done exactly once the inputs
+// are consumed.
+func stepAll(t *testing.T, c mergeCase, bufs *mergeBufs, next func() int) ([]uint64, []uint32, []uint64) {
 	t.Helper()
-	cur := StartMerge(c.keys, c.vals, c.upKeys, c.upVals, c.del)
+	outK, outV, top := bufs.fit(len(c.keys) + len(c.upKeys))
+	cur := StartMerge(c.keys, c.vals, c.upKeys, c.upVals, c.del, outK, outV, top)
 	for steps := 0; ; steps++ {
 		if steps > 2*cur.Bound()+2 {
 			t.Fatal("cursor does not finish")
@@ -197,9 +223,11 @@ func stepAll(t *testing.T, c mergeCase, next func() int) ([]uint64, []uint32, []
 // TestMergeCursorEquivalence: a merge stepped in chunks of 1, 7, 511,
 // 512, 513 or all at once, or in random chunk sequences (zeros
 // included), yields exactly MergeSorted's keys and codes, and the page
-// sample it builds as it goes is exactly Sample of those keys.
+// sample it builds as it goes is exactly Sample of those keys — also
+// when its output buffers are recycled from earlier, larger merges.
 func TestMergeCursorEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 13))
+	var bufs mergeBufs
 	for _, c := range mergeCases() {
 		wantK, wantV := MergeSorted(c.keys, c.vals, c.upKeys, c.upVals, c.del)
 		if len(wantK) != c.out {
@@ -217,11 +245,11 @@ func TestMergeCursorEquivalence(t *testing.T) {
 		}
 		m := len(c.keys) + len(c.upKeys)
 		for _, chunk := range []int{1, 7, 511, 512, 513, m} {
-			k, v, top := stepAll(t, c, func() int { return chunk })
+			k, v, top := stepAll(t, c, &bufs, func() int { return chunk })
 			check(fmt.Sprintf("chunk %d", chunk), k, v, top)
 		}
 		for r := 0; r < 8; r++ {
-			k, v, top := stepAll(t, c, func() int { return int(rng.Uint64N(600)) })
+			k, v, top := stepAll(t, c, &bufs, func() int { return int(rng.Uint64N(600)) })
 			check(fmt.Sprintf("random %d", r), k, v, top)
 		}
 	}
@@ -253,5 +281,29 @@ func TestMergeSortedVsReference(t *testing.T) {
 		if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
 			t.Fatalf("%s: MergeSorted %d entries, reference %d", c.name, len(gotK), len(wantK))
 		}
+	}
+}
+
+// TestStartMergeBelowBound: output buffers below the merge's bound are
+// refused at the start, before any entry is written.
+func TestStartMergeBelowBound(t *testing.T) {
+	keys, vals := []uint64{1, 3}, []uint32{0, 1}
+	up, upV, del := []uint64{2}, []uint32{7}, []bool{false}
+	for name, bufs := range map[string]struct {
+		k, top []uint64
+		v      []uint32
+	}{
+		"keys":   {make([]uint64, 2), make([]uint64, 1), make([]uint32, 3)},
+		"codes":  {make([]uint64, 3), make([]uint64, 1), make([]uint32, 2)},
+		"sample": {make([]uint64, 3), nil, make([]uint32, 3)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s buffer below the bound: StartMerge did not panic", name)
+				}
+			}()
+			StartMerge(keys, vals, up, upV, del, bufs.k, bufs.v, bufs.top)
+		}()
 	}
 }

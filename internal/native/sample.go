@@ -20,12 +20,16 @@ const PageKeys = 512
 // the table's bytes. A table of at most PageKeys keys has a one-entry
 // sample (no lockstep level), an empty table an empty one.
 func Sample(table []uint64) []uint64 {
-	top := make([]uint64, 0, (len(table)+PageKeys-1)/PageKeys)
+	top := make([]uint64, 0, SampleLen(len(table)))
 	for j := 0; j < len(table); j += PageKeys {
 		top = append(top, table[j])
 	}
 	return top
 }
+
+// SampleLen is the length of an n-key table's page sample:
+// ceil(n/PageKeys).
+func SampleLen(n int) int { return (n + PageKeys - 1) / PageKeys }
 
 // Window is page w of table: table[w·PageKeys : min((w+1)·PageKeys,
 // len(table))]. When w is SampleWindows' answer for key, Baseline(Window)

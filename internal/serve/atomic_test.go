@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"maps"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -204,52 +206,178 @@ func TestAtomicBatchSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestRetainedEpochsGauge: the retained-epoch gauge reads the ring's
-// depth after every install — while the first installs fill the ring
-// toward the retention depth, while a live pin holds it beyond that
-// depth, and once the released pin lets it trim back.
+// TestRetainedEpochsGauge: retention by pin, read through the
+// RetainedEpochs and ColumnBytes gauges, in a world whose columns stay on
+// the heap and in one whose columns fill huge pages. With no pin, a
+// stream of installs leaves one epoch and at most two column sets (the
+// current epoch's and the spare). A pin held across three or more
+// installs under concurrent atomic writers keeps the epochs it can step
+// back to, and its point and range reads match the oracle of the writes
+// committed before it. After its release the next install drops those
+// epochs again.
 func TestRetainedEpochsGauge(t *testing.T) {
-	s, err := New(testDomain(16, 2), WithShards(1), WithRebuildThreshold(2))
+	for _, w := range []struct {
+		name   string
+		domain []uint64
+	}{{"heap", testDomain(4096, 2)}, {"huge", bigDomain(1)}} {
+		t.Run(w.name, func(t *testing.T) { testRetentionByPin(t, w.domain) })
+	}
+}
+
+// pinWriters is the concurrent writer set of testRetentionByPin: writer w
+// owns the keys lo+j of [lo, lo+span) with j%len(own) == w — even ones in
+// the domain, odd ones fresh — and writes them in small atomic batches,
+// keeping its own model of their committed state.
+type pinWriters struct {
+	s   *Service
+	lo  uint64
+	own []map[uint64]uint32
+}
+
+const (
+	pinSpan  = 512 // keys the writers share out
+	pinBatch = 4   // ops per atomic batch
+)
+
+// run lets the writers write until done reports true, polled by the test
+// goroutine between calls of each, and then stops them.
+func (pw *pinWriters) run(t *testing.T, seed uint64, done func() bool) {
+	t.Helper()
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := range pw.own {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(seed, uint64(w)))
+			ops := make([]Op, pinBatch)
+			for !stop.Load() {
+				for i := range ops {
+					k := pw.lo + uint64(len(pw.own))*rng.Uint64N(pinSpan/uint64(len(pw.own))) + uint64(w)
+					ops[i] = Op{Kind: OpInsert, Key: k, Val: rng.Uint32N(1 << 30)}
+					if rng.Uint64N(4) == 0 {
+						ops[i] = Op{Kind: OpDelete, Key: k}
+					}
+				}
+				pw.s.ApplyBatchAtomic(context.Background(), ops).Wait()
+				for _, op := range ops {
+					if op.Kind == OpDelete {
+						delete(pw.own[w], op.Key)
+					} else {
+						pw.own[w][op.Key] = op.Val
+					}
+				}
+			}
+		}(w)
+	}
+	for deadline := time.Now().Add(10 * time.Second); !done(); time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatal("writers forced too few installs within 10 s")
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+}
+
+// oracle is the committed state of the writers' key range.
+func (pw *pinWriters) oracle() map[uint64]uint32 {
+	m := map[uint64]uint32{}
+	for _, own := range pw.own {
+		maps.Copy(m, own)
+	}
+	return m
+}
+
+func testRetentionByPin(t *testing.T, domain []uint64) {
+	const threshold, writers = 8, 2
+	s, err := New(domain, WithShards(1), WithRebuildThreshold(threshold))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ctx := context.Background()
 	sh := s.shards[0]
-	key := uint64(1)
-	// installs commits one-op atomic batches (each advances the commit
-	// horizon, so a pin taken earlier cannot see the epochs they merge
-	// into) until n more epochs have installed, checking the gauge after
-	// each. The shard is idle once a batch completes, so reading its ring
-	// here is ordered after the shard's last write to it.
-	installs := func(n uint64) {
-		t.Helper()
-		target := s.Stats().Shards[0].Epoch + n
-		for deadline := time.Now().Add(5 * time.Second); ; {
-			st := s.Stats().Shards[0]
-			if got, want := st.RetainedEpochs, len(sh.retained); got != want {
-				t.Fatalf("epoch %d: RetainedEpochs = %d, ring holds %d", st.Epoch, got, want)
-			}
-			if st.Epoch >= target {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("stuck at epoch %d, want %d", st.Epoch, target)
-			}
-			s.ApplyBatchAtomic(ctx, []Op{{Kind: OpInsert, Key: key, Val: uint32(key)}}).Wait()
-			key += 2
+	pw := &pinWriters{s: s, lo: domain[0], own: make([]map[uint64]uint32, writers)}
+	for w := range pw.own {
+		pw.own[w] = map[uint64]uint32{}
+	}
+	for code, k := range domain {
+		if k-pw.lo < pinSpan {
+			pw.own[(k-pw.lo)%writers][k] = uint32(code)
 		}
 	}
-	installs(2)
-	sn := s.Snapshot()
-	installs(2 * epochRetain)
-	if n := len(sh.retained); n <= epochRetain {
-		t.Fatalf("a live pin left %d retained epochs, want more than %d", n, epochRetain)
+	// A column set is at most as large as the spare a merge over the
+	// longest column the writers can leave allocates.
+	m := len(domain) + pinSpan/2 + threshold + pinBatch
+	m += m / spareSlack
+	maxSet := func() int64 { c := newColSet(m); defer c.free(); return c.bytes() }()
+	epoch := func() uint64 { return s.Stats().Shards[0].Epoch }
+	// unpinned checks the no-pin rule on every Stats read.
+	unpinned := func(target uint64) func() bool {
+		return func() bool {
+			st := s.Stats().Shards[0]
+			if st.RetainedEpochs != 1 || st.ColumnBytes > 2*maxSet {
+				t.Errorf("no pin, epoch %d: %d epochs and %d column bytes retained, want 1 and at most two sets (%d)",
+					st.Epoch, st.RetainedEpochs, st.ColumnBytes, 2*maxSet)
+			}
+			return st.Epoch >= target
+		}
 	}
+	pw.run(t, 1, unpinned(epoch()+6))
+
+	// Pin, then keep writing across at least three installs while the
+	// pinned reads check the oracle of the writes committed before it.
+	want := pw.oracle()
+	sn := s.Snapshot()
+	probe := make([]uint64, pinSpan)
+	for i := range probe {
+		probe[i] = pw.lo + uint64(i)
+	}
+	readAtPin := func() {
+		t.Helper()
+		for i, r := range s.GoBatchAt(context.Background(), probe, sn).Wait() {
+			v, ok := want[probe[i]]
+			if r.Found != ok || ok && r.Code != v {
+				t.Fatalf("pinned lookup(%d) = %+v, oracle %d (present %v)", probe[i], r, v, ok)
+			}
+		}
+		got := s.RangeBatchAt(context.Background(), []Op{RangeOp(pw.lo, pw.lo+pinSpan-1, 0)}, sn).Collect(0)
+		if wantR := sortedRange(want, pw.lo, pw.lo+pinSpan-1, 0); !slices.Equal(got, wantR) {
+			t.Fatalf("pinned range: %d entries, oracle %d", len(got), len(wantR))
+		}
+	}
+	pinned := epoch()
+	pw.run(t, 2, func() bool {
+		readAtPin()
+		return epoch() >= pinned+3
+	})
+	readAtPin()
+	// The shard is idle: its ring is stable, and ordered before this
+	// read by the last batch's completion.
+	st := s.Stats().Shards[0]
+	held := sh.retained
+	if st.RetainedEpochs != len(held) || len(held) < 2 || held[0].upTo > sn.Seq() {
+		t.Fatalf("pinned at %d: gauge %d, ring of %d epochs from upTo %d, want the pin's epoch and every later one",
+			sn.Seq(), st.RetainedEpochs, len(held), held[0].upTo)
+	}
+	bytes := sh.spare.bytes()
+	for _, ep := range held {
+		if ep.cols.bytes() == 0 {
+			t.Fatalf("pinned epoch %d holds no column set", ep.seq)
+		}
+		bytes += ep.cols.bytes()
+	}
+	if st.ColumnBytes != bytes {
+		t.Fatalf("ColumnBytes %d with %d epochs pinned, their sets and the spare hold %d", st.ColumnBytes, len(held), bytes)
+	}
+
 	sn.Release()
-	installs(2)
-	if n := len(sh.retained); n > epochRetain {
-		t.Fatalf("after the pin's release the ring still holds %d epochs, want at most %d", n, epochRetain)
+	released := epoch()
+	pw.run(t, 3, func() bool { return epoch() > released })
+	if st := s.Stats().Shards[0]; st.RetainedEpochs != 1 || st.ColumnBytes > 2*maxSet {
+		t.Fatalf("after the release and an install: %d epochs and %d column bytes retained, want 1 and at most two sets (%d)",
+			st.RetainedEpochs, st.ColumnBytes, 2*maxSet)
 	}
 }
 

@@ -97,6 +97,40 @@ func TestBatcherCompletionSeals(t *testing.T) {
 	b.close()
 }
 
+// TestBatcherSealsWhenWindowOpens: with two full sealed batches
+// unfinished and a partial batch open, the first completion leaves one
+// sealed batch unfinished — the window is still shut, so the open batch
+// keeps gathering — and the second completion seals it.
+func TestBatcherSealsWhenWindowOpens(t *testing.T) {
+	b, got := recordingBatcher(2)
+	for k := uint64(1); k <= 4; k++ {
+		b.add(Future{op: Op{Key: k}})
+	}
+	sealed := func() uint64 {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.sealed
+	}
+	first := got()
+	if s := sizes(first); !slices.Equal(s, []int{1, 2}) || sealed() != 2 {
+		t.Fatalf("before completions: batches of %v (%d sealed), want [1 2] and one op open", s, sealed())
+	}
+	complete(first[0])
+	if n := sealed(); n != 2 {
+		t.Fatalf("one batch still unfinished, yet the open batch sealed (%d sealed)", n)
+	}
+	complete(first[1])
+	if n := sealed(); n != 3 {
+		t.Fatalf("after the second completion: %d sealed, want 3", n)
+	}
+	waitBatches(t, got, 3)
+	if s := sizes(got()); !slices.Equal(s, []int{1, 2, 1}) {
+		t.Fatalf("batches of %v, want [1 2 1]", s)
+	}
+	complete(got()[2])
+	b.close()
+}
+
 // waitBatches waits for the n-th sealed batch; the deadline only turns
 // a lost seal into a failure instead of a hang.
 func waitBatches(t *testing.T, got func() []*BatchFuture, n int) {

@@ -28,18 +28,25 @@ import (
 // columns swapped in, published through an atomic epoch-snapshot
 // pointer, so an install is a pointer swap.
 //
-// Installed epochs are multi-versioned: the shard retains the last few
-// epochStates in a shard-local ring, and a reader pinned at an older
-// commit horizon (Snapshot / WithSnapshotReads) steps back through the
-// ring — replaying each epoch's absorbed generation on the way — until
-// it finds an epoch whose upTo fence its horizon can see. Reclamation is
-// grace-period style: the ring trims beyond the retention depth only
-// past epochs no live pin still needs, so installs never wait on
-// in-flight drains and drains never block installs.
+// Installed epochs are multi-versioned: the shard retains epochStates in
+// a shard-local ring, and a reader pinned at an older commit horizon
+// (Snapshot / WithSnapshotReads) steps back through the ring — replaying
+// each epoch's absorbed generation on the way — until it finds an epoch
+// whose upTo fence its horizon can see. Retention is by pin: the ring
+// keeps exactly the epochs a live pin can step back to, so a shard with
+// no pin holds only its current epoch. Installs never wait on in-flight
+// drains and drains never block installs.
+//
+// Merges write into recycled memory (colmem.go): the shard keeps one
+// spare column set, the set of an epoch reclaim dropped, and the next
+// freeze merges into it, replacing it by a larger one only when the
+// merge's bound exceeds it. Without a pin a shard therefore holds two
+// column sets: the current epoch's and the spare.
 
-// epochRetain is the grace-period depth: how many installed epochs a
-// shard keeps beyond the current one before pin-aware trimming.
-const epochRetain = 4
+// spareSlack is the headroom a newly allocated spare gets over the merge
+// that needs it, as a fraction 1/spareSlack of the bound, so a column
+// that grows by a few generations keeps merging into the same two sets.
+const spareSlack = 8
 
 // idleMergeChunk is how many output entries an idle shard (empty queue)
 // merges before it checks its queue again: one page of output, so a
@@ -65,6 +72,10 @@ type epochState struct {
 	// replay log for pinned readers on the previous epoch. Dropped with
 	// the epoch when the retained ring trims it.
 	absorbed []writeEntry
+	// cols is the column memory idx's table, codes and top view; it
+	// becomes the shard's spare (or is freed) when reclaim drops the
+	// epoch.
+	cols colSet
 }
 
 // maybeRebuild freezes the live delta's committed prefix into the frozen
@@ -92,22 +103,29 @@ func (sh *shard) maybeRebuild() {
 	sh.startMerge(committed)
 }
 
-// startMerge freezes gen and starts its merge into the current epoch's
-// columns. The merge emits at most m entries (its Bound: the column's
-// length plus the flattened generation's), and the live delta restarts
-// at u = len(sh.delta) entries (the uncommitted ones splitCommitted
-// kept), so at least T − u writes land before the delta can reach the
-// threshold T again. Each of them advances the merge by
+// startMerge freezes gen and starts its merge with the current epoch's
+// columns into the spare set, growing the spare first when the merge's
+// bound exceeds it. The merge emits at most m entries (its Bound: the
+// column's length plus the flattened generation's), and the live delta
+// restarts at u = len(sh.delta) entries (the uncommitted ones
+// splitCommitted kept), so at least T − u writes land before the delta
+// can reach the threshold T again. Each of them advances the merge by
 // ⌈m / max(1, T − u)⌉ entries, which ends it by the last of them. Shard
 // goroutine only.
 func (sh *shard) startMerge(gen []writeEntry) {
 	ep := sh.epoch.Load()
 	keys, vals, del, upTo := flattenGen(gen)
 	sh.frozen, sh.frozenUpTo = gen, upTo
-	sh.merge = native.StartMerge(ep.idx.table, ep.idx.codes, keys, vals, del)
-	m, writes := sh.merge.Bound(), max(1, sh.rebuildAt-len(sh.delta))
+	m := len(ep.idx.table) + len(keys)
+	if !sh.spare.holds(m) {
+		sh.spare.free()
+		sh.spare = newColSet(m + m/spareSlack)
+	}
+	sh.merge = native.StartMerge(ep.idx.table, ep.idx.codes, keys, vals, del, sh.spare.keys, sh.spare.codes, sh.spare.top)
+	writes := max(1, sh.rebuildAt-len(sh.delta))
 	sh.mergeStep = (m + writes - 1) / writes
 	sh.met.setGenDepth(1)
+	sh.met.setColumnBytes(sh.columnBytes())
 	sh.ring.Record(obs.SpanMergeStart, sh.id, ep.seq+1, len(gen), int64(m))
 }
 
@@ -126,38 +144,40 @@ func (sh *shard) stepMerge(n int) {
 
 // install publishes the completed merge: swap the merged columns into a
 // copy of the current index (the build side and the drain slots carry
-// over), swap the epoch pointer, retire the frozen generation into the
-// new epoch's replay log, append the epoch to the retained ring, and
-// reclaim past epochs no pin still needs. Shard goroutine only.
+// over), hand the spare they lie in to the new epoch, swap the epoch
+// pointer, retire the frozen generation into the new epoch's replay log,
+// append the epoch to the retained ring, and reclaim past epochs no pin
+// still needs. Shard goroutine only.
 func (sh *shard) install() {
 	pause := sh.met.beginRebuild()
 	old := sh.epoch.Load()
 	keys, vals, top := sh.merge.Result()
-	ep := &epochState{seq: old.seq + 1, idx: old.idx, upTo: max(old.upTo, sh.frozenUpTo), absorbed: sh.frozen}
+	ep := &epochState{seq: old.seq + 1, idx: old.idx, upTo: max(old.upTo, sh.frozenUpTo), absorbed: sh.frozen, cols: sh.spare}
 	ep.idx.table, ep.idx.codes, ep.idx.top = keys, vals, top
 	sh.ring.Record(obs.SpanMergeDone, sh.id, ep.seq, len(sh.frozen), int64(len(keys)))
 	sh.epoch.Store(ep)
 	sh.retained = append(sh.retained, ep)
+	sh.spare = colSet{}                             // ep's now
 	sh.frozen, sh.merge = nil, native.MergeCursor{} // drop the cursor's references to the inputs
 	sh.reclaim()
 	sh.met.setRetained(len(sh.retained))
+	sh.met.setColumnBytes(sh.columnBytes())
 	sh.met.endRebuild(pause, ep.seq, len(sh.delta))
 	sh.met.setGenDepth(0)
 	sh.ring.Record(obs.SpanInstall, sh.id, ep.seq, len(sh.delta), int64(time.Since(pause)))
 }
 
-// reclaim trims the retained-epoch ring: epochs beyond the grace-period
-// depth are dropped oldest-first, but never past one a live snapshot pin
-// might still step back to. The current epoch (last entry) always stays.
-// A pin at horizon S needs the newest retained epoch with upTo <= S —
-// every pin satisfies upTo <= S for the epoch that was current when it
-// pinned, and pin registration is ordered against minPin, so that epoch
-// is never trimmed under it. Shard goroutine only.
+// reclaim trims the retained-epoch ring to the epochs a live snapshot
+// pin can step back to, dropping the rest oldest-first; with no pin only
+// the current epoch (the last entry) stays. A pin at horizon S needs the
+// newest retained epoch with upTo <= S and every epoch after it (their
+// absorbed generations are its replay log) — every pin satisfies upTo
+// <= S for the epoch that was current when it pinned, and pin
+// registration is ordered against minPin, so that epoch is never trimmed
+// under it. The dropped epochs' column sets are recycled. Shard
+// goroutine only.
 func (sh *shard) reclaim() {
-	keep := len(sh.retained) - epochRetain
-	if keep <= 0 {
-		return
-	}
+	keep := len(sh.retained) - 1
 	minPin := sh.pins.minPin()
 	for keep > 0 && sh.retained[keep].upTo > minPin {
 		keep--
@@ -165,9 +185,48 @@ func (sh *shard) reclaim() {
 	if keep == 0 {
 		return
 	}
+	for _, ep := range sh.retained[:keep] {
+		sh.recycle(ep.cols)
+	}
 	n := copy(sh.retained, sh.retained[keep:])
 	clear(sh.retained[n:])
 	sh.retained = sh.retained[:n]
+}
+
+// recycle takes the column set of an epoch reclaim dropped: the larger of
+// it and the spare stays the spare, and the other is freed. Shard
+// goroutine only.
+func (sh *shard) recycle(c colSet) {
+	if c.bytes() < sh.spare.bytes() {
+		c.free()
+		return
+	}
+	sh.spare.free()
+	sh.spare = c
+}
+
+// columnBytes is the key and code memory the shard holds: every retained
+// epoch's column set and the spare (the in-flight merge's output while
+// one runs).
+func (sh *shard) columnBytes() int64 {
+	n := sh.spare.bytes()
+	for _, ep := range sh.retained {
+		n += ep.cols.bytes()
+	}
+	return n
+}
+
+// freeColumns frees every column set the shard holds. Close calls it once
+// the shard goroutine has exited; the retained epochs' views are cleared
+// with their sets, so a use after Close finds empty columns, not unmapped
+// memory.
+func (sh *shard) freeColumns() {
+	for _, ep := range sh.retained {
+		ep.cols.free()
+		ep.idx.table, ep.idx.codes, ep.idx.top = nil, nil, nil
+	}
+	sh.spare.free()
+	sh.met.setColumnBytes(0)
 }
 
 // viewAt builds the (epoch, delta view) pair a drain at read horizon

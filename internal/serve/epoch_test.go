@@ -32,7 +32,13 @@ type boundWorld struct {
 const boundBase = 4096
 
 func newBoundWorld(t *testing.T, threshold int) *boundWorld {
-	table, codes := make([]uint64, boundBase), make([]uint32, boundBase)
+	return newBoundWorldN(t, boundBase, threshold)
+}
+
+// newBoundWorldN is newBoundWorld over an n-key column: keys 0, 4, 8, …
+// with codes 0, 1, 2, ….
+func newBoundWorldN(t *testing.T, n, threshold int) *boundWorld {
+	table, codes := make([]uint64, n), make([]uint32, n)
 	w := &boundWorld{t: t, oracle: map[uint64]uint32{}, pending: map[uint64]uint32{}}
 	for i := range table {
 		table[i], codes[i] = uint64(4*i), uint32(i)
@@ -43,7 +49,8 @@ func newBoundWorld(t *testing.T, threshold int) *boundWorld {
 	}
 	sh := &shard{ctl: newController(Config{}), met: &shardMetrics{}, rebuildAt: threshold, hz: new(atomic.Uint64), pins: &pinSet{}}
 	sh.pins.init()
-	ep := &epochState{idx: newIndex(table, codes, native.Sample(table), nil)}
+	top := native.Sample(table)
+	ep := &epochState{idx: newIndex(table, codes, top, nil), cols: colSet{keys: table, codes: codes, top: top}}
 	sh.epoch.Store(ep)
 	sh.retained = []*epochState{ep}
 	w.sh = sh

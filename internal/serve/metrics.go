@@ -91,8 +91,8 @@ type shardMetrics struct {
 	// Write-path counters: applied writes, time spent applying them
 	// (merge steps included), the delta-size gauge, write stalls (freezes
 	// that had to finish the previous merge first), the frozen-generation
-	// (0 or 1) and retained-epoch depth gauges, and the epoch rebuilds with
-	// their install pauses.
+	// (0 or 1), retained-epoch depth and column-memory gauges, and the
+	// epoch rebuilds with their install pauses.
 	inserts      obs.Counter
 	deletes      obs.Counter
 	wBusyNS      obs.Counter
@@ -100,6 +100,7 @@ type shardMetrics struct {
 	deltaLen     obs.Gauge
 	genDepth     obs.Gauge
 	retainedEp   obs.Gauge
+	colBytes     obs.Gauge
 	epoch        obs.Gauge
 	rebuilds     obs.Counter
 	rebuildNS    obs.Counter
@@ -133,6 +134,7 @@ func (m *shardMetrics) register(reg *obs.Registry, shard int) {
 	reg.RegisterGauge(obs.Name("serve_delta_len", "shard", s), &m.deltaLen)
 	reg.RegisterGauge(obs.Name("serve_frozen_gens", "shard", s), &m.genDepth)
 	reg.RegisterGauge(obs.Name("serve_retained_epochs", "shard", s), &m.retainedEp)
+	reg.RegisterGauge(obs.Name("serve_column_bytes", "shard", s), &m.colBytes)
 	reg.RegisterGauge(obs.Name("serve_epoch", "shard", s), &m.epoch)
 	reg.RegisterCounter(obs.Name("serve_rebuilds", "shard", s), &m.rebuilds)
 	reg.RegisterCounter(obs.Name("serve_rebuild_ns", "shard", s), &m.rebuildNS)
@@ -182,10 +184,12 @@ func (m *shardMetrics) recordWriteStall() {
 	m.stalls.Add(1)
 }
 
-// setGenDepth / setRetained refresh the frozen-generation count (0 or
-// 1) and retained-epoch ring depth gauges.
-func (m *shardMetrics) setGenDepth(n int) { m.genDepth.Set(int64(n)) }
-func (m *shardMetrics) setRetained(n int) { m.retainedEp.Set(int64(n)) }
+// setGenDepth / setRetained / setColumnBytes refresh the
+// frozen-generation count (0 or 1), retained-epoch ring depth and
+// column-memory gauges.
+func (m *shardMetrics) setGenDepth(n int)      { m.genDepth.Set(int64(n)) }
+func (m *shardMetrics) setRetained(n int)      { m.retainedEp.Set(int64(n)) }
+func (m *shardMetrics) setColumnBytes(n int64) { m.colBytes.Set(n) }
 
 func (m *shardMetrics) recordJoins(joins, hits uint64) {
 	if joins == 0 {
@@ -298,7 +302,10 @@ type ShardStats struct {
 	// per-write merge step keeps it at 0. FrozenGens is the number of
 	// frozen generations (0 or 1: one merge in flight or none),
 	// RetainedEpochs the multi-version retained-epoch ring depth after the
-	// last reclaim.
+	// last reclaim. ColumnBytes is the key and code memory the shard
+	// holds: the current epoch's columns, the spare the next merge writes
+	// (or the in-flight merge's output) and every pinned epoch's; 0 after
+	// Close.
 	Inserts        uint64
 	Deletes        uint64
 	WriteBusy      time.Duration
@@ -306,6 +313,7 @@ type ShardStats struct {
 	DeltaLen       int
 	FrozenGens     int
 	RetainedEpochs int
+	ColumnBytes    int64
 	// Epoch is the published snapshot sequence (0 = the domain New was
 	// built over); Rebuilds counts installed epoch rebuilds, with
 	// RebuildPause the total and MaxRebuildPause the worst single
@@ -335,6 +343,7 @@ func (m *shardMetrics) snapshot(id int) ShardStats {
 		DeltaLen:        int(m.deltaLen.Load()),
 		FrozenGens:      int(m.genDepth.Load()),
 		RetainedEpochs:  int(m.retainedEp.Load()),
+		ColumnBytes:     m.colBytes.Load(),
 		Epoch:           uint64(m.epoch.Load()),
 		Rebuilds:        m.rebuilds.Load(),
 		RebuildPause:    time.Duration(m.rebuildNS.Load()),

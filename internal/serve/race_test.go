@@ -23,17 +23,26 @@ import (
 //     a reader's observed version must never go backwards.
 //
 // Run under -race (the CI race job) this also exercises the epoch
-// pointer hand-off between the shard and Stats readers.
+// pointer hand-off between the shard and Stats readers. The large world
+// runs the same churn over columns that fill huge pages, merging into
+// recycled mapped spares, with fewer versions: each of its merges
+// rewrites a 2^19-key column.
 func TestSnapshotConsistencyUnderRebuilds(t *testing.T) {
+	const shards = 4
+	versions := uint32(150)
+	if testing.Short() {
+		versions = 60
+	}
+	t.Run("heap", func(t *testing.T) { testSnapshotConsistency(t, testDomain(200, 1), versions) })
+	t.Run("huge", func(t *testing.T) { testSnapshotConsistency(t, bigDomain(shards), versions/6) })
+}
+
+func testSnapshotConsistency(t *testing.T, domain []uint64, versions uint32) {
 	const (
 		shards  = 4
 		nKeys   = 24
 		readers = 2
 	)
-	versions := uint32(150)
-	if testing.Short() {
-		versions = 60
-	}
 	// Keys that all hash to shard 0, none in the initial domain.
 	keys := make([]uint64, 0, nKeys)
 	for k := uint64(1000); len(keys) < nKeys; k++ {
@@ -41,7 +50,7 @@ func TestSnapshotConsistencyUnderRebuilds(t *testing.T) {
 			keys = append(keys, k)
 		}
 	}
-	s, err := New(testDomain(200, 1), WithShards(shards), WithRebuildThreshold(8))
+	s, err := New(domain, WithShards(shards), WithRebuildThreshold(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +275,17 @@ func TestShedAccounting(t *testing.T) {
 // before the next freeze: WriteStalls (a freeze that had to finish the
 // previous merge itself) stays zero on any core count, because the step
 // arithmetic, not the scheduler, keeps the merge ahead.
+//
+// The large world storms a shard whose columns fill huge pages, so its
+// merges write recycled mapped spares; it takes a quarter of the writes,
+// since each of its merges rewrites a 2^19-key column.
 func TestWriteStormNeverStalls(t *testing.T) {
-	s, err := New(testDomain(64, 1), WithShards(1), WithRebuildThreshold(2))
+	t.Run("heap", func(t *testing.T) { testWriteStorm(t, testDomain(64, 1), 400) })
+	t.Run("huge", func(t *testing.T) { testWriteStorm(t, bigDomain(1), 100) })
+}
+
+func testWriteStorm(t *testing.T, domain []uint64, writes int) {
+	s, err := New(domain, WithShards(1), WithRebuildThreshold(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +294,13 @@ func TestWriteStormNeverStalls(t *testing.T) {
 	// the tiny threshold many times while merges are still in flight —
 	// the exact shape that used to take the park path on every refill.
 	// Every one of those merges advances only by the writes after it.
-	ops := make([]Op, 400)
+	ops := make([]Op, writes)
 	for i := range ops {
 		ops[i] = Op{Kind: OpInsert, Key: uint64(10000 + i), Val: uint32(i + 1)}
 	}
 	s.ApplyBatch(ctx, ops).Wait()
 	// The writes are all visible, storm or not.
-	for _, i := range []int{0, 199, 399} {
+	for _, i := range []int{0, writes/2 - 1, writes - 1} {
 		if r := s.Lookup(ctx, ops[i].Key); !r.Found || r.Code != ops[i].Val {
 			t.Fatalf("lookup(%d) = %+v after write storm", ops[i].Key, r)
 		}
@@ -307,10 +325,20 @@ func TestWriteStormNeverStalls(t *testing.T) {
 // runs its merges itself — this test hammers Close against a
 // full-throttle write storm (tiny threshold, merges always in flight)
 // and must terminate: every submitted write either acks or drops with
-// ErrClosed, never hangs.
+// ErrClosed, never hangs. Every other round storms the large world, so
+// Close also races merges into mapped spares and unmaps them after the
+// shard goroutines exit.
 func TestCloseDuringWriteStorm(t *testing.T) {
+	small, big := testDomain(64, 1), bigDomain(2)
 	for round := 0; round < 8; round++ {
-		s, err := New(testDomain(64, 1), WithShards(2), WithRebuildThreshold(2))
+		// Every write runs a step of a merge over the whole column: in the
+		// large world a larger threshold keeps the steps, and so the
+		// queued storm Close drains, short.
+		domain, threshold := small, 2
+		if round%2 == 1 {
+			domain, threshold = big, 64
+		}
+		s, err := New(domain, WithShards(2), WithRebuildThreshold(threshold))
 		if err != nil {
 			t.Fatal(err)
 		}

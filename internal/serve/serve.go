@@ -34,15 +34,15 @@
 // ends before the delta can refill, so at most one generation is ever
 // frozen.
 //
-// Epochs are multi-versioned: each shard retains its last few installed
-// snapshots behind a grace-period reclaimer, so a reader can pin the
-// commit horizon at admission (Snapshot / the At-suffixed submission
-// variants / WithSnapshotReads) and drain against a consistent
-// cross-shard view. Plain writes are visible to every reader the moment
-// they land; the pinned horizon only fences atomic batches
-// (ApplyBatchAtomic), which become visible everywhere at once when their
-// seq commits — a snapshot reader observes all of a cross-shard atomic
-// batch or none of it.
+// Epochs are multi-versioned: each shard retains the installed snapshots
+// a live pin can step back to (only the current one when none is live),
+// so a reader can pin the commit horizon at admission (Snapshot / the
+// At-suffixed submission variants / WithSnapshotReads) and drain against
+// a consistent cross-shard view. Plain writes are visible to every
+// reader the moment they land; the pinned horizon only fences atomic
+// batches (ApplyBatchAtomic), which become visible everywhere at once
+// when their seq commits — a snapshot reader observes all of a
+// cross-shard atomic batch or none of it.
 //
 // Either way, requests are hash-partitioned across per-core shards
 // (every column through one order-keeping index permutation, so results
@@ -507,7 +507,8 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 	}
 
 	// Partition the sorted domain, count then fill, so every shard's
-	// columns are allocated once at their exact size: local arrays stay
+	// columns are allocated once, at their exact size on the heap or
+	// mapped when they fill a huge page (colmem.go): local arrays stay
 	// sorted because the global order is preserved per shard. The fill
 	// also samples every native.PageKeys-th local key into the shard's
 	// page sample (native.Sample's layout), the top level of the drains'
@@ -516,13 +517,16 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 	for _, v := range sorted {
 		counts[shardOf(v, cfg.Shards)]++
 	}
+	// The fill appends to per-shard slices, not through the column sets:
+	// writing through a *colSet made it about 1.7× slower (2^16 keys, 2
+	// shards).
+	cols := make([]colSet, cfg.Shards)
 	locVals := make([][]uint64, cfg.Shards)
 	locCodes := make([][]uint32, cfg.Shards)
 	locTop := make([][]uint64, cfg.Shards)
 	for i, c := range counts {
-		locVals[i] = make([]uint64, 0, c)
-		locCodes[i] = make([]uint32, 0, c)
-		locTop[i] = make([]uint64, 0, (c+native.PageKeys-1)/native.PageKeys)
+		cols[i] = newColSet(c)
+		locVals[i], locCodes[i], locTop[i] = cols[i].keys, cols[i].codes, cols[i].top
 	}
 	for code, v := range sorted {
 		i := shardOf(v, cfg.Shards)
@@ -531,6 +535,9 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 		}
 		locVals[i] = append(locVals[i], v)
 		locCodes[i] = append(locCodes[i], uint32(code))
+	}
+	for i := range cols {
+		cols[i].keys, cols[i].codes, cols[i].top = locVals[i], locCodes[i], locTop[i]
 	}
 
 	// Partition the build side by the same key hash, resolving each
@@ -587,10 +594,12 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 			pins:      &s.pins,
 		}
 		sh.attachObserver(o.obsv)
-		ep := &epochState{idx: newIndex(locVals[i], locCodes[i], locTop[i], joinTabs[i])}
+		c := cols[i]
+		ep := &epochState{idx: newIndex(c.keys, c.codes, c.top, joinTabs[i]), cols: c}
 		sh.epoch.Store(ep)
 		sh.retained = []*epochState{ep}
 		sh.met.setRetained(1)
+		sh.met.setColumnBytes(c.bytes())
 		sh.met.group.Set(int64(cfg.Group))
 		s.shards = append(s.shards, sh)
 	}
@@ -720,8 +729,10 @@ func (s *Service) dispatch(bf *BatchFuture) {
 	s.admitOps(bf, s.snapReads)
 }
 
-// Close seals the pending admission batch, drains every shard, and stops
-// the shard goroutines. All requests admitted before Close complete.
+// Close seals the pending admission batch, drains every shard, stops
+// the shard goroutines and frees their columns. All requests admitted
+// before Close complete. A service that is never closed keeps its
+// mapped columns until the process exits.
 // Close is idempotent and safe to call concurrently (every call waits
 // for the shutdown to finish). Every admission path may race Close
 // freely: a point submission losing the race is refused by the batcher,
@@ -743,6 +754,9 @@ func (s *Service) Close() {
 		}
 		s.admitGate.Unlock()
 		s.wg.Wait()
+		for _, sh := range s.shards {
+			sh.freeColumns()
+		}
 	})
 }
 

@@ -613,3 +613,21 @@ func TestServiceAdaptiveControllerRuns(t *testing.T) {
 		}
 	}
 }
+
+// bigShardKeys is how many keys a shard holds in the suites' large
+// world: its key column (4 MiB) and code column (2 MiB) each fill at
+// least one huge page, so both are mapped wherever columns are
+// (colmem.go), and the suites run merges into recycled mapped spares.
+const bigShardKeys = 1 << 19
+
+// bigDomain returns the large world's domain for a service of the given
+// shard count: even keys from 2^32 up, clear of the small keys the
+// suites write, with enough slack over bigShardKeys per shard that the
+// hash partition leaves none below it.
+func bigDomain(shards int) []uint64 {
+	vals := make([]uint64, shards*(bigShardKeys+4096))
+	for i := range vals {
+		vals[i] = 1<<32 + 2*uint64(i)
+	}
+	return vals
+}

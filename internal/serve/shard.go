@@ -24,10 +24,10 @@ import (
 type shard struct {
 	id int
 	in chan shardMsg
-	// epoch is the published snapshot: loaded once per drained message,
-	// swapped only by this shard's goroutine at install time, read
-	// concurrently by Stats. A message therefore probes exactly one
-	// (snapshot, delta) pair — no torn views inside a batch segment.
+	// epoch is the published snapshot, swapped only by this shard's
+	// goroutine at install time and loaded only in epoch.go. A read run
+	// probes exactly one (snapshot, delta) pair — no torn views inside
+	// it.
 	epoch atomic.Pointer[epochState]
 	ctl   *controller
 	met   *shardMetrics
@@ -45,6 +45,9 @@ type shard struct {
 	// entry is always the current epoch. Shard goroutine only — pinned
 	// readers drain on this goroutine too, so no locking.
 	retained []*epochState
+	// spare is the column set the next freeze merges into — the in-flight
+	// merge's output while one runs (colmem.go). Shard goroutine only.
+	spare colSet
 	// hz/pins alias the service's commit horizon and snapshot pin set.
 	hz   *atomic.Uint64
 	pins *pinSet

@@ -27,7 +27,7 @@ import (
 // shadows it for every reader, even if the batch commits later.
 
 // Snap is a pinned commit horizon. While a Snap is live, every shard's
-// grace-period reclaimer keeps an epoch its horizon can read, so
+// reclaimer keeps the epochs its horizon can step back to, so
 // At-suffixed reads carrying it drain against a stable cross-shard view
 // of atomic-batch visibility. Release it when done — a leaked pin
 // pins old epochs (and their absorbed write generations) in memory.
@@ -57,7 +57,7 @@ func (sn *Snap) Release() {
 }
 
 // noPin is the sentinel pinSet.minPin returns when no snapshot is live:
-// reclaim is then bounded only by the retention depth.
+// reclaim then keeps only the current epoch.
 const noPin = ^uint64(0)
 
 // pinSet tracks live snapshot pins by horizon with reference counts and
