@@ -310,7 +310,7 @@ func testRetentionByPin(t *testing.T, domain []uint64) {
 	// A column set is at most as large as the spare a merge over the
 	// longest column the writers can leave allocates.
 	m := len(domain) + pinSpan/2 + threshold + pinBatch
-	m += m / spareSlack
+	m += spareGens * threshold
 	maxSet := func() int64 { c := newColSet(m); defer c.free(); return c.bytes() }()
 	epoch := func() uint64 { return s.Stats().Shards[0].Epoch }
 	// unpinned checks the no-pin rule on every Stats read.

@@ -37,17 +37,19 @@ type colSet struct {
 	keys  []uint64
 	codes []uint32
 	top   []uint64
-	// keysMap and codesMap are the mappings keys and codes lie in, nil
-	// for a column on the Go heap.
-	keysMap, codesMap []byte
+	// keysMapped and codesMapped report a column that is a mapping of its
+	// own (mapColumn), exactly its capacity long, not a heap slice.
+	keysMapped, codesMapped bool
 }
 
-// newColSet allocates a set with capacity for n keys.
+// newColSet allocates a set with capacity for at least n keys.
 func newColSet(n int) colSet {
 	var c colSet
-	c.keys, c.keysMap = allocColumn[uint64](n)
-	c.codes, c.codesMap = allocColumn[uint32](n)
-	c.top = make([]uint64, 0, native.SampleLen(n))
+	c.keys, c.keysMapped = allocColumn[uint64](n)
+	c.codes, c.codesMapped = allocColumn[uint32](n)
+	// A mapped column rounds up to whole huge pages: the sample covers
+	// what both columns can hold, so that rounding is headroom too.
+	c.top = make([]uint64, 0, native.SampleLen(min(cap(c.keys), cap(c.codes))))
 	return c
 }
 
@@ -62,18 +64,28 @@ func (c *colSet) bytes() int64 { return int64(cap(c.keys))*8 + int64(cap(c.codes
 // free unmaps the set's mapped columns and drops its heap ones, leaving
 // the zero set. Any view of the set is invalid afterwards.
 func (c *colSet) free() {
-	unmapColumn(c.keysMap)
-	unmapColumn(c.codesMap)
+	if c.keysMapped {
+		unmapColumn(columnMemory(c.keys))
+	}
+	if c.codesMapped {
+		unmapColumn(columnMemory(c.codes))
+	}
 	*c = colSet{}
 }
 
 // allocColumn returns an empty column with capacity for at least n
-// elements, mapped when its bytes fill a huge page (mapColumn), on the
-// heap otherwise, and its mapping (nil on the heap).
-func allocColumn[T uint32 | uint64](n int) ([]T, []byte) {
+// elements and whether it is mapped: mapped when its bytes fill a huge
+// page (mapColumn), on the heap otherwise.
+func allocColumn[T uint32 | uint64](n int) ([]T, bool) {
 	size := int(unsafe.Sizeof(T(0)))
-	if col, m := mapColumn(n * size); col != nil {
-		return unsafe.Slice((*T)(unsafe.Pointer(&col[0])), len(col)/size)[:0], m
+	if m := mapColumn(n * size); m != nil {
+		return unsafe.Slice((*T)(unsafe.Pointer(&m[0])), len(m)/size)[:0], true
 	}
-	return make([]T, 0, n), nil
+	return make([]T, 0, n), false
+}
+
+// columnMemory is the memory of a column's whole capacity: for a mapped
+// column, its mapping.
+func columnMemory[T uint32 | uint64](col []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(col))), cap(col)*int(unsafe.Sizeof(T(0))))
 }

@@ -7,6 +7,7 @@ import (
 	"context"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -53,15 +54,17 @@ func readVMAs(t *testing.T) []vma {
 	return out
 }
 
-// addrOf is the address of a mapping's or column's first byte.
+// addrOf is the address of a column's first byte.
 func addrOf[T any](s []T) uint64 { return uint64(uintptr(unsafe.Pointer(unsafe.SliceData(s)))) }
 
 // TestColumnsMappedOutsideHeap: a shard's columns of a huge page or more
-// lie in their own mapping, starting on a 2 MiB boundary and advised
-// MADV_HUGEPAGE (VmFlags "hg"), and New's building them adds nothing of
-// their size to the Go heap. The heap check reads HeapAlloc rather than
-// HeapSys: HeapSys keeps freed spans and grows by whole arenas, so it
-// cannot tell where one column went.
+// are mappings of their own, 2 MiB-aligned, whole huge pages long and
+// advised MADV_HUGEPAGE (VmFlags "hg"), and New's building them adds
+// nothing of their size to the Go heap. The heap check reads HeapAlloc
+// rather than HeapSys: HeapSys keeps freed spans and grows by whole
+// arenas, so it cannot tell where one column went. The kernel may merge
+// the two columns' adjacent mappings into one VMA, so a column need only
+// lie inside an hg VMA, not start one.
 func TestColumnsMappedOutsideHeap(t *testing.T) {
 	if _, err := os.Stat("/sys/kernel/mm/transparent_hugepage/enabled"); err != nil {
 		t.Skip("kernel without transparent huge pages: MADV_HUGEPAGE is refused")
@@ -77,33 +80,33 @@ func TestColumnsMappedOutsideHeap(t *testing.T) {
 	defer s.Close()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	x := &s.shards[0].epoch.Load().idx
+	x, c := &s.shards[0].epoch.Load().idx, s.shards[0].retained[0].cols
 	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown >= int64(4*len(x.codes)) {
 		t.Fatalf("the heap grew by %d bytes while New built %d-byte and %d-byte columns", grown, 8*len(x.table), 4*len(x.codes))
 	}
+	if !c.keysMapped || !c.codesMapped {
+		t.Fatalf("keys mapped %v, codes mapped %v: want both columns mapped", c.keysMapped, c.codesMapped)
+	}
+	if addrOf(x.table) != addrOf(c.keys) || addrOf(x.codes) != addrOf(c.codes) {
+		t.Fatal("the epoch's columns do not view its column set")
+	}
 	vmas := readVMAs(t)
-	for name, col := range map[string]uint64{"keys": addrOf(x.table), "codes": addrOf(x.codes)} {
-		if col%hugePage != 0 {
-			t.Fatalf("%s column at %#x, not 2 MiB-aligned", name, col)
+	for name, col := range map[string][]byte{"keys": columnMemory(c.keys), "codes": columnMemory(c.codes)} {
+		lo, hi := addrOf(col), addrOf(col)+uint64(len(col))
+		if lo%hugePage != 0 || len(col)%hugePage != 0 {
+			t.Fatalf("%s column %#x-%#x is not whole 2 MiB-aligned huge pages", name, lo, hi)
 		}
 		found := false
 		for _, v := range vmas {
-			if v.lo <= col && col < v.hi {
+			if v.lo <= lo && hi <= v.hi {
 				found = true
-				if v.lo != col {
-					t.Fatalf("%s column at %#x inside a mapping from %#x: the advice should start its own", name, col, v.lo)
-				}
-				hg := false
-				for _, f := range v.flags {
-					hg = hg || f == "hg"
-				}
-				if !hg {
+				if !slices.Contains(v.flags, "hg") {
 					t.Fatalf("%s column's mapping has VmFlags %v, want hg", name, v.flags)
 				}
 			}
 		}
 		if !found {
-			t.Fatalf("%s column at %#x lies in no mapping", name, col)
+			t.Fatalf("%s column %#x-%#x lies in no single mapping", name, lo, hi)
 		}
 	}
 	// The columns serve: the first, a middle and the last key resolve.
@@ -116,7 +119,10 @@ func TestColumnsMappedOutsideHeap(t *testing.T) {
 
 // TestCloseUnmapsColumns: after Close, none of the service's column
 // mappings — New's, the merged epochs' and the spare — remain in the
-// process's address space.
+// process's address space. Only hg mappings count as a column left
+// behind: once the columns are gone the kernel may place another
+// mapping of the process (a runtime chunk, a thread stack) in the hole,
+// and those do not carry the advice.
 func TestCloseUnmapsColumns(t *testing.T) {
 	s, err := New(bigDomain(2), WithShards(2), WithRebuildThreshold(8))
 	if err != nil {
@@ -130,17 +136,19 @@ func TestCloseUnmapsColumns(t *testing.T) {
 	// The shards are idle, and their column sets were last written before
 	// the batches above completed.
 	var ranges []vma
+	add := func(mapped bool, col []byte) {
+		if mapped {
+			ranges = append(ranges, vma{lo: addrOf(col), hi: addrOf(col) + uint64(len(col))})
+		}
+	}
 	for _, sh := range s.shards {
 		sets := []colSet{sh.spare}
 		for _, ep := range sh.retained {
 			sets = append(sets, ep.cols)
 		}
 		for _, c := range sets {
-			for _, m := range [][]byte{c.keysMap, c.codesMap} {
-				if m != nil {
-					ranges = append(ranges, vma{lo: addrOf(m), hi: addrOf(m) + uint64(len(m))})
-				}
-			}
+			add(c.keysMapped, columnMemory(c.keys))
+			add(c.codesMapped, columnMemory(c.codes))
 		}
 	}
 	if len(ranges) < 2*len(s.shards) {
@@ -148,13 +156,37 @@ func TestCloseUnmapsColumns(t *testing.T) {
 	}
 	s.Close()
 	for _, v := range readVMAs(t) {
+		if !slices.Contains(v.flags, "hg") {
+			continue
+		}
 		for _, r := range ranges {
 			if v.lo < r.hi && r.lo < v.hi {
-				t.Fatalf("after Close, %#x-%#x still overlaps the column mapping %#x-%#x", v.lo, v.hi, r.lo, r.hi)
+				t.Fatalf("after Close, the hg mapping %#x-%#x still overlaps the column %#x-%#x", v.lo, v.hi, r.lo, r.hi)
 			}
 		}
 	}
 	if st := s.Stats(); st.Shards[0].ColumnBytes != 0 || st.Shards[1].ColumnBytes != 0 {
 		t.Fatalf("after Close, ColumnBytes %d and %d, want 0", st.Shards[0].ColumnBytes, st.Shards[1].ColumnBytes)
+	}
+}
+
+// TestRoundedColumnsHoldTheirCapacity: a mapped set's columns round up
+// to whole huge pages, and its page sample covers that rounding, so the
+// set holds a merge as long as both columns do. A sample sized from the
+// requested length would run out first and make the shard replace two
+// mappings that still had room.
+func TestRoundedColumnsHoldTheirCapacity(t *testing.T) {
+	const n = hugePage/4 + 1 // codes just over one huge page, keys over two
+	c := newColSet(n)
+	defer c.free()
+	if !c.keysMapped || !c.codesMapped {
+		t.Fatalf("keys mapped %v, codes mapped %v: want both", c.keysMapped, c.codesMapped)
+	}
+	room := min(cap(c.keys), cap(c.codes))
+	if room != 3*hugePage/8 { // the keys' three huge pages
+		t.Fatalf("a set of %d keys has room for %d in both columns, want %d", n, room, 3*hugePage/8)
+	}
+	if !c.holds(room) {
+		t.Fatalf("a set with room for %d keys in both columns does not hold a merge of %d (sample capacity %d)", room, room, cap(c.top))
 	}
 }

@@ -43,10 +43,13 @@ import (
 // merge's bound exceeds it. Without a pin a shard therefore holds two
 // column sets: the current epoch's and the spare.
 
-// spareSlack is the headroom a newly allocated spare gets over the merge
-// that needs it, as a fraction 1/spareSlack of the bound, so a column
-// that grows by a few generations keeps merging into the same two sets.
-const spareSlack = 8
+// spareGens is the headroom a newly allocated spare gets over the merge
+// that needs it, in generations of the rebuild threshold: a merge
+// lengthens the column by at most its flattened generation, which a
+// freeze cuts at the threshold (plus any uncommitted atomic entries), so
+// a growing column merges about spareGens/2 more times into each of its two
+// sets before one is replaced.
+const spareGens = 8
 
 // idleMergeChunk is how many output entries an idle shard (empty queue)
 // merges before it checks its queue again: one page of output, so a
@@ -119,7 +122,7 @@ func (sh *shard) startMerge(gen []writeEntry) {
 	m := len(ep.idx.table) + len(keys)
 	if !sh.spare.holds(m) {
 		sh.spare.free()
-		sh.spare = newColSet(m + m/spareSlack)
+		sh.spare = newColSet(m + spareGens*sh.rebuildAt)
 	}
 	sh.merge = native.StartMerge(ep.idx.table, ep.idx.codes, keys, vals, del, sh.spare.keys, sh.spare.codes, sh.spare.top)
 	writes := max(1, sh.rebuildAt-len(sh.delta))

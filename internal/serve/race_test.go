@@ -325,19 +325,19 @@ func testWriteStorm(t *testing.T, domain []uint64, writes int) {
 // runs its merges itself — this test hammers Close against a
 // full-throttle write storm (tiny threshold, merges always in flight)
 // and must terminate: every submitted write either acks or drops with
-// ErrClosed, never hangs. Every other round storms the large world, so
-// Close also races merges into mapped spares and unmaps them after the
-// shard goroutines exit.
+// ErrClosed, never hangs. The large world runs the same storm over
+// columns that fill huge pages, so Close also races merges into mapped
+// spares and unmaps them after the shard goroutines exit.
 func TestCloseDuringWriteStorm(t *testing.T) {
-	small, big := testDomain(64, 1), bigDomain(2)
-	for round := 0; round < 8; round++ {
-		// Every write runs a step of a merge over the whole column: in the
-		// large world a larger threshold keeps the steps, and so the
-		// queued storm Close drains, short.
-		domain, threshold := small, 2
-		if round%2 == 1 {
-			domain, threshold = big, 64
-		}
+	t.Run("heap", func(t *testing.T) { testCloseDuringWriteStorm(t, testDomain(64, 1), 2, 8) })
+	// Every write runs a step of a merge over the whole column: in the
+	// large world a larger threshold keeps the steps, and so the queued
+	// storm Close drains, short.
+	t.Run("huge", func(t *testing.T) { testCloseDuringWriteStorm(t, bigDomain(2), 64, 4) })
+}
+
+func testCloseDuringWriteStorm(t *testing.T, domain []uint64, threshold, rounds int) {
+	for round := 0; round < rounds; round++ {
 		s, err := New(domain, WithShards(2), WithRebuildThreshold(threshold))
 		if err != nil {
 			t.Fatal(err)
